@@ -27,7 +27,8 @@ from .laurent import (BranchSpec, build_series, enumerate_branches,
                       branch_residue)
 from .model import energy, energy_series, residual_of_series, state_from_series
 from .painleve import candidate_C_values, classify
-from .scalars import Scalar, default_precision, set_default_precision
+from .scalars import (Scalar, default_precision, env_precision,
+                      set_default_precision)
 from .subequation import fit as fit_subequation
 
 EXIT_OK = 0
@@ -158,7 +159,7 @@ def cmd_verify(args) -> int:
     tol = parse_scalar(args.tol)
     s_a = state_from_series(solution.x, solution.y, t_a, solution.precision)
     s_b = state_from_series(solution.x, solution.y, t_b, solution.precision)
-    end = integrate_numeric(sys_model, s_a, t_b, tol)
+    end = integrate_numeric(sys_model, s_a, t_b, tol, center=spec.t0)
     report["numeric_cross_check"] = {
         "series_state": encode_state(s_b),
         "integrated_state": encode_state(end),
@@ -321,11 +322,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_negative_literals(argv))
-    if args.precision_bits is not None:
-        try:
-            set_default_precision(args.precision_bits)
-        except ContractViolation as exc:
-            parser.exit(EXIT_CONFIG, f"error: {exc}\n")
+    try:
+        bits = args.precision_bits
+        if bits is None:
+            bits = env_precision()
+        if bits is not None:
+            set_default_precision(bits)
+    except ContractViolation as exc:
+        parser.exit(EXIT_CONFIG, f"error: {exc}\n")
     try:
         return args.func(args)
     except (ContractViolation, UnsupportedParameter, InsufficientPrefix,

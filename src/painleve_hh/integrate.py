@@ -30,9 +30,10 @@ def _taylor_coefficients(lam, C, x0, xt0, y0, yt0, order):
     X = [x0, xt0]
     Y = [y0, yt0]
     for m in range(order - 1):
-        cx = -lam * X[m] - 2 * sum(X[i] * Y[m - i] for i in range(m + 1))
-        cy = (-Y[m] - sum(X[i] * X[m - i] for i in range(m + 1))
-              + C * sum(Y[i] * Y[m - i] for i in range(m + 1)))
+        # X[m::-1] is X[m], ..., X[0], the Cauchy partner of X[0], ..., X[m];
+        # fdot stops at the shorter list
+        cx = -lam * X[m] - 2 * mp.fdot(X, Y[m::-1])
+        cy = -Y[m] - mp.fdot(X, X[m::-1]) + C * mp.fdot(Y, Y[m::-1])
         denom = (m + 1) * (m + 2)
         X.append(cx / denom)
         Y.append(cy / denom)
@@ -52,15 +53,17 @@ def _horner_pair(coeffs, h):
 
 def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
                       tol, order: int = TAYLOR_ORDER,
-                      max_steps: int = 100000) -> PhaseState:
+                      max_steps: int = 100000, center=0) -> PhaseState:
     """Integrate from s0.t to t_end along the real axis.
 
-    The path must keep |t| >= tol**(1/4) away from the movable singularity
-    at t = 0; violating that, or a collapsing step size, raises
+    The path must keep |t - center| >= tol**(1/4) away from the movable
+    singularity at t = center (the expansion centre t0 of the series the
+    state came from); violating that, or a collapsing step size, raises
     SingularityApproach.  Local error per step is held below tol.
     """
     t_end = as_scalar(t_end)
     tol = as_scalar(tol)
+    center = as_scalar(center)
     if order < 8:
         raise ContractViolation("integrator order must be >= 8")
     bits = max(s0.x.precision, s0.t.precision, tol.precision)
@@ -71,11 +74,13 @@ def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
         te = t_end.mpc(bits).real
         tolv = tol.mag()
         margin = tolv ** mpmath.mpf(0.25)
+        tc = center.mpc(bits).real
         lo, hi = (t, te) if t <= te else (te, t)
-        if lo < margin and hi > -margin:
+        if lo < tc + margin and hi > tc - margin:
             raise SingularityApproach(
                 f"path [{mpmath.nstr(lo, 8)}, {mpmath.nstr(hi, 8)}] comes within "
-                f"tol**(1/4)={mpmath.nstr(margin, 8)} of the singularity at t=0"
+                f"tol**(1/4)={mpmath.nstr(margin, 8)} of the singularity at "
+                f"t={mpmath.nstr(tc, 8)}"
             )
         x, xt = s0.x.mpc(bits), s0.xt.mpc(bits)
         y, yt = s0.y.mpc(bits), s0.yt.mpc(bits)

@@ -52,13 +52,16 @@ import mpmath
 from .errors import CompatibilityViolation, ContractViolation
 from .linalg import DenseMatrix
 from .model import build_henon_heiles, energy_series
-from .scalars import Scalar, as_scalar, default_precision, nth_root
+from .scalars import Scalar, as_scalar, default_precision, dot, nth_root
 from .series import PuiseuxSeries
 
 CASE_C165 = "C165"
 CASE_C43 = "C43"
 
 _C_VALUES = {CASE_C165: Fraction(-16, 5), CASE_C43: Fraction(-4, 3)}
+
+# Highest exponent of x and y kept when reading the energy constant.
+_H_WINDOW = 6
 
 
 def case_C(case: str) -> Scalar:
@@ -209,6 +212,12 @@ def branch_residue(spec: BranchSpec, bits: int | None = None) -> Scalar:
     return Scalar.exact(spec.residue_sign) * w
 
 
+def _cauchy(u: dict, v: dict, lo: int, total: int) -> Scalar:
+    """sum_{j=lo}^{total-lo} u[j]*v[total-j] over index-keyed coefficients."""
+    js = range(lo, total - lo + 1)
+    return dot([u[j] for j in js], [v[total - j] for j in js])
+
+
 class _Recurrence:
     """Stateful driver for one branch; holds the coefficient tables."""
 
@@ -236,28 +245,12 @@ class _Recurrence:
     def _rhs(self, k: int):
         x, y, lam = self.x, self.y, self.lam
         zero = Scalar.exact(0)
-        if self.case == CASE_C165:
-            r1 = -lam * x.get(k - 2, zero)
-            for j in range(-1, k):
-                r1 = r1 - 2 * x[j] * y[k - j - 2]
-            r2 = -y.get(k - 2, zero)
-            for j in range(-2, k):
-                r2 = r2 - x[j] * x[k - j - 3]
-            acc = zero
-            for j in range(-1, k):
-                acc = acc + y[j] * y[k - j - 2]
-            r2 = r2 - Scalar.exact(16, 5) * acc
-            return r1, r2
-        r1 = -lam * x.get(k - 2, zero)
-        for j in range(-1, k):
-            r1 = r1 - 2 * x[j] * y[k - j - 2]
-        r2 = -y.get(k - 2, zero)
-        for j in range(-1, k):
-            r2 = r2 - x[j] * x[k - j - 2]
-        acc = zero
-        for j in range(-1, k):
-            acc = acc + y[j] * y[k - j - 2]
-        r2 = r2 - Scalar.exact(4, 3) * acc
+        # the x*x sum runs over index pairs adding to k-3 (C165: x carries an
+        # extra sqrt(t)) or k-2 (C43), from j = -2 resp. -1
+        xx_lo, xx_total = (-2, k - 3) if self.case == CASE_C165 else (-1, k - 2)
+        r1 = -lam * x.get(k - 2, zero) - 2 * _cauchy(x, y, -1, k - 2)
+        r2 = -y.get(k - 2, zero) - _cauchy(x, x, xx_lo, xx_total) \
+            + case_C(self.case) * _cauchy(y, y, -1, k - 2)
         return r1, r2
 
     def _matrix(self, k: int) -> DenseMatrix:
@@ -401,7 +394,7 @@ def build_series(spec: BranchSpec, N: int, precision: int | None = None,
     inconsistent zero-determinant step; "force" keeps stepping (satisfying
     the solvable row) and leaves the defect visible in the step log and the
     residual.  The energy constant is the t**0 coefficient of the formal
-    energy expansion.
+    energy expansion, read from x and y truncated at t**6.
     """
     if N < 5:
         raise ContractViolation(f"N must be >= 5 to pass every resonance, got {N}")
@@ -431,10 +424,11 @@ def build_series(spec: BranchSpec, N: int, precision: int | None = None,
     ys = PuiseuxSeries(-2, 1, [eng.y[k] for k in range(-2, N + 1)],
                        center=spec.t0)
     sys = build_henon_heiles(case_C(spec.case), spec.lam)
-    h_series = energy_series(sys, xs, ys)
-    h = h_series.coefficient(0)
-    if h is None:  # pragma: no cover - N >= 5 always covers exponent 0
-        raise ContractViolation("N too small to read the energy constant")
+    # the t**0 energy coefficient needs x and y only through t**4; each
+    # product coefficient is one rounded dot, so the window gives the
+    # same H as the full expansion
+    h = energy_series(sys, xs.truncate(_H_WINDOW), ys.truncate(_H_WINDOW)) \
+        .coefficient(0)
     return SeriesSolution(spec=spec, x=xs, y=ys, H=h, steps=tuple(steps),
                           trunc_order=N, precision=bits)
 

@@ -12,7 +12,8 @@ y ~ b*(t-t0)^beta of the model come in two flavors:
 
 Resonances are computed both from those closed forms and from the roots of
 the linearized (Kowalevski) 2x2 determinant polynomial around the leading
-behavior; the two routes must agree to 1e-20.
+behavior; the two routes must agree to half the precision the compared
+values carry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from mpmath import mp
 from .errors import UnsupportedParameter
 from .scalars import Scalar, as_scalar, nth_root
 
-RESONANCE_AGREEMENT_TOL = mpmath.mpf("1e-20")
+
+def _agreement_tol(bits: int):
+    """Tolerance for values carrying ``bits`` bits: 2**-(bits//2), relative
+    for magnitudes above 1.  Half the precision leaves room for rounding in
+    the inputs and for the square-root conditioning of a double root."""
+    return mpmath.mpf(2) ** (-(bits // 2))
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,8 @@ def _is_integer(v: Scalar) -> bool:
     if z.imag != 0:
         return False
     with mp.workprec(max(v.precision, 128)):
-        return abs(z.real - mpmath.nint(z.real)) <= RESONANCE_AGREEMENT_TOL
+        return abs(z.real - mpmath.nint(z.real)) \
+            <= _agreement_tol(v.precision) * max(1, abs(z.real))
 
 
 def resonances(balance: DominantBalance, C, cross_check: bool = True) -> ResonanceSet:
@@ -175,23 +182,29 @@ def resonances(balance: DominantBalance, C, cross_check: bool = True) -> Resonan
 
     The closed-form table values are authoritative for the returned set;
     when cross_check is on, the determinant-polynomial roots must match
-    them as a multiset to 1e-20 or a RuntimeError is raised.
+    them as a multiset to _agreement_tol of the lowest precision among the
+    rounded table values and polynomial coefficients, or a RuntimeError
+    is raised.
     """
     C = as_scalar(C)
     _require_nonzero_C(C)
     table = _table_resonances(balance, C)
     if cross_check:
         bits = max(C.precision, 128)
-        roots = _poly_roots(kowalevski_polynomial(balance, C), bits)
+        poly = kowalevski_polynomial(balance, C)
+        roots = _poly_roots(poly, bits)
         if len(roots) != len(table):
             raise RuntimeError("resonance polynomial degree mismatch")
+        carried = min([bits] + [s.precision for s in table + poly
+                                if not s.is_exact])
         with mp.workprec(bits):
+            tol = _agreement_tol(carried)
             remaining = list(roots)
             for v in table:
                 z = v.mpc(bits)
                 best = min(range(len(remaining)),
                            key=lambda i: abs(remaining[i] - z))
-                if abs(remaining[best] - z) > RESONANCE_AGREEMENT_TOL:
+                if abs(remaining[best] - z) > tol * max(1, abs(z)):
                     raise RuntimeError(
                         f"table resonance {v!r} not matched by Kowalevski root "
                         f"(nearest off by "
@@ -204,7 +217,8 @@ def resonances(balance: DominantBalance, C, cross_check: bool = True) -> Resonan
     for v in values:
         if v.is_exact and v.fraction() < 0:
             negatives += 1
-        elif not v.is_exact and v.is_real() and v.mpc().real < -RESONANCE_AGREEMENT_TOL:
+        elif not v.is_exact and v.is_real() \
+                and v.mpc().real < -_agreement_tol(v.precision):
             negatives += 1
     return ResonanceSet(values=values, all_integer=all_integer,
                         has_extra_negative=negatives > 1)

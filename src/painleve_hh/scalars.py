@@ -14,6 +14,9 @@ power, say), the result is rounded at the working precision.  Multiplying
 by an exact zero annihilates to an exact zero, which keeps structurally
 zero matrix entries exact even next to big-float data.
 
+Sums of products go through :func:`dot`, which keeps an all-exact sum
+exact and otherwise forms every product exactly and rounds the sum once.
+
 Working precision is at least 64 bits and defaults to 256; the default can
 be overridden through the ``PAINLEVE_PRECISION_BITS`` environment variable
 or :func:`set_default_precision`.
@@ -26,6 +29,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fzero, from_rational, mpf_mul, mpf_neg, mpf_sum,
+                          round_nearest)
 
 from .errors import ContractViolation
 
@@ -33,18 +38,33 @@ MIN_PRECISION = 64
 _DEFAULT_PRECISION = 256
 
 
-def _read_env_precision() -> int:
-    raw = os.environ.get("PAINLEVE_PRECISION_BITS")
-    if not raw:
-        return _DEFAULT_PRECISION
+def _checked_precision(bits) -> int:
+    """bits as an int, or ContractViolation if it is not one >= MIN_PRECISION."""
     try:
-        bits = int(raw)
+        value = int(bits)
     except ValueError:
+        value = None
+    if value is None or value < MIN_PRECISION:
+        raise ContractViolation(f"precision must be >= {MIN_PRECISION} bits, got {bits}")
+    return value
+
+
+def env_precision() -> int | None:
+    """PAINLEVE_PRECISION_BITS as validated bits; None when unset or empty."""
+    raw = os.environ.get("PAINLEVE_PRECISION_BITS")
+    return _checked_precision(raw) if raw else None
+
+
+def _initial_precision() -> int:
+    # importing the library never fails on a bad setting: it keeps the
+    # built-in default, and the command line rejects the setting
+    try:
+        return env_precision() or _DEFAULT_PRECISION
+    except ContractViolation:
         return _DEFAULT_PRECISION
-    return max(MIN_PRECISION, bits)
 
 
-_default_precision = _read_env_precision()
+_default_precision = _initial_precision()
 
 
 def default_precision() -> int:
@@ -55,10 +75,8 @@ def default_precision() -> int:
 def set_default_precision(bits: int) -> int:
     """Set the default working precision; returns the previous value."""
     global _default_precision
-    if bits < MIN_PRECISION:
-        raise ContractViolation(f"precision must be >= {MIN_PRECISION} bits, got {bits}")
     previous = _default_precision
-    _default_precision = int(bits)
+    _default_precision = _checked_precision(bits)
     return previous
 
 
@@ -326,12 +344,6 @@ class Scalar:
     def sqrt(self) -> "Scalar":
         return nth_root(self, 2, 0)
 
-    def exactness_lost(self) -> "Scalar":
-        """Self re-expressed as a rounded value at own precision."""
-        if self._frac is None:
-            return self
-        return Scalar(None, self.mpc(self._prec), self._prec)
-
 
 ZERO = Scalar.exact(0)
 ONE = Scalar.exact(1)
@@ -383,6 +395,69 @@ def nth_root(x, n: int, branch: int = 0) -> Scalar:
         if principal.imag == 0 and x.is_real():
             principal = mpmath.mpc(principal.real, 0)
     return Scalar(None, principal, bits)
+
+
+# Extra bits for exact factors that meet rounded ones in a dot product, so
+# that the final rounding of the sum dominates the error.
+_DOT_GUARD_BITS = 16
+
+
+def dot(a, b) -> Scalar:
+    """sum_i a[i]*b[i] over two equal-length sequences of Scalars.
+
+    Terms with an exact-zero factor are skipped, so a sum with no other
+    term is an exact zero.  When every remaining term is exact the sum is
+    the exact Fraction.  Otherwise every product is formed exactly (an
+    exact factor enters rounded to the working precision plus guard bits)
+    and the sum is rounded once, to nearest, at the highest precision of
+    the remaining factors.  Imaginary parts are only carried when some
+    factor has a nonzero one.
+    """
+    exact = Fraction(0)
+    mixed = []           # (Fraction, (re, im)) of exact * rounded terms
+    re, im = [], []      # exact mpf products of rounded * rounded terms
+    bits = 0
+    for x, y in zip(a, b):
+        fx, fy = x._frac, y._frac
+        if fx is not None:
+            if not fx:
+                continue
+            if fy is not None:
+                if not fy:
+                    continue
+                exact += fx * fy
+            else:
+                mixed.append((fx, y._val._mpc_))
+        elif fy is not None:
+            if not fy:
+                continue
+            mixed.append((fy, x._val._mpc_))
+        else:
+            xr, xi = x._val._mpc_
+            yr, yi = y._val._mpc_
+            re.append(mpf_mul(xr, yr))
+            if xi[1] or yi[1]:
+                re.append(mpf_neg(mpf_mul(xi, yi)))
+                im.append(mpf_mul(xr, yi))
+                im.append(mpf_mul(xi, yr))
+        p = x._prec if x._prec > y._prec else y._prec
+        if p > bits:
+            bits = p
+    if not (mixed or re):
+        # bits is still 0 when no term was left
+        return Scalar(exact, None, bits or _default_precision)
+    guard = bits + _DOT_GUARD_BITS
+    for q, (vr, vi) in mixed:
+        f = from_rational(q.numerator, q.denominator, guard, round_nearest)
+        re.append(mpf_mul(f, vr))
+        if vi[1]:
+            im.append(mpf_mul(f, vi))
+    if exact:
+        re.append(from_rational(exact.numerator, exact.denominator, guard,
+                                round_nearest))
+    value = (mpf_sum(re, bits, round_nearest),
+             mpf_sum(im, bits, round_nearest) if im else fzero)
+    return Scalar(None, mp.make_mpc(value), bits)
 
 
 def scalar_max_abs(values) -> "mpmath.mpf":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContractViolation
-from .scalars import Scalar, as_scalar, scalar_max_abs
+from .scalars import Scalar, as_scalar, dot
 
 _ZERO = Scalar.exact(0)
 
@@ -26,6 +26,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise ContractViolation(f"exponent must be rational, got {type(x).__name__}")
+
+
+def _last_nonzero(coeffs) -> int:
+    """Index of the last coefficient that is not an exact zero."""
+    return max(i for i, c in enumerate(coeffs)
+               if not (c.is_exact and c.is_zero()))
 
 
 def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
@@ -119,31 +125,24 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.lead, self.step, keep, center=self.center,
                              complete=False)
 
-    def max_abs_coefficient(self, through=None):
-        """max |coefficient| over the known window (capped at ``through``)."""
-        if through is None:
-            return scalar_max_abs(self.coeffs)
-        cap = _frac(through)
-        return scalar_max_abs(
-            c for e, c in zip(self.exponents(), self.coeffs) if e <= cap
-        )
-
     # -- grid plumbing ----------------------------------------------------------
 
     def _check_center(self, other: "PuiseuxSeries"):
         if not (self.center - other.center).is_zero():
             raise ContractViolation("series have different centers")
 
-    def _on_grid(self, lead: Fraction, step: Fraction):
-        """Re-express on a finer/compatible grid starting at ``lead``."""
+    def _on_grid(self, lead: Fraction, step: Fraction) -> list:
+        """Coefficients on a finer/compatible grid ``lead + i*step``, exact
+        zeros filling the grid points this series does not have."""
         n_shift = (self.lead - lead) / step
         ratio = self.step / step
         if n_shift.denominator != 1 or ratio.denominator != 1:
             raise ContractViolation("incompatible exponent grids")
+        if not self.coeffs:
+            return []
         shift, ratio = n_shift.numerator, ratio.numerator
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            out[shift + i * ratio] = c
+        out = [_ZERO] * (shift + (len(self.coeffs) - 1) * ratio + 1)
+        out[shift::ratio] = self.coeffs
         return out
 
     # -- arithmetic ---------------------------------------------------------------
@@ -164,13 +163,15 @@ class PuiseuxSeries:
         cap = min(caps) if caps else None
         a = self._on_grid(lead, step)
         b = other._on_grid(lead, step)
-        n = max(list(a) + list(b), default=-1) + 1
+        n = max(len(a), len(b))
+        a += [_ZERO] * (n - len(a))
+        b += [_ZERO] * (n - len(b))
         coeffs = []
         for i in range(n):
             e = lead + i * step
             if cap is not None and e > cap:
                 break
-            coeffs.append(a.get(i, _ZERO) + b.get(i, _ZERO))
+            coeffs.append(a[i] + b[i])
         return PuiseuxSeries(lead, step, coeffs, center=self.center,
                              complete=cap is None)
 
@@ -218,28 +219,22 @@ class PuiseuxSeries:
         if other.max_exp is not None:
             caps.append(other.max_exp + self.lead)
         cap = min(caps) if caps else None
-        nmax = None if cap is None else int((cap - lead) / step)
-        a = [(int((e - self.lead) / self.step), c)
-             for e, c in zip(self.exponents(), self.coeffs)]
-        size_b = len(other.coeffs)
-        ratio_a = int(self.step / step)
-        ratio_b = int(other.step / step)
-        acc: dict[int, Scalar] = {}
-        for ia, ca in a:
-            if ca.is_exact and ca.is_zero():
-                continue
-            base = ia * ratio_a
-            for ib in range(size_b):
-                pos = base + ib * ratio_b
-                if nmax is not None and pos > nmax:
-                    break
-                cb = other.coeffs[ib]
-                if cb.is_exact and cb.is_zero():
-                    continue
-                term = ca * cb
-                acc[pos] = acc[pos] + term if pos in acc else term
-        n = nmax if nmax is not None else max(acc, default=0)
-        coeffs = [acc.get(i, _ZERO) for i in range(n + 1)]
+        a = self._on_grid(self.lead, step)
+        b = other._on_grid(other.lead, step)
+        if cap is None:
+            # complete product: through the last term with no exact-zero factor
+            n = _last_nonzero(a) + _last_nonzero(b)
+        else:
+            n = int((cap - lead) / step)
+        # position i pairs a[j] with b[i - j], which sits at top - i + j in
+        # the reversed list, so each position takes two plain slices
+        top = len(b) - 1
+        b = b[::-1]
+        coeffs = []
+        for i in range(n + 1):
+            lo = max(0, i - top)
+            hi = min(i, len(a) - 1)
+            coeffs.append(dot(a[lo:hi + 1], b[top - i + lo:top - i + hi + 1]))
         return PuiseuxSeries(lead, step, coeffs, center=self.center,
                              complete=cap is None)
 

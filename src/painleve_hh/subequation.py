@@ -21,7 +21,7 @@ import mpmath
 
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
-from .scalars import Scalar, as_scalar, default_precision, scalar_max_abs
+from .scalars import Scalar, as_scalar, default_precision, dot, scalar_max_abs
 from .series import PuiseuxSeries
 
 
@@ -181,10 +181,9 @@ def weierstrass_p_series(g2, g3, n_terms: int, bits: int | None = None) -> Puise
         raise ContractViolation("need at least 3 terms")
     c = {2: g2 / 20, 3: g3 / 28}
     for k in range(4, n_terms + 2):
-        acc = Scalar.exact(0)
-        for i in range(2, k - 1):
-            acc = acc + c[i] * c[k - i]
-        c[k] = acc * Scalar.exact(3, (2 * k + 1) * (k - 3))
+        idx = range(2, k - 1)
+        c[k] = dot([c[i] for i in idx], [c[k - i] for i in idx]) \
+            * Scalar.exact(3, (2 * k + 1) * (k - 3))
     coeffs = [Scalar.exact(1)]
     top = 2 * (n_terms + 1) - 2
     for e in range(-1, top + 1):

@@ -226,3 +226,54 @@ def test_environment_precision_variable():
         [_sys.executable, "-m", "painleve_hh.cli", "analyze", "--C", "-2"],
         capture_output=True, text=True, env=env, check=True)
     assert json.loads(out.stdout)["provenance"]["precision_bits"] == 192
+
+
+def test_analyze_at_minimum_precision(capsys):
+    code, out, _ = run_cli(capsys, "--precision-bits", "64", "analyze",
+                           "--C", "-16/5")
+    assert code == 0
+    assert json.loads(out)["provenance"]["precision_bits"] == 64
+
+
+@pytest.mark.parametrize("value", ["abc", "8"])
+def test_environment_precision_rejected(value):
+    import os
+    import subprocess
+    import sys as _sys
+    env = dict(os.environ, PAINLEVE_PRECISION_BITS=value)
+    out = subprocess.run(
+        [_sys.executable, "-m", "painleve_hh.cli", "analyze", "--C", "-2"],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr == f"error: precision must be >= 64 bits, got {value}\n"
+    # importing the library keeps the built-in default instead of failing
+    out = subprocess.run(
+        [_sys.executable, "-c",
+         "import painleve_hh; print(painleve_hh.default_precision())"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "256"
+
+
+def test_verify_path_across_shifted_centre_fails_fast(capsys):
+    import time
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "--case", "C165",
+                           "--lambda", "1/9", "--t0", "2/5", "--N", "40")
+    assert code == 2
+    assert "singularity at t=0.4" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_with_shifted_centre_matches_unshifted(capsys):
+    base = ["verify", "--case", "C165", "--lambda", "1/9", "--N", "40"]
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    plain = json.loads(out)
+    code, out, _ = run_cli(capsys, *base, "--t0", "2/5",
+                           "--t-from", "7/10", "--t-to", "9/10")
+    assert code == 0
+    shifted = json.loads(out)
+    assert shifted["residual_max"] == plain["residual_max"]
+    a, b = (mpmath.mpf(r["numeric_cross_check"]["max_component_diff"]["re"])
+            for r in (plain, shifted))
+    assert abs(a - b) <= mpmath.mpf("1e-30") * a

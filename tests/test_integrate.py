@@ -75,6 +75,15 @@ def test_singularity_guard():
                           Scalar.from_real("1e-16"))
 
 
+def test_singularity_guard_measures_from_centre():
+    zero = Scalar.exact(0)
+    s0 = PhaseState(Scalar.exact(1), zero, Scalar.exact(1), zero,
+                    Scalar.exact(3, 10))
+    with pytest.raises(SingularityApproach, match="singularity at t=0.4"):
+        integrate_numeric(_sys(), s0, Scalar.exact(1, 2),
+                          Scalar.from_real("1e-20"), center=Scalar.exact(2, 5))
+
+
 def test_order_contract():
     zero = Scalar.exact(0)
     s0 = PhaseState(zero, zero, zero, zero, Scalar.exact(1))

@@ -8,7 +8,8 @@ from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
                          compatibility_defect, enumerate_branches,
                          f_minus1_squared, leading_x_coefficient,
                          recurrence_determinant, residual_of_series,
-                         energy_series, singular_step_indices, step_recurrence)
+                         energy_series, set_default_precision,
+                         singular_step_indices, step_recurrence)
 from painleve_hh.laurent import _Recurrence
 
 LAM9 = Scalar.exact(1, 9)
@@ -384,3 +385,15 @@ def test_branch_spec_validation():
                    imaginary_rotation=True)
     with pytest.raises(ContractViolation):
         BranchSpec(case="C99", lam=LAM9, root_branch="plus")
+
+
+@pytest.mark.parametrize("case, branch, bits", [("C165", "plus", 256),
+                                                ("C43", "minus", 512)])
+def test_energy_constant_window_is_bit_identical(case, branch, bits):
+    set_default_precision(bits)
+    spec = BranchSpec(case=case, lam=LAM9, root_branch=branch,
+                      free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
+    sol = build_series(spec, 40, precision=bits)
+    full = energy_series(sol.system(), sol.x, sol.y).coefficient(0)
+    assert not sol.H.is_exact and sol.H.precision == full.precision == bits
+    assert sol.H.mpc()._mpc_ == full.mpc()._mpc_

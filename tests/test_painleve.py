@@ -4,7 +4,9 @@ import mpmath
 import pytest
 
 from painleve_hh import (Scalar, UnsupportedParameter, candidate_C_values,
-                         classify, find_dominant_balances, resonances)
+                         classify, find_dominant_balances, resonances,
+                         set_default_precision)
+from painleve_hh import painleve
 from painleve_hh.painleve import kowalevski_polynomial
 
 
@@ -163,3 +165,36 @@ def test_C_zero_unsupported():
         find_dominant_balances(Scalar.exact(0))
     with pytest.raises(UnsupportedParameter):
         classify(Scalar.exact(0), Scalar.exact(1))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_candidate_C_values_cross_check_at_every_precision(bits):
+    lam = Scalar.exact(1, 9)
+    expected = {c.value.fraction(): classify(c.value, lam).label
+                for c in candidate_C_values()}
+    set_default_precision(bits)
+    for cand in candidate_C_values():
+        assert cand.value.precision == bits
+        # classify runs the Kowalevski cross-check on every balance
+        assert classify(cand.value, lam).label == \
+            expected[cand.value.fraction()]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_perturbed_table_resonance_rejected(monkeypatch, bits):
+    # -16/5 Case 1 has two irrational resonances; at 256 bits the nudge
+    # (2**-112) is far below 1e-20, yet far above the rounding floor
+    set_default_precision(bits)
+    C = Scalar.exact(-16, 5)
+    balance = _balances_by_case(C)["Case1"][0]
+    resonances(balance, C)
+    table = painleve._table_resonances
+    nudge = Scalar.from_real(mpmath.mpf(2) ** -(bits // 2 - 16), bits)
+
+    def perturbed(b, c):
+        values = table(b, c)
+        return values[:-1] + [values[-1] + nudge]
+
+    monkeypatch.setattr(painleve, "_table_resonances", perturbed)
+    with pytest.raises(RuntimeError, match="not matched by Kowalevski root"):
+        resonances(balance, C)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
+from painleve_hh.scalars import dot
 
 rationals = st.builds(
     Fraction,
@@ -142,3 +143,85 @@ def test_magnitude_and_parts():
     assert abs(z.real().mpc().real - 3) < mpmath.mpf("1e-70")
     assert abs(z.imag().mpc().real + 4) < mpmath.mpf("1e-70")
     assert abs(z.conjugate().mpc().imag - 4) < mpmath.mpf("1e-70")
+
+
+# -- the dot-product kernel ---------------------------------------------------
+
+
+@st.composite
+def kernel_scalars(draw):
+    """Exact (zero included), real-rounded and complex-rounded values."""
+    kind = draw(st.sampled_from(["zero", "exact", "real", "complex",
+                                 "rounded-zero"]))
+    if kind == "zero":
+        return sc(0)
+    if kind == "exact":
+        return sc(draw(rationals))
+    if kind == "rounded-zero":
+        return Scalar.from_real(0)
+    re = draw(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    if kind == "real":
+        return Scalar.from_real(re) / 3
+    im = draw(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    return Scalar.from_complex(re, im) / 7
+
+
+term_lists = st.lists(st.tuples(kernel_scalars(), kernel_scalars()),
+                      max_size=12)
+
+
+def _naive_dot(pairs):
+    acc = sc(0)
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+@given(term_lists)
+def test_dot_matches_naive_fold(pairs):
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    got, ref = dot(a, b), _naive_dot(pairs)
+    assert got.is_exact == ref.is_exact
+    if ref.is_exact:
+        assert got.fraction() == ref.fraction()
+        return
+    # the fold rounds each term and each partial sum: allow 8 ulps of
+    # sum |x*y| per term
+    scale = sum((x.mag() * y.mag() for x, y in pairs), mpmath.mpf(0))
+    assert (got - ref).mag() <= 8 * len(pairs) * scale * mpmath.mpf(2) ** -256
+    assert got.precision == ref.precision
+
+
+@given(term_lists)
+def test_dot_rounds_the_exact_sum_once(pairs):
+    # with dyadic (rounded) factors only, the result is the exact sum
+    # rounded to nearest at the working precision, in each component
+    pairs = [(x, y) for x, y in pairs if not (x.is_exact or y.is_exact)]
+    got = dot([x for x, _ in pairs], [y for _, y in pairs])
+    if not pairs:
+        assert got.is_exact and got.is_zero()
+        return
+
+    def q(v):
+        sign, man, exp, _ = v._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+    parts = [(q(x.mpc().real), q(x.mpc().imag), q(y.mpc().real),
+              q(y.mpc().imag)) for x, y in pairs]
+    exact_re = sum((xr * yr - xi * yi for xr, xi, yr, yi in parts), Fraction(0))
+    exact_im = sum((xr * yi + xi * yr for xr, xi, yr, yi in parts), Fraction(0))
+    with mpmath.workprec(256):
+        want_re = mpmath.mpf(exact_re.numerator) / exact_re.denominator
+        want_im = mpmath.mpf(exact_im.numerator) / exact_im.denominator
+    assert got.mpc().real == want_re
+    assert got.mpc().imag == want_im
+
+
+def test_dot_exact_zero_when_every_term_has_an_exact_zero_factor():
+    f = Scalar.from_complex("1.5", "2")
+    out = dot([sc(0), f, sc(3)], [f, sc(0), sc(0)])
+    assert out.is_exact and out.is_zero()
+    assert dot([], []).is_exact
+    # a rounded zero factor still makes the sum rounded, as x*y does
+    assert not dot([Scalar.from_real(0)], [sc(2)]).is_exact

@@ -141,3 +141,44 @@ def test_coefficient_off_grid_inside_window():
     s = S(-2, [1, 2], step=1)
     c = s.coefficient(Fraction(-3, 2))
     assert c is not None and c.is_zero()
+
+
+def _naive_product(a, b):
+    """(exponent -> coefficient, known window cap or None) of a*b by the
+    double loop."""
+    caps = [s.max_exp + o.lead for s, o in ((a, b), (b, a))
+            if s.max_exp is not None]
+    cap = min(caps) if caps else None
+    out = {}
+    for ea, ca in zip(a.exponents(), a.coeffs):
+        for eb, cb in zip(b.exponents(), b.coeffs):
+            e = ea + eb
+            if cap is None or e <= cap:
+                out[e] = out.get(e, Scalar.exact(0)) + ca * cb
+    return out, cap
+
+
+zero_rich_coeffs = st.lists(
+    st.one_of(st.just(Fraction(0)),
+              st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                        st.integers(min_value=1, max_value=4))),
+    min_size=1, max_size=6,
+)
+
+
+@given(zero_rich_coeffs, zero_rich_coeffs,
+       st.sampled_from([1, Fraction(1, 2)]), st.sampled_from([1, Fraction(1, 2)]),
+       st.booleans(), st.booleans())
+def test_product_matches_double_loop(a, b, step_a, step_b, complete_a,
+                                     complete_b):
+    A = S(Fraction(-3, 2), a, step=step_a, complete=complete_a)
+    B = S(-2, b, step=step_b, complete=complete_b)
+    if A.is_identically_zero() or B.is_identically_zero():
+        return
+    P = A * B
+    ref, cap = _naive_product(A, B)
+    assert P.max_exp == cap
+    for e in set(P.exponents()) | set(ref):
+        got = P.coefficient(e)
+        assert got.is_exact
+        assert got.fraction() == ref.get(e, Scalar.exact(0)).fraction()
