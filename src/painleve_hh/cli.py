@@ -19,7 +19,7 @@ from .convergence import certify
 from .errors import (CompatibilityViolation, ContractViolation,
                      InsufficientPrefix, SingularityApproach,
                      UnsupportedParameter)
-from .integrate import integrate_numeric
+from .integrate import check_tolerance, integrate_numeric
 from .jsonio import (decode_series, encode_certificate, encode_fit_result,
                      encode_scalar, encode_solution, encode_state,
                      encode_verdict)
@@ -140,6 +140,8 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
+    t_a, t_b = parse_scalar(args.t_from), parse_scalar(args.t_to)
+    tol = check_tolerance(parse_scalar(args.tol))
     solution = build_series(spec, args.N)
     sys_model = solution.system()
     report = {
@@ -155,8 +157,6 @@ def cmd_verify(args) -> int:
         Scalar.from_real(nonconst, solution.precision))
     # complex-c1 branches integrate fine: the stepper works over complex
     # states along the real t-path
-    t_a, t_b = parse_scalar(args.t_from), parse_scalar(args.t_to)
-    tol = parse_scalar(args.tol)
     s_a = state_from_series(solution.x, solution.y, t_a, solution.precision)
     s_b = state_from_series(solution.x, solution.y, t_b, solution.precision)
     end = integrate_numeric(sys_model, s_a, t_b, tol, center=spec.t0)

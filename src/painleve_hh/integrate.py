@@ -7,11 +7,18 @@ product recurrences
     X[m+2] = (-lam*X[m] - 2*sum X[i]*Y[m-i]) / ((m+1)(m+2))
     Y[m+2] = (-Y[m] - sum X[i]*X[m-i] + C*sum Y[i]*Y[m-i]) / ((m+1)(m+2)).
 
-A fixed order (default 20) with step-size control on the last retained
-terms gives local errors below the requested tolerance at full working
-precision.  This stepper is deliberately independent of the Laurent-series
-machinery: it works on plain coefficient lists around regular points and
-serves as the numeric cross-oracle for series evaluation.
+The order is matched to the tolerance: p = max(8, ceil(-ln(tol)/2) + 1)
+unless given.  The step is h = 0.8*(tol/|T_p|)**(1/p), with |T_p| the
+largest last coefficient, halved until the last two terms times h**p and
+h**(p-1) sum below tol.  With this order the step is about rho/e**2 for a
+convergence radius rho (Jorba & Zou, Exp. Math. 14 (2005) 99-117), so the
+number of steps no longer grows like tol**(-1/p) as it does at a fixed
+order.  The squares sum X[i]*X[m-i] and sum Y[i]*Y[m-i] are formed from
+their distinct products; this gives the same bits as the full sums, since
+mpmath.fdot forms every product exactly and rounds the sum once.
+This stepper is deliberately independent of the Laurent-series machinery
+and of scalars.dot: it works on plain coefficient lists around regular
+points and serves as the numeric cross-oracle for series evaluation.
 """
 
 from __future__ import annotations
@@ -23,20 +30,57 @@ from .errors import ContractViolation, SingularityApproach
 from .model import PhaseState, PolynomialODESystem
 from .scalars import Scalar, as_scalar
 
-TAYLOR_ORDER = 20
+MIN_ORDER = 8
+
+
+def check_tolerance(tol) -> Scalar:
+    """tol as a Scalar; ContractViolation unless it is a finite real > 0."""
+    tol = as_scalar(tol)
+    value = tol.mpc().real
+    if not tol.is_real() or not 0 < value < mpmath.inf:
+        raise ContractViolation(
+            f"tolerance must be a positive real number, got {tol!r}")
+    return tol
+
+
+def tolerance_order(tolv) -> int:
+    """Taylor order max(8, ceil(-ln(tol)/2) + 1) for a tolerance tol > 0.
+
+    Evaluated in mpmath, so tolerances below the float range work."""
+    return max(MIN_ORDER, int(mpmath.ceil(-mpmath.log(tolv) / 2)) + 1)
+
+
+def _cauchy_square(X, X2, m):
+    """sum X[i]*X[m-i] over i = 0..m from its floor(m/2)+1 distinct products.
+
+    X2[i] is 2*X[i], the weight of each off-diagonal pair; doubling is
+    exact while X[i] carries no more bits than the working precision.  One
+    fdot rounds the exact sum once, so this equals mp.fdot(X, X[m::-1]).
+    """
+    n = (m + 1) // 2            # off-diagonal pairs i < m - i
+    a, b = X2[:n], X[m:m - n:-1]
+    if m % 2 == 0:
+        a.append(X[n])
+        b.append(X[n])
+    return mp.fdot(a, b)
 
 
 def _taylor_coefficients(lam, C, x0, xt0, y0, yt0, order):
+    """Taylor coefficients X[0..order], Y[0..order] of the local solution."""
     X = [x0, xt0]
     Y = [y0, yt0]
+    X2 = [2 * x0, 2 * xt0]
+    Y2 = [2 * y0, 2 * yt0]
     for m in range(order - 1):
-        # X[m::-1] is X[m], ..., X[0], the Cauchy partner of X[0], ..., X[m];
+        # Y[m::-1] is Y[m], ..., Y[0], the Cauchy partner of X[0], ..., X[m];
         # fdot stops at the shorter list
         cx = -lam * X[m] - 2 * mp.fdot(X, Y[m::-1])
-        cy = -Y[m] - mp.fdot(X, X[m::-1]) + C * mp.fdot(Y, Y[m::-1])
+        cy = -Y[m] - _cauchy_square(X, X2, m) + C * _cauchy_square(Y, Y2, m)
         denom = (m + 1) * (m + 2)
         X.append(cx / denom)
         Y.append(cy / denom)
+        X2.append(2 * X[-1])
+        Y2.append(2 * Y[-1])
     return X, Y
 
 
@@ -52,27 +96,31 @@ def _horner_pair(coeffs, h):
 
 
 def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
-                      tol, order: int = TAYLOR_ORDER,
+                      tol, order: int | None = None,
                       max_steps: int = 100000, center=0) -> PhaseState:
     """Integrate from s0.t to t_end along the real axis.
 
     The path must keep |t - center| >= tol**(1/4) away from the movable
     singularity at t = center (the expansion centre t0 of the series the
     state came from); violating that, or a collapsing step size, raises
-    SingularityApproach.  Local error per step is held below tol.
+    SingularityApproach.  Local error per step is held below tol, which
+    must be a positive real.  The Taylor order defaults to
+    tolerance_order(tol).
     """
     t_end = as_scalar(t_end)
-    tol = as_scalar(tol)
+    tol = check_tolerance(tol)
     center = as_scalar(center)
-    if order < 8:
-        raise ContractViolation("integrator order must be >= 8")
-    bits = max(s0.x.precision, s0.t.precision, tol.precision)
+    if order is not None and order < MIN_ORDER:
+        raise ContractViolation(f"integrator order must be >= {MIN_ORDER}")
+    bits = max(v.precision for v in (s0.x, s0.xt, s0.y, s0.yt, s0.t, tol))
     with mp.workprec(bits + 20):
         lam = sys.lam.mpc(bits)
         C = sys.C.mpc(bits)
         t = s0.t.mpc(bits).real
         te = t_end.mpc(bits).real
         tolv = tol.mag()
+        if order is None:
+            order = tolerance_order(tolv)
         margin = tolv ** mpmath.mpf(0.25)
         tc = center.mpc(bits).real
         lo, hi = (t, te) if t <= te else (te, t)

@@ -150,8 +150,7 @@ def c1_fourth_power(lam, branch: str, bits: int | None = None) -> Scalar:
     """Closed form for c1**4 in the C = -16/5 compatibility condition.
 
     The inner radicand 35*(2048*lam**2 - 1280*lam + 387) is positive for
-    every real lam (the quadratic's discriminant is negative), which is
-    asserted here; the minus branch itself may still be negative, making
+    every real lam; the minus branch itself may still be negative, making
     c1 complex.
     """
     lam = as_scalar(lam)
@@ -161,9 +160,10 @@ def c1_fourth_power(lam, branch: str, bits: int | None = None) -> Scalar:
         raise ContractViolation("branch must be plus or minus")
     quad = Scalar.exact(2048, 1, bits) * lam * lam \
         - Scalar.exact(1280, 1, bits) * lam + Scalar.exact(387, 1, bits)
+    # the quadratic has discriminant 1280**2 - 4*2048*387 = -1531904 < 0 and
+    # its minimum 187 at lam = 5/16, so for real lam the radicand is at
+    # least 35*187 = 6545 and its square root is real
     radicand = Scalar.exact(35, 1, bits) * quad
-    if lam.is_real() and radicand.is_real():
-        assert radicand.mpc(bits).real > 0, "radicand must be positive for real lam"
     root = nth_root(radicand, 2, 0)
     sign = Scalar.exact(1 if branch == "plus" else -1)
     inner = Scalar.exact(525, 1, bits) - Scalar.exact(1680, 1, bits) * lam \

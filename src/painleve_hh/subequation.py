@@ -320,16 +320,18 @@ def residue_pairing(branches, tol=None) -> list[ResiduePair]:
     coefficient of 1/t.  Sum of residues over a period parallelogram of an
     elliptic function vanishes, so local solutions with opposite residues
     belong to one global elliptic candidate; zero-residue branches pair
-    with themselves.  Every input index appears in exactly one pair.
+    with themselves.  Every input index appears in exactly one pair.  The
+    default tol is 2**-(p//2), p the lowest precision among the residues.
     """
-    if tol is None:
-        tol = mpmath.mpf("1e-25")
     items = []
     for idx, (spec, ys) in enumerate(branches):
         res = ys.coefficient(-1)
         if res is None:
             raise ContractViolation("series window does not include t**-1")
         items.append((idx, res))
+    if tol is None:
+        bits = min((r.precision for _, r in items), default=default_precision())
+        tol = mpmath.mpf(2) ** -(bits // 2)
     used = set()
     pairs = []
     for idx, res in items:

@@ -277,3 +277,18 @@ def test_verify_with_shifted_centre_matches_unshifted(capsys):
     a, b = (mpmath.mpf(r["numeric_cross_check"]["max_component_diff"]["re"])
             for r in (plain, shifted))
     assert abs(a - b) <= mpmath.mpf("1e-30") * a
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--tol=0", "positive real"), ("--tol=-1e-20", "positive real"),
+    ("--tol=1e-20+1j", "scalar literal"), ("--t-from=abc", "scalar literal")])
+def test_verify_rejects_bad_path_input_before_building(capsys, option,
+                                                       message):
+    import time
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "--precision-bits", "512", "verify",
+                           "--case", "C43", "--lambda", "2", "--branch",
+                           "minus", "--N", "80", option)
+    assert code == 2
+    assert message in err
+    assert time.perf_counter() - start < 1

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
                          Scalar, branch_residue, build_series, c1_fourth_power,
@@ -397,3 +399,11 @@ def test_energy_constant_window_is_bit_identical(case, branch, bits):
     full = energy_series(sol.system(), sol.x, sol.y).coefficient(0)
     assert not sol.H.is_exact and sol.H.precision == full.precision == bits
     assert sol.H.mpc()._mpc_ == full.mpc()._mpc_
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+       st.sampled_from(["plus", "minus"]))
+def test_c1_fourth_power_real_for_real_lambda(lam, branch):
+    # 2048 lam^2 - 1280 lam + 387 has its minimum 187 at lam = 5/16
+    assert 35 * (2048 * lam * lam - 1280 * lam + 387) >= 6545
+    assert c1_fourth_power(Scalar.exact(lam), branch).is_real()

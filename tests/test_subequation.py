@@ -7,7 +7,8 @@ import pytest
 from painleve_hh import (BranchSpec, ContractViolation, PuiseuxSeries,
                          QuarticForm, Scalar, build_series, enumerate_branches,
                          fit, mobius_squared_series, residue_pairing,
-                         transform_quartic, weierstrass_p_series)
+                         set_default_precision, transform_quartic,
+                         weierstrass_p_series)
 from painleve_hh.subequation import SubequationAnsatz, ansatz_indices
 
 LAM9 = Scalar.exact(1, 9)
@@ -256,6 +257,34 @@ def test_residue_pairing_partition():
     assert sorted(seen) == [0, 1, 2, 3, 4]
     kinds = sorted(p.kind for p in pairs)
     assert kinds == ["negative-pair", "negative-pair", "self-zero"]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_residue_pairing_partition_at_every_precision(bits):
+    set_default_precision(bits)
+    specs = enumerate_branches("C43", Scalar.exact(1, 9, bits))
+    built = []
+    for s in specs:
+        mode = "force" if s.compatible is False else "raise"
+        built.append((s, build_series(s, 8, on_incompatible=mode).y))
+    assert {ys.coefficient(-1).precision for _, ys in built} == {bits}
+    kinds = sorted(p.kind for p in residue_pairing(built))
+    assert kinds == ["negative-pair", "negative-pair", "self-zero"]
+
+
+def test_residue_pairing_tolerance_scales_with_precision():
+    spec = enumerate_branches("C43", LAM9)[0]
+    r = Scalar.from_real("0.7", 1024)
+
+    def kinds(a, b):
+        pairs = residue_pairing([(spec, PuiseuxSeries(-1, 1, [a])),
+                                 (spec, PuiseuxSeries(-1, 1, [b]))])
+        return [p.kind for p in pairs]
+
+    assert kinds(r, -r) == ["negative-pair"]
+    # 1e-30 is below the old absolute 1e-25 but far above 2**-512
+    assert kinds(r, -r + Scalar.from_real("1e-30", 1024)) == \
+        ["unpaired", "unpaired"]
 
 
 def test_residue_pairing_c165_reports_values():
