@@ -223,15 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working precision (default 256 or "
                              "PAINLEVE_PRECISION_BITS)")
     parser.add_argument("--output", help="write the JSON report to a file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into provenance for sweeps")
     # the same options are accepted after the subcommand; SUPPRESS keeps a
     # sub-level absence from clobbering a root-level value
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int,
                         default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="classify (C, lambda)",

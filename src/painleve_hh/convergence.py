@@ -33,7 +33,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import ContractViolation, InsufficientPrefix
-from .laurent import CASE_C165, CASE_C43, SeriesSolution
+from .laurent import CASE_C165, SeriesSolution, _case
 from .scalars import Scalar, as_scalar
 
 _RESONANCE_CEILING = 5   # first admissible induction index (above k = 4)
@@ -58,31 +58,27 @@ def bound_step(k: int, M, lam, c1_abs, case: str):
     """The two step bounds at index k for prefix bound M.
 
     Returns the classical closed-form pair for C165 and the derived pair
-    for C43.  k must avoid the denominator zeros (the
-    resonance indices of the respective case).
+    for C43.  The diagonals and determinant come from the recurrence's
+    per-case table; k must avoid the determinant zeros (the resonance
+    indices of the respective case).
     """
     M, lam, c1_abs = as_scalar(M), as_scalar(lam), as_scalar(c1_abs)
     lam_abs = lam.magnitude()
-    if case == CASE_C165:
-        d1 = k * k - 4
-        d2 = k * k - k - 12
-        if d1 == 0 or d2 == 0:
-            raise ContractViolation(f"bound denominators vanish at k={k}")
+    table = _case(case)
+    d1, d2, D = table.x_diag(k), table.y_diag(k), Scalar.exact(abs(table.det(k)))
+    if D.is_zero():
+        raise ContractViolation(f"bound denominators vanish at k={k}")
+    if table.lead_sq is None:
+        # triangular step matrix: each row bounds its own unknown
         b1 = (2 * M * (k + 1) + lam_abs + 2 * c1_abs) / abs(d1) * M
         b2 = (21 * M * k + 26 * M + 5) / (5 * abs(d2)) * M
         return b1, b2
-    if case == CASE_C43:
-        u = k * (k - 1)
-        if u == 2 or u == 12:
-            raise ContractViolation(f"bound denominators vanish at k={k}")
-        D = Scalar.exact(abs((u - 2) * (u - 12)))
-        p = lam_abs * M + 2 * (k + 1) * M * M
-        q = M + Scalar.exact(7, 3) * (k + 1) * M * M
-        two_sqrt6 = 2 * Scalar.exact(6).sqrt()
-        b1 = (abs(u - 8) * p + two_sqrt6 * q) / D
-        b2 = (abs(u - 6) * q + two_sqrt6 * p) / D
-        return b1, b2
-    raise ContractViolation(f"unknown case {case!r}")
+    p = lam_abs * M + 2 * (k + 1) * M * M
+    q = M + Scalar.exact(7, 3) * (k + 1) * M * M
+    two_s = 2 * Scalar.exact(table.lead_sq).sqrt()
+    b1 = (abs(d2) * p + two_s * q) / D
+    b2 = (abs(d1) * q + two_s * p) / D
+    return b1, b2
 
 
 def _induction_threshold(M: Scalar, lam: Scalar, c1_abs: Scalar, case: str,

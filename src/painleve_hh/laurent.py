@@ -29,6 +29,12 @@ Case C = -4/3 ("C43").  The ansatz
 singular at k = -1 (f_{-1} free), k = 2 (compatibility constrains f_{-1};
 f_2 free) and k = 4 (one equation; f_4 free).
 
+One stepper serves both cases; the frozen per-case table ``_CASES`` holds
+everything that differs.  At a resonance with free column f (value v) and
+bound column b, x_b = (r_b - M_bf*v)/M_bb and the defect is the left-null
+combination M_bb*r_f - M_fb*r_b of the right-hand side, which must vanish.
+For C165 that is -10*(r_1 - 2*c1*b_2) at k = 2 and 12*r_2 at k = 4.
+
 Compatibility closed forms:
 
     c1**4   = 1125*(525 - 1680*lam +- 4*sqrt(35*(2048*lam**2 - 1280*lam + 387)))/167552
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 
@@ -58,17 +65,60 @@ from .series import PuiseuxSeries
 CASE_C165 = "C165"
 CASE_C43 = "C43"
 
-_C_VALUES = {CASE_C165: Fraction(-16, 5), CASE_C43: Fraction(-4, 3)}
-
 # Highest exponent of x and y kept when reading the energy constant.
 _H_WINDOW = 6
 
 
-def case_C(case: str) -> Scalar:
-    """The C parameter value of a named case."""
-    if case not in _C_VALUES:
+@dataclass(frozen=True)
+class _Case:
+    """One case: the step matrix at k is [[x_diag(k), 2*s], [2*s or 0,
+    y_diag(k)]] with s the x lead.  lead_sq is s**2 when the leading
+    balance fixes s, which also puts x_k into the y row (C43: 6); it is
+    None when s is the free c1 (C165).  The x*x sum runs from j = xx_lo
+    over pairs adding to k + xx_lo - 1, and resonances map k -> (free
+    column, value source: a free_params index or "residue", resolution,
+    freed name)."""
+
+    C: Fraction
+    y_lead: Fraction
+    xx_lo: int
+    x_lead: Fraction
+    x_step: Fraction
+    x_diag: Callable[[int], int]
+    y_diag: Callable[[int], int]
+    lead_sq: Fraction | None
+    roots: tuple
+    resonances: dict
+
+    def det(self, k: int) -> Fraction:
+        """Closed-form determinant of the step matrix at k."""
+        coupling = 4 * self.lead_sq if self.lead_sq is not None else 0
+        return self.x_diag(k) * self.y_diag(k) - coupling
+
+
+_CASES = {
+    CASE_C165: _Case(
+        C=Fraction(-16, 5), y_lead=Fraction(-15, 8), xx_lo=-2,
+        x_lead=Fraction(-3, 2), x_step=Fraction(1, 2),
+        x_diag=lambda k: k * k - 4, y_diag=lambda k: (k - 1) * k - 12,
+        lead_sq=None, roots=("plus", "minus"),
+        resonances={2: (0, 0, "compatibility-constrained", "a2"),
+                    4: (1, 1, "freed-parameter", "b4")}),
+    CASE_C43: _Case(
+        C=Fraction(-4, 3), y_lead=Fraction(-3), xx_lo=-1,
+        x_lead=Fraction(-2), x_step=Fraction(1),
+        x_diag=lambda k: (k - 1) * k - 6, y_diag=lambda k: (k - 1) * k - 8,
+        lead_sq=Fraction(6), roots=("zero", "plus", "minus"),
+        resonances={-1: (1, "residue", "freed-parameter", "f-1"),
+                    2: (1, 0, "compatibility-constrained", "f2"),
+                    4: (1, 1, "freed-parameter", "f4")}),
+}
+
+
+def _case(case: str) -> _Case:
+    if case not in _CASES:
         raise ContractViolation(f"unknown case {case!r}; expected C165 or C43")
-    return Scalar.exact(_C_VALUES[case])
+    return _CASES[case]
 
 
 @dataclass(frozen=True)
@@ -95,10 +145,7 @@ class BranchSpec:
     merged_with: str | None = None
 
     def __post_init__(self):
-        if self.case not in _C_VALUES:
-            raise ContractViolation(f"unknown case {self.case!r}")
-        allowed = ("plus", "minus", "zero") if self.case == CASE_C43 else ("plus", "minus")
-        if self.root_branch not in allowed:
+        if self.root_branch not in _case(self.case).roots:
             raise ContractViolation(
                 f"root_branch {self.root_branch!r} invalid for {self.case}"
             )
@@ -133,12 +180,7 @@ class RecurrenceStep:
 
 def recurrence_determinant(case: str, k: int) -> Scalar:
     """Exact determinant of the step matrix at index k."""
-    if case == CASE_C165:
-        return Scalar.exact((k * k - 4) * ((k - 1) * k - 12))
-    if case == CASE_C43:
-        u = (k - 1) * k
-        return Scalar.exact((u - 2) * (u - 12))
-    raise ContractViolation(f"unknown case {case!r}")
+    return Scalar.exact(_case(case).det(k))
 
 
 def singular_step_indices(case: str, k_min: int = -1, k_max: int = 50) -> list[int]:
@@ -192,12 +234,13 @@ def leading_x_coefficient(spec: BranchSpec, bits: int | None = None) -> Scalar:
     """c1 (C165) or the +-sqrt(6) leading coefficient (C43)."""
     bits = bits or default_precision()
     sign = Scalar.exact(spec.x_sign)
-    if spec.case == CASE_C165:
-        c1 = nth_root(c1_fourth_power(spec.lam, spec.root_branch, bits), 4, 0)
-        if spec.imaginary_rotation:
-            c1 = c1 * Scalar.from_complex(0, 1, bits)
-        return sign * c1
-    return sign * nth_root(Scalar.exact(6, 1, bits), 2, 0)
+    lead_sq = _CASES[spec.case].lead_sq
+    if lead_sq is not None:
+        return sign * nth_root(Scalar.exact(lead_sq, 1, bits), 2, 0)
+    c1 = nth_root(c1_fourth_power(spec.lam, spec.root_branch, bits), 4, 0)
+    if spec.imaginary_rotation:
+        c1 = c1 * Scalar.from_complex(0, 1, bits)
+    return sign * c1
 
 
 def branch_residue(spec: BranchSpec, bits: int | None = None) -> Scalar:
@@ -223,128 +266,92 @@ class _Recurrence:
 
     def __init__(self, spec: BranchSpec, bits: int,
                  leading_override: Scalar | None = None,
-                 free_override: Scalar | None = None):
+                 residue_override: Scalar | None = None):
         self.spec = spec
         self.bits = bits
         self.lam = spec.lam.with_precision(bits)
-        self.case = spec.case
-        if self.case == CASE_C165:
-            c1 = leading_override if leading_override is not None \
-                else leading_x_coefficient(spec, bits)
-            self.x = {-2: c1}
-            self.y = {-2: Scalar.exact(-15, 8, bits)}
-            self.c1 = c1
-        else:
-            self.x = {-2: leading_x_coefficient(spec, bits)}
-            self.y = {-2: Scalar.exact(-3, 1, bits)}
-            self.f1_value = free_override if free_override is not None \
-                else branch_residue(spec, bits)
-
-    # step-system right-hand sides ---------------------------------------------
+        self.case = _CASES[spec.case]
+        self.x = {-2: leading_override if leading_override is not None
+                  else leading_x_coefficient(spec, bits)}
+        self.y = {-2: Scalar.exact(self.case.y_lead, 1, bits)}
+        self.residue_override = residue_override
 
     def _rhs(self, k: int):
-        x, y, lam = self.x, self.y, self.lam
+        x, y, lo = self.x, self.y, self.case.xx_lo
         zero = Scalar.exact(0)
-        # the x*x sum runs over index pairs adding to k-3 (C165: x carries an
-        # extra sqrt(t)) or k-2 (C43), from j = -2 resp. -1
-        xx_lo, xx_total = (-2, k - 3) if self.case == CASE_C165 else (-1, k - 2)
-        r1 = -lam * x.get(k - 2, zero) - 2 * _cauchy(x, y, -1, k - 2)
-        r2 = -y.get(k - 2, zero) - _cauchy(x, x, xx_lo, xx_total) \
-            + case_C(self.case) * _cauchy(y, y, -1, k - 2)
+        r1 = -self.lam * x.get(k - 2, zero) - 2 * _cauchy(x, y, -1, k - 2)
+        r2 = -y.get(k - 2, zero) - _cauchy(x, x, lo, k + lo - 1) \
+            + Scalar.exact(self.case.C) * _cauchy(y, y, -1, k - 2)
         return r1, r2
 
     def _matrix(self, k: int) -> DenseMatrix:
-        if self.case == CASE_C165:
-            return DenseMatrix.from_rows([
-                [Scalar.exact(k * k - 4), 2 * self.c1],
-                [Scalar.exact(0), Scalar.exact((k - 1) * k - 12)],
-            ])
-        u = (k - 1) * k
         off = 2 * self.x[-2]
         return DenseMatrix.from_rows([
-            [Scalar.exact(u - 6), off],
-            [off, Scalar.exact(u - 8)],
+            [Scalar.exact(self.case.x_diag(k)), off],
+            [off if self.case.lead_sq is not None else Scalar.exact(0),
+             Scalar.exact(self.case.y_diag(k))],
         ])
 
-    def _defect_ok(self, defect: Scalar, r1: Scalar, r2: Scalar) -> bool:
-        if defect.is_exact:
-            return defect.is_zero()
-        scale = 1 + max(r1.mag(), r2.mag())
-        return defect.mag() <= mpmath.mpf(2) ** (-(self.bits // 2)) * scale
+    def _free_value(self, source) -> Scalar:
+        if source != "residue":
+            return self.spec.free_params[source]
+        if self.residue_override is not None:
+            return self.residue_override
+        return branch_residue(self.spec, self.bits)
 
     def step(self, k: int) -> RecurrenceStep:
         """Solve (or resolve) the step at index k and record it."""
-        r1, r2 = self._rhs(k)
-        matrix = self._matrix(k)
-        det = recurrence_determinant(self.case, k)
-        spec = self.spec
+        r = self._rhs(k)
+        m = self._matrix(k)
+        det = Scalar.exact(self.case.det(k))
         if not det.is_zero():
             # Cramer on the 2x2 step system; exact whenever the inputs are
-            a11, a12 = matrix[0, 0], matrix[0, 1]
-            a21, a22 = matrix[1, 0], matrix[1, 1]
-            d = a11 * a22 - a12 * a21
-            xk = (r1 * a22 - r2 * a12) / d
-            yk = (a11 * r2 - a21 * r1) / d
+            d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            xk = (r[0] * m[1, 1] - r[1] * m[0, 1]) / d
+            yk = (m[0, 0] * r[1] - m[1, 0] * r[0]) / d
             self.x[k], self.y[k] = xk, yk
-            return RecurrenceStep(k=k, matrix=matrix, rhs=(r1, r2), det=det,
+            return RecurrenceStep(k=k, matrix=m, rhs=r, det=det,
                                   resolution="unique", solution=(xk, yk))
-        if self.case == CASE_C165:
-            if k == 2:
-                yk = r2 / matrix[1, 1]
-                defect = r1 - 2 * self.c1 * yk
-                xk = spec.free_params[0]
-                resolution, freed = "compatibility-constrained", "a2"
-            elif k == 4:
-                defect = r2
-                yk = spec.free_params[1]
-                xk = (r1 - 2 * self.c1 * yk) / matrix[0, 0]
-                resolution, freed = "freed-parameter", "b4"
-            else:  # pragma: no cover - determinant zeros are exactly {2, 4}
-                raise ContractViolation(f"unexpected singular step k={k}")
-        else:
-            if k == -1:
-                # homogeneous singular step: f_{-1} parametrizes the
-                # nullspace, with d_{-1} = s*sqrt(6)/2 * f_{-1} slaved
-                defect = Scalar.exact(0)
-                yk = self.f1_value
-                xk = self.x[-2] * yk / 2
-                resolution, freed = "freed-parameter", "f-1"
-            elif k in (2, 4):
-                # left-null vector (-A01, A00) against the rhs
-                defect = -matrix[0, 1] * r1 + matrix[0, 0] * r2
-                yk = spec.free_params[0 if k == 2 else 1]
-                xk = (r1 - matrix[0, 1] * yk) / matrix[0, 0]
-                resolution = "compatibility-constrained" if k == 2 \
-                    else "freed-parameter"
-                freed = "f2" if k == 2 else "f4"
-            else:  # pragma: no cover
-                raise ContractViolation(f"unexpected singular step k={k}")
-        self.x[k], self.y[k] = xk, yk
-        return RecurrenceStep(k=k, matrix=matrix, rhs=(r1, r2), det=det,
-                              resolution=resolution, solution=(xk, yk),
+        # Fredholm alternative: the free column f takes its value, the bound
+        # column b follows from row b, and the left-null combination of the
+        # rhs is the defect
+        f, source, resolution, freed = self.case.resonances[k]
+        b = 1 - f
+        sol = [None, None]
+        sol[f] = self._free_value(source)
+        sol[b] = (r[b] - m[b, f] * sol[f]) / m[b, b]
+        defect = m[b, b] * r[f] - m[f, b] * r[b]
+        self.x[k], self.y[k] = sol
+        return RecurrenceStep(k=k, matrix=m, rhs=r, det=det,
+                              resolution=resolution, solution=tuple(sol),
                               defect=defect, freed=freed)
 
     def defect_acceptable(self, step: RecurrenceStep) -> bool:
-        if step.defect is None:
+        """Exact defects must vanish; rounded ones must be below
+        2**-(bits/2) relative to the step's right-hand side."""
+        defect = step.defect
+        if defect is None:
             return True
-        return self._defect_ok(step.defect, *step.rhs)
+        if defect.is_exact:
+            return defect.is_zero()
+        scale = 1 + max(v.mag() for v in step.rhs)
+        return defect.mag() <= mpmath.mpf(2) ** (-(self.bits // 2)) * scale
 
 
 def step_recurrence(spec: BranchSpec, k: int, prior) -> RecurrenceStep:
     """Single-step entry point: prior is a pair of dicts (x-coeffs, y-coeffs)
     indexed from -2 with every index below k present."""
     bits = max(spec.lam.precision, default_precision())
-    eng = _Recurrence(spec, bits)
-    eng.x, eng.y = dict(prior[0]), dict(prior[1])
-    if spec.case == CASE_C165:
-        eng.c1 = eng.x[-2]
-    else:
-        eng.f1_value = eng.y.get(-1, eng.f1_value)
+    if k < -1:
+        raise ContractViolation(f"steps start at k = -1, got {k}")
     for j in range(-2, k):
-        if j not in eng.x or j not in eng.y:
+        if j not in prior[0] or j not in prior[1]:
             raise ContractViolation(f"prior coefficients missing index {j}")
+    eng = _Recurrence(spec, bits, leading_override=prior[0].get(-2),
+                      residue_override=prior[1].get(-1))
+    eng.x, eng.y = dict(prior[0]), dict(prior[1])
     step = eng.step(k)
-    if step.defect is not None and not eng.defect_acceptable(step):
+    if not eng.defect_acceptable(step):
         raise CompatibilityViolation(k, step.defect)
     return step
 
@@ -362,21 +369,14 @@ class SeriesSolution:
     precision: int
 
     def system(self):
-        return build_henon_heiles(case_C(self.spec.case), self.spec.lam)
+        return build_henon_heiles(Scalar.exact(_CASES[self.spec.case].C),
+                                  self.spec.lam)
 
     def recurrence_coefficients(self):
         """(x-coeffs, y-coeffs) keyed by recurrence index, leads included."""
-        xs, ys = {}, {}
-        if self.spec.case == CASE_C165:
-            for i, c in enumerate(self.x.coeffs):
-                if i % 2 == 0:
-                    xs[i // 2 - 2] = c
-        else:
-            for i, c in enumerate(self.x.coeffs):
-                xs[i - 2] = c
-        for i, c in enumerate(self.y.coeffs):
-            ys[i - 2] = c
-        return xs, ys
+        stride = int(1 / _CASES[self.spec.case].x_step)
+        return ({i - 2: c for i, c in enumerate(self.x.coeffs[::stride])},
+                {i - 2: c for i, c in enumerate(self.y.coeffs)})
 
     @property
     def c1(self) -> Scalar:
@@ -406,24 +406,18 @@ def build_series(spec: BranchSpec, N: int, precision: int | None = None,
     for k in range(-1, N + 1):
         step = eng.step(k)
         steps.append(step)
-        if step.defect is not None and not eng.defect_acceptable(step):
-            if on_incompatible == "raise":
-                raise CompatibilityViolation(k, step.defect)
-    if spec.case == CASE_C165:
-        xcoeffs = []
-        for pos in range(2 * (N + 2) + 1):
-            if pos % 2 == 0:
-                xcoeffs.append(eng.x[pos // 2 - 2])
-            else:
-                xcoeffs.append(Scalar.exact(0))
-        xs = PuiseuxSeries(Fraction(-3, 2), Fraction(1, 2), xcoeffs,
-                           center=spec.t0)
-    else:
-        xs = PuiseuxSeries(-2, 1, [eng.x[k] for k in range(-2, N + 1)],
-                           center=spec.t0)
+        if on_incompatible == "raise" and not eng.defect_acceptable(step):
+            raise CompatibilityViolation(k, step.defect)
+    # the x coefficient of index k sits at exponent k + x_lead + 2; the
+    # slots between them (C165's integer exponents) are exact zeros
+    case = eng.case
+    stride = int(1 / case.x_step)
+    xcoeffs = [Scalar.exact(0)] * (stride * (N + 2) + 1)
+    xcoeffs[::stride] = [eng.x[k] for k in range(-2, N + 1)]
+    xs = PuiseuxSeries(case.x_lead, case.x_step, xcoeffs, center=spec.t0)
     ys = PuiseuxSeries(-2, 1, [eng.y[k] for k in range(-2, N + 1)],
                        center=spec.t0)
-    sys = build_henon_heiles(case_C(spec.case), spec.lam)
+    sys = build_henon_heiles(Scalar.exact(case.C), spec.lam)
     # the t**0 energy coefficient needs x and y only through t**4; each
     # product coefficient is one rounded dot, so the window gives the
     # same H as the full expansion
@@ -431,6 +425,13 @@ def build_series(spec: BranchSpec, N: int, precision: int | None = None,
         .coefficient(0)
     return SeriesSolution(spec=spec, x=xs, y=ys, H=h, steps=tuple(steps),
                           trunc_order=N, precision=bits)
+
+
+def _compatibility_step(eng: _Recurrence) -> RecurrenceStep:
+    """Step eng through k = 2, the compatibility resonance of both cases."""
+    for k in range(-1, 2):
+        eng.step(k)
+    return eng.step(2)
 
 
 def compatibility_defect(case: str, lam, free_value, x_sign: int = 1,
@@ -444,17 +445,17 @@ def compatibility_defect(case: str, lam, free_value, x_sign: int = 1,
     """
     lam = as_scalar(lam)
     bits = precision or max(lam.precision, default_precision())
-    probe = BranchSpec(case=case, lam=lam,
-                       root_branch="plus" if case == CASE_C165 else "zero",
+    table = _case(case)
+    probe = BranchSpec(case=case, lam=lam, root_branch=table.roots[0],
                        x_sign=x_sign)
     value = as_scalar(free_value).with_precision(bits)
-    if case == CASE_C165:
-        eng = _Recurrence(probe, bits, leading_override=value)
-    else:
-        eng = _Recurrence(probe, bits, free_override=value)
-    for k in range(-1, 2):
-        eng.step(k)
-    return eng.step(2).defect
+    # the trial value is the free residue f_{-1} where k = -1 is a
+    # resonance (C43), and the lead c1 otherwise (C165)
+    residue_free = -1 in table.resonances
+    eng = _Recurrence(probe, bits,
+                      leading_override=None if residue_free else value,
+                      residue_override=value if residue_free else None)
+    return _compatibility_step(eng).defect
 
 
 def enumerate_branches(case: str, lam, include_complex: bool = False,
@@ -472,54 +473,41 @@ def enumerate_branches(case: str, lam, include_complex: bool = False,
     """
     lam = as_scalar(lam)
     bits = precision or max(lam.precision, default_precision())
+    roots = _case(case).roots
     kwargs = {}
     if free_params is not None:
         kwargs["free_params"] = tuple(as_scalar(v) for v in free_params)
     if t0 is not None:
         kwargs["t0"] = as_scalar(t0)
-    specs = []
     if case == CASE_C165:
-        for root in ("plus", "minus"):
-            for sign in (1, -1):
-                specs.append(BranchSpec(case=case, lam=lam, root_branch=root,
-                                        x_sign=sign, compatible=True, **kwargs))
-        if include_complex:
-            for root in ("plus", "minus"):
-                for sign in (1, -1):
-                    specs.append(BranchSpec(case=case, lam=lam, root_branch=root,
-                                            x_sign=sign, imaginary_rotation=True,
-                                            compatible=True, **kwargs))
-    elif case == CASE_C43:
-        ordered = [("zero", 1)] + [(root, rs) for root in ("plus", "minus")
-                                   for rs in (1, -1)]
-        for root, rs in ordered:
+        # c1 comes from the compatibility closed form itself
+        rotations = (False, True) if include_complex else (False,)
+        specs = [BranchSpec(case=case, lam=lam, root_branch=root, x_sign=sign,
+                            imaginary_rotation=rot, compatible=True, **kwargs)
+                 for rot in rotations for root in roots for sign in (1, -1)]
+    else:
+        specs = []
+        for root, rs in [("zero", 1)] + [(r, rs) for r in roots[1:]
+                                         for rs in (1, -1)]:
             probe = BranchSpec(case=case, lam=lam, root_branch=root,
                                residue_sign=rs, **kwargs)
-            defect = compatibility_defect(
-                case, lam, branch_residue(probe, bits), precision=bits)
-            ok = defect.is_zero() if defect.is_exact else \
-                defect.mag() <= mpmath.mpf(2) ** (-(bits // 2)) * 16
+            eng = _Recurrence(probe, bits)
+            ok = eng.defect_acceptable(_compatibility_step(eng))
             specs.append(replace(probe, compatible=ok))
-    else:
-        raise ContractViolation(f"unknown case {case!r}")
     if not dedup:
         return specs
-    kept: list[BranchSpec] = []
+    kept, keys = [], []
     tol = mpmath.mpf(2) ** (-(bits // 2)) * 8
     for spec in specs:
         key = (leading_x_coefficient(spec, bits), branch_residue(spec, bits))
-        match = None
-        for seen in kept:
-            seen_key = (leading_x_coefficient(seen, bits),
-                        branch_residue(seen, bits))
-            if (key[0] - seen_key[0]).mag() <= tol and \
-               (key[1] - seen_key[1]).mag() <= tol:
-                match = seen
-                break
-        if match is None:
+        idx = next((i for i, seen in enumerate(keys)
+                    if all((a - b).mag() <= tol for a, b in zip(key, seen))),
+                   None)
+        if idx is None:
             kept.append(spec)
+            keys.append(key)
         else:
-            idx = kept.index(match)
+            match = kept[idx]
             merged = (match.merged_with + "," if match.merged_with else "") \
                 + spec.label()
             kept[idx] = replace(match, merged_with=merged)

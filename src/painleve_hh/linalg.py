@@ -9,6 +9,7 @@ big-floats with a relative pivot threshold of 2**(-precision/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -88,36 +89,16 @@ class LinearSolution:
         return len(self.nullspace)
 
 
-def _exact_rref(a, b):
-    """Row-reduce [a | b] in place over Fractions; return pivot columns."""
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        b[r], b[pr] = b[pr], b[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        b[r] = b[r] * inv
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-                b[i] = b[i] - f * b[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _rref(a, b, thresh):
+    """Row-reduce [a | b] in place over Fractions or mpc values.
 
-
-def _float_rref(a, b, thresh):
-    """Same reduction in mpc arithmetic with magnitude pivoting."""
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    pivots = []
+    Each column pivots on its largest magnitude above thresh (0 for
+    Fractions and for determinants).  Returns the pivot columns, the pivot values before
+    normalisation and the parity (+1/-1) of the row swaps, so that a full
+    rank square a has determinant parity * prod(pivot values).
+    """
+    nrows, ncols = len(a), len(a[0])
+    pivots, values, parity = [], [], 1
     r = 0
     for c in range(ncols):
         pr, best = None, thresh
@@ -127,9 +108,12 @@ def _float_rref(a, b, thresh):
                 pr, best = i, m
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        b[r], b[pr] = b[pr], b[r]
-        inv = 1 / a[r][c]
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            b[r], b[pr] = b[pr], b[r]
+            parity = -parity
+        pivot = a[r][c]
+        inv = 1 / pivot
         a[r] = [v * inv for v in a[r]]
         b[r] = b[r] * inv
         for i in range(nrows):
@@ -138,34 +122,32 @@ def _float_rref(a, b, thresh):
                 a[i] = [v - f * w for v, w in zip(a[i], a[r])]
                 b[i] = b[i] - f * b[r]
         pivots.append(c)
+        values.append(pivot)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, values, parity
 
 
-def _assemble(pivots, a, b, ncols, zero, is_zero):
-    """Particular solution and nullspace basis from an RREF."""
+def _assemble(pivots, a, b, ncols, thresh, to_scalar) -> LinearSolution:
+    """Particular solution and nullspace basis, as Scalars, from an RREF;
+    a leftover rhs entry above thresh makes the system inconsistent."""
     rank = len(pivots)
-    for i in range(rank, len(a)):
-        if not is_zero(b[i]):
-            return LinearSolution(kind="inconsistent", rank=rank)
-    particular = [zero] * ncols
+    if any(abs(v) > thresh for v in b[rank:]):
+        return LinearSolution(kind="inconsistent", rank=rank)
+    particular = [0] * ncols
     for r, c in enumerate(pivots):
         particular[c] = b[r]
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = zero + 1
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
         for r, c in enumerate(pivots):
             vec[c] = -a[r][fc]
-        basis.append(vec)
-    if not free_cols:
-        return LinearSolution(kind="unique", solution=particular, rank=rank)
-    return LinearSolution(
-        kind="parametrized", solution=particular, nullspace=basis, rank=rank
-    )
+        basis.append([to_scalar(v) for v in vec])
+    return LinearSolution(kind="parametrized" if basis else "unique",
+                          solution=[to_scalar(v) for v in particular],
+                          nullspace=basis, rank=rank)
 
 
 def solve_linear(A: DenseMatrix, b) -> LinearSolution:
@@ -180,43 +162,23 @@ def solve_linear(A: DenseMatrix, b) -> LinearSolution:
         raise ContractViolation(
             f"rhs length {len(b)} does not match {A.rows} rows"
         )
-    exact = A.is_exact() and all(v.is_exact for v in b)
-    if exact:
+    if A.is_exact() and all(v.is_exact for v in b):
         rows = [[e.fraction() for e in A.row(i)] for i in range(A.rows)]
         rhs = [v.fraction() for v in b]
-        pivots = _exact_rref(rows, rhs)
-        sol = _assemble(pivots, rows, rhs, A.cols, Fraction(0), lambda v: v == 0)
-        return _wrap(sol)
+        pivots, _, _ = _rref(rows, rhs, 0)
+        return _assemble(pivots, rows, rhs, A.cols, 0, Scalar.exact)
 
     bits = max(A.precision(), max((v.precision for v in b), default=64))
     with mp.workprec(bits + 20):
         rows = [[e.mpc(bits) for e in A.row(i)] for i in range(A.rows)]
-        rhs = [v.mpc(bits) for v in b]
         scale = max([abs(e) for r in rows for e in r] + [mpmath.mpf(1)])
+        rhs = [v.mpc(bits) for v in b]
         bscale = max([abs(v) for v in rhs] + [scale])
         thresh = mpmath.mpf(2) ** (-(bits // 2)) * scale
         bthresh = mpmath.mpf(2) ** (-(bits // 2)) * bscale
-        pivots = _float_rref(rows, rhs, thresh)
-        sol = _assemble(
-            pivots, rows, rhs, A.cols, mpmath.mpc(0), lambda v: abs(v) <= bthresh
-        )
-    return _wrap(sol, bits)
-
-
-def _wrap(sol: LinearSolution, bits: int | None = None) -> LinearSolution:
-    def conv(vec):
-        if vec is None:
-            return None
-        if bits is None:
-            return [Scalar.exact(v) for v in vec]
-        return [Scalar.from_mpc(v, bits) for v in vec]
-
-    return LinearSolution(
-        kind=sol.kind,
-        solution=conv(sol.solution),
-        nullspace=[conv(v) for v in sol.nullspace],
-        rank=sol.rank,
-    )
+        pivots, _, _ = _rref(rows, rhs, thresh)
+        return _assemble(pivots, rows, rhs, A.cols, bthresh,
+                         lambda v: Scalar.from_mpc(v, bits))
 
 
 def determinant(A: DenseMatrix) -> Scalar:
@@ -226,40 +188,15 @@ def determinant(A: DenseMatrix) -> Scalar:
     n = A.rows
     if A.is_exact():
         rows = [[e.fraction() for e in A.row(i)] for i in range(n)]
-        det = Fraction(1)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if pr is None:
-                return Scalar.exact(0)
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = 1 / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-        return Scalar.exact(det)
-
+        pivots, values, parity = _rref(rows, [0] * n, 0)
+        return Scalar.exact(parity * math.prod(values) if len(pivots) == n else 0)
     bits = A.precision()
     with mp.workprec(bits + 20):
         rows = [[e.mpc(bits) for e in A.row(i)] for i in range(n)]
-        det = mpmath.mpc(1)
-        for c in range(n):
-            pr = max(range(c, n), key=lambda i: abs(rows[i][c]))
-            if rows[pr][c] == 0:
-                return Scalar.from_mpc(mpmath.mpc(0), bits)
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = 1 / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return Scalar.from_mpc(det, bits)
+        # any nonzero pivot counts: a determinant has no rank decision to make
+        pivots, values, parity = _rref(rows, [mpmath.mpc(0)] * n, 0)
+        det = parity * math.prod(values) if len(pivots) == n else mpmath.mpc(0)
+        return Scalar.from_mpc(det, bits)
 
 
 def matmul_vector(A: DenseMatrix, x) -> list:

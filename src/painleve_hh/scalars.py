@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (fzero, from_rational, mpf_mul, mpf_neg, mpf_sum,
-                          round_nearest)
+                          round_nearest, to_rational)
 
 from .errors import ContractViolation
 
@@ -218,9 +218,6 @@ class Scalar:
         with mp.workprec(self._prec):
             return abs(self._val)
 
-    def to_float(self) -> float:
-        return float(self.mag() if not self.is_real() else self.mpc().real)
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -319,19 +316,25 @@ class Scalar:
         s = Scalar._coerce(other)
         if s is NotImplemented:
             return NotImplemented
-        if self._frac is not None and s._frac is not None:
-            return self._frac == s._frac
-        bits = max(self._prec, s._prec)
-        return self.mpc(bits) == s.mpc(bits)
+        if self._frac is None and s._frac is None:
+            return self._val == s._val
+        # an exact scalar equals a rounded one only at the same dyadic value
+        return self._rational() == s._rational()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+    def _rational(self):
+        """The exact value as a Fraction, or None if it is not a finite real."""
+        if self._frac is not None:
+            return self._frac
+        re = self._val.real
+        if self._val.imag != 0 or not mpmath.isfinite(re):
+            return None
+        return Fraction(*to_rational(re._mpf_))
 
     def __hash__(self):
-        if self._frac is not None:
-            return hash(self._frac)
-        return hash((self._val.real, self._val.imag))
+        # Python's numeric hash of the exact value (hash(mpc) differs from
+        # it, e.g. at -1); non-real values hash their normalised mpf parts
+        q = self._rational()
+        return hash(q) if q is not None else hash(self._val._mpc_)
 
     def __repr__(self):
         if self._frac is not None:
@@ -343,10 +346,6 @@ class Scalar:
 
     def sqrt(self) -> "Scalar":
         return nth_root(self, 2, 0)
-
-
-ZERO = Scalar.exact(0)
-ONE = Scalar.exact(1)
 
 
 def as_scalar(value, bits: int | None = None) -> Scalar:

@@ -208,6 +208,24 @@ def test_precision_floor_rejected(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--seed", "3", "analyze", "--C", "-2"),
+    ("analyze", "--seed", "3", "--C", "-2"),
+])
+def test_seed_option_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run_cli(capsys, *argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_provenance_config_has_no_seed(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--C", "-2")
+    assert code == 0
+    assert "seed" not in json.loads(out)["provenance"]["config"]
+
+
 def test_certification_failure_exit_code(capsys):
     # an M-search limit below the coefficient floor cannot certify
     code, out, _ = run_cli(capsys, "certify", "--case", "C165",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
@@ -12,7 +12,7 @@ from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
                          recurrence_determinant, residual_of_series,
                          energy_series, set_default_precision,
                          singular_step_indices, step_recurrence)
-from painleve_hh.laurent import _Recurrence
+from painleve_hh.laurent import _CASES, _Recurrence
 
 LAM9 = Scalar.exact(1, 9)
 TINY = mpmath.mpf("1e-70")
@@ -105,6 +105,14 @@ def test_step_recurrence_unique_and_singular():
     assert step3.resolution == "unique"
     assert step3.det.fraction() == -30
     assert (step3.solution[0] - xs[3]).mag() < TINY
+
+
+def test_step_recurrence_rejects_indices_below_the_first_step():
+    spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
+    with pytest.raises(ContractViolation):
+        step_recurrence(spec, -2, ({}, {}))
+    with pytest.raises(ContractViolation):
+        step_recurrence(spec, 1, ({-2: Scalar.exact(1)}, {-2: Scalar.exact(1)}))
 
 
 def test_step_resolutions_and_freed_parameters():
@@ -212,16 +220,38 @@ def test_compatibility_defect_is_even_in_the_free_value():
     assert (d1 - d2).mag() < TINY
 
 
-def test_x_sign_flip_symmetry():
-    for case, root in (("C165", "plus"), ("C165", "minus"), ("C43", "plus")):
-        plus = build_series(
-            BranchSpec(case=case, lam=LAM9, root_branch=root, x_sign=1), 12)
-        minus = build_series(
-            BranchSpec(case=case, lam=LAM9, root_branch=root, x_sign=-1), 12)
-        for a, b in zip(plus.x.coeffs, minus.x.coeffs):
-            assert (a + b).mag() < mpmath.mpf("1e-30")
-        for a, b in zip(plus.y.coeffs, minus.y.coeffs):
-            assert (a - b).mag() < mpmath.mpf("1e-30")
+small_rationals = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                            st.integers(min_value=1, max_value=8))
+
+
+@given(st.sampled_from([("C165", "plus", 1), ("C165", "minus", 1),
+                        ("C43", "plus", 1), ("C43", "minus", -1),
+                        ("C43", "zero", 1)]),
+       small_rationals, small_rationals, small_rationals)
+@example(("C165", "plus", 1), Fraction(1, 9), Fraction(0), Fraction(0))
+@example(("C165", "minus", 1), Fraction(1, 9), Fraction(0), Fraction(0))
+@example(("C43", "plus", 1), Fraction(1, 9), Fraction(0), Fraction(0))
+def test_x_sign_flip_symmetry(branch, lam, p2, p4):
+    # the image of a family under x -> -x has every x coefficient negated,
+    # including C165's free a2; C43's f2, f4 and f_{-1} are y coefficients
+    case, root, rs = branch
+    image_p2 = -p2 if case == "C165" else p2
+
+    def build(x_sign, free):
+        spec = BranchSpec(case=case, lam=Scalar.exact(lam), root_branch=root,
+                          residue_sign=rs, x_sign=x_sign,
+                          free_params=tuple(Scalar.exact(v) for v in free))
+        return build_series(spec, 12, on_incompatible="force")
+
+    plus, minus = build(1, (p2, p4)), build(-1, (image_p2, p4))
+    assert all(a == -b for a, b in zip(plus.x.coeffs, minus.x.coeffs))
+    assert all(a == b for a, b in zip(plus.y.coeffs, minus.y.coeffs))
+    assert plus.H == minus.H
+
+
+def test_resonance_table_matches_determinant_zeros():
+    for case, table in _CASES.items():
+        assert sorted(table.resonances) == singular_step_indices(case, -1, 50)
 
 
 def test_free_parameters_enter_only_at_their_index():

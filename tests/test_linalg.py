@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from painleve_hh import (ContractViolation, DenseMatrix, Scalar, determinant,
                          nth_root, solve_linear)
@@ -155,3 +157,89 @@ def test_tall_homogeneous_system_nullspace():
 def test_matmul_vector_shape_check():
     with pytest.raises(ContractViolation):
         matmul_vector(M([[1, 2]]), [Scalar.exact(1)])
+
+
+# -- one elimination routine: exact invariance and exact/big-float agreement ---
+
+entries = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                    st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def exact_systems(draw, max_rows=4, max_cols=4):
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    a = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return a, b
+
+
+def _fractions(vec):
+    return None if vec is None else [v.fraction() for v in vec]
+
+
+@given(exact_systems(), st.randoms(use_true_random=False))
+def test_exact_solve_is_invariant_under_row_permutation(system, rnd):
+    a, b = system
+    order = list(range(len(a)))
+    rnd.shuffle(order)
+    base = solve_linear(M(a), [Scalar.exact(v) for v in b])
+    moved = solve_linear(M([a[i] for i in order]),
+                         [Scalar.exact(b[i]) for i in order])
+    assert (moved.kind, moved.rank) == (base.kind, base.rank)
+    assert _fractions(moved.solution) == _fractions(base.solution)
+    assert [_fractions(v) for v in moved.nullspace] == \
+        [_fractions(v) for v in base.nullspace]
+
+
+def _rounded(q, bits):
+    # the same rational value rounded onto the big-float path
+    with mpmath.workprec(bits):
+        return Scalar.from_mpc(mpmath.mpf(q.numerator) / q.denominator, bits)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    return a, draw(st.lists(entries, min_size=n, max_size=n))
+
+
+@given(square_systems(), st.sampled_from([64, 256]))
+def test_exact_and_bigfloat_paths_agree(system, bits):
+    # entries with denominator 3 are rounded on the big-float path; at
+    # most 3x3 with |entries| <= 9 and |det| >= 1/27 keeps the condition
+    # number below 2**19
+    a, b = system
+    tol = mpmath.mpf(2) ** -(bits - 24)
+    exact_det = determinant(M(a))
+    float_det = determinant(M([[_rounded(v, bits) for v in r] for r in a]))
+    assert exact_det.is_exact and not float_det.is_exact
+    assert (float_det - exact_det).mag() <= tol * max(1, exact_det.mag())
+    if exact_det.is_zero():
+        return
+    exact_sol = solve_linear(M(a), [Scalar.exact(v) for v in b])
+    float_sol = solve_linear(M([[_rounded(v, bits) for v in r] for r in a]),
+                             [_rounded(v, bits) for v in b])
+    assert exact_sol.kind == float_sol.kind == "unique"
+    scale = max([1] + [v.mag() for v in exact_sol.solution])
+    for x, y in zip(exact_sol.solution, float_sol.solution):
+        assert (x - y).mag() <= tol * scale
+
+
+@pytest.mark.parametrize("rows", [
+    [[Fraction(1, 10 ** 50)]],
+    [[Fraction(10 ** 50), 0], [0, 1]],
+    [[1, Fraction(1, 10 ** 30)], [Fraction(1, 10 ** 30), Fraction(1, 10 ** 20)]],
+])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_bigfloat_determinant_of_badly_scaled_nonsingular_matrix(rows, bits):
+    # a pivot far below 2**-(bits/2) * max|entry| is still a pivot: the
+    # determinant makes no rank decision
+    exact = determinant(M(rows))
+    rounded = determinant(M([[_rounded(Fraction(v), bits) for v in r]
+                             for r in rows]))
+    assert not rounded.is_zero()
+    assert (rounded - exact).mag() <= mpmath.mpf(2) ** -(bits - 8) * exact.mag()

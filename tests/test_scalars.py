@@ -225,3 +225,49 @@ def test_dot_exact_zero_when_every_term_has_an_exact_zero_factor():
     assert dot([], []).is_exact
     # a rounded zero factor still makes the sum rounded, as x*y does
     assert not dot([Scalar.from_real(0)], [sc(2)]).is_exact
+
+
+# -- equality and hashing by exact value ----------------------------------------
+
+dyadic_or_thirds = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from([1, 2, 4, 3]),
+)
+
+
+@st.composite
+def valued_scalars(draw):
+    """Exact, real-rounded and complex-rounded values at 64 or 256 bits,
+    drawn from a small pool so that equal values across kinds are common."""
+    kind = draw(st.sampled_from(["exact", "real", "complex"]))
+    bits = draw(st.sampled_from([64, 256]))
+    re = draw(dyadic_or_thirds)
+    if kind == "exact":
+        return Scalar.exact(re, bits=bits)
+    im = draw(dyadic_or_thirds) if kind == "complex" else Fraction(0)
+    with mpmath.workprec(bits):
+        value = mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                           mpmath.mpf(im.numerator) / im.denominator)
+    return Scalar.from_mpc(value, bits)
+
+
+@given(valued_scalars(), valued_scalars())
+def test_equal_scalars_hash_equal(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    else:
+        assert len({a, b}) == 2
+
+
+def test_exact_and_rounded_one_are_one_set_element():
+    one, rounded = Scalar.exact(1), Scalar.from_real(1)
+    assert one == rounded and hash(one) == hash(rounded)
+    assert len({one, rounded}) == 1
+    # equality is by exact value: 1/3 is not its 256-bit rounding
+    assert Scalar.exact(1, 3) != Scalar.exact(1, 3) * Scalar.from_real(1)
+    assert Scalar.from_real(1, 64) == Scalar.from_real(1, 256)
+    for v in (-1, 2 ** 61 - 1):
+        assert hash(Scalar.from_real(v)) == hash(Scalar.exact(v)) == hash(v)
