@@ -129,9 +129,12 @@ def cmd_certify(args) -> int:
 
 def cmd_fit(args) -> int:
     with open(args.series, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    obj = payload.get("solution", payload)
-    series = decode_series(obj["y"] if "y" in obj else obj)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ContractViolation(f"{args.series} is not JSON: {exc}") from None
+    obj = payload.get("solution", payload) if isinstance(payload, dict) else payload
+    series = decode_series(obj["y"] if isinstance(obj, dict) and "y" in obj else obj)
     result = fit_subequation(series, args.m, args.match_order)
     report = {"provenance": _provenance(args), "fit": encode_fit_result(result)}
     _emit(report, args)

@@ -42,12 +42,25 @@ def encode_scalar(s: Scalar) -> dict:
         }
 
 
-def decode_scalar(obj) -> Scalar:
+def _field(obj, key: str, what: str, convert):
+    """convert(obj[key]), or a ContractViolation naming the bad field."""
     if not isinstance(obj, dict):
-        raise ContractViolation(f"scalar JSON must be an object, got {obj!r}")
-    if "num" in obj:
-        return Scalar.exact(Fraction(int(obj["num"]), int(obj["den"])))
-    bits = int(obj.get("bits", 256))
+        raise ContractViolation(f"{what} JSON must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ContractViolation(f"{what} JSON lacks the field {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ContractViolation(f"bad {what} field {key!r}: {exc}") from None
+
+
+def decode_scalar(obj) -> Scalar:
+    if isinstance(obj, dict) and "num" in obj:
+        return Scalar.exact(_field(obj, "num", "scalar", int) * _field(
+            obj, "den", "scalar", lambda den: Fraction(1, int(den))))
+    for key in ("re", "im"):
+        _field(obj, key, "scalar", mpmath.mpf)
+    bits = _field(obj, "bits", "scalar", int) if "bits" in obj else 256
     return Scalar.from_complex(obj["re"], obj["im"], bits)
 
 
@@ -63,8 +76,9 @@ def encode_series(s: PuiseuxSeries) -> dict:
 
 def decode_series(obj) -> PuiseuxSeries:
     return PuiseuxSeries(
-        Fraction(obj["lead"]), Fraction(obj["step"]),
-        [decode_scalar(c) for c in obj["coeffs"]],
+        _field(obj, "lead", "series", Fraction),
+        _field(obj, "step", "series", Fraction),
+        [decode_scalar(c) for c in _field(obj, "coeffs", "series", list)],
         center=decode_scalar(obj["center"]) if "center" in obj else None,
         complete=bool(obj.get("complete", False)),
     )

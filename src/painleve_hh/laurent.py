@@ -54,12 +54,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
-
 from .errors import CompatibilityViolation, ContractViolation
 from .linalg import DenseMatrix
 from .model import build_henon_heiles, energy_series
-from .scalars import Scalar, as_scalar, default_precision, dot, nth_root
+from .scalars import (Scalar, as_scalar, default_precision, dot,
+                      half_precision_tol, nth_root)
 from .series import PuiseuxSeries
 
 CASE_C165 = "C165"
@@ -335,7 +334,7 @@ class _Recurrence:
         if defect.is_exact:
             return defect.is_zero()
         scale = 1 + max(v.mag() for v in step.rhs)
-        return defect.mag() <= mpmath.mpf(2) ** (-(self.bits // 2)) * scale
+        return defect.mag() <= half_precision_tol(self.bits) * scale
 
 
 def step_recurrence(spec: BranchSpec, k: int, prior) -> RecurrenceStep:
@@ -497,7 +496,7 @@ def enumerate_branches(case: str, lam, include_complex: bool = False,
     if not dedup:
         return specs
     kept, keys = [], []
-    tol = mpmath.mpf(2) ** (-(bits // 2)) * 8
+    tol = half_precision_tol(bits) * 8
     for spec in specs:
         key = (leading_x_coefficient(spec, bits), branch_residue(spec, bits))
         idx = next((i for i, seen in enumerate(keys)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
 
 from .errors import ContractViolation
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, half_precision_tol
 
 
 class DenseMatrix:
@@ -174,8 +173,8 @@ def solve_linear(A: DenseMatrix, b) -> LinearSolution:
         scale = max([abs(e) for r in rows for e in r] + [mpmath.mpf(1)])
         rhs = [v.mpc(bits) for v in b]
         bscale = max([abs(v) for v in rhs] + [scale])
-        thresh = mpmath.mpf(2) ** (-(bits // 2)) * scale
-        bthresh = mpmath.mpf(2) ** (-(bits // 2)) * bscale
+        thresh = half_precision_tol(bits) * scale
+        bthresh = half_precision_tol(bits) * bscale
         pivots, _, _ = _rref(rows, rhs, thresh)
         return _assemble(pivots, rows, rhs, A.cols, bthresh,
                          lambda v: Scalar.from_mpc(v, bits))

@@ -50,14 +50,8 @@ class BivariatePoly:
 
     def evaluate_series(self, xs: PuiseuxSeries, ys: PuiseuxSeries) -> PuiseuxSeries:
         acc = PuiseuxSeries.zero(xs.center)
-        xpow = {0: PuiseuxSeries.constant(1, xs.center)}
-        ypow = {0: PuiseuxSeries.constant(1, xs.center)}
         for (i, j), c in sorted(self.terms.items()):
-            if i not in xpow:
-                xpow[i] = xs.pow_int(i)
-            if j not in ypow:
-                ypow[j] = ys.pow_int(j)
-            acc = acc + (xpow[i] * ypow[j]).scale(c)
+            acc = acc + (xs.pow_int(i) * ys.pow_int(j)).scale(c)
         return acc
 
     def partial(self, var: str) -> "BivariatePoly":
@@ -189,9 +183,9 @@ class FourthOrderForm:
         rhs = (
             (y2 * ys).scale(self.coeff_ytt_y)
             + y2.scale(self.coeff_ytt)
-            + (y1 * y1).scale(self.coeff_yt2)
+            + y1.pow_int(2).scale(self.coeff_yt2)
             + ys.pow_int(3).scale(self.coeff_y3)
-            + (ys * ys).scale(self.coeff_y2)
+            + ys.pow_int(2).scale(self.coeff_y2)
             + ys.scale(self.coeff_y)
             + PuiseuxSeries.constant(self.coeff_const, ys.center)
         )

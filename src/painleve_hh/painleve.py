@@ -25,14 +25,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import UnsupportedParameter
-from .scalars import Scalar, as_scalar, nth_root
-
-
-def _agreement_tol(bits: int):
-    """Tolerance for values carrying ``bits`` bits: 2**-(bits//2), relative
-    for magnitudes above 1.  Half the precision leaves room for rounding in
-    the inputs and for the square-root conditioning of a double root."""
-    return mpmath.mpf(2) ** (-(bits // 2))
+from .scalars import Scalar, as_scalar, half_precision_tol, nth_root
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ def _is_integer(v: Scalar) -> bool:
         return False
     with mp.workprec(max(v.precision, 128)):
         return abs(z.real - mpmath.nint(z.real)) \
-            <= _agreement_tol(v.precision) * max(1, abs(z.real))
+            <= half_precision_tol(v.precision) * max(1, abs(z.real))
 
 
 def resonances(balance: DominantBalance, C, cross_check: bool = True) -> ResonanceSet:
@@ -182,7 +175,7 @@ def resonances(balance: DominantBalance, C, cross_check: bool = True) -> Resonan
 
     The closed-form table values are authoritative for the returned set;
     when cross_check is on, the determinant-polynomial roots must match
-    them as a multiset to _agreement_tol of the lowest precision among the
+    them as a multiset to half_precision_tol of the lowest precision among the
     rounded table values and polynomial coefficients, or a RuntimeError
     is raised.
     """
@@ -198,7 +191,7 @@ def resonances(balance: DominantBalance, C, cross_check: bool = True) -> Resonan
         carried = min([bits] + [s.precision for s in table + poly
                                 if not s.is_exact])
         with mp.workprec(bits):
-            tol = _agreement_tol(carried)
+            tol = half_precision_tol(carried)
             remaining = list(roots)
             for v in table:
                 z = v.mpc(bits)
@@ -218,7 +211,7 @@ def resonances(balance: DominantBalance, C, cross_check: bool = True) -> Resonan
         if v.is_exact and v.fraction() < 0:
             negatives += 1
         elif not v.is_exact and v.is_real() \
-                and v.mpc().real < -_agreement_tol(v.precision):
+                and v.mpc().real < -half_precision_tol(v.precision):
             negatives += 1
     return ResonanceSet(values=values, all_integer=all_integer,
                         has_extra_negative=negatives > 1)

@@ -459,11 +459,8 @@ def dot(a, b) -> Scalar:
     return Scalar(None, mp.make_mpc(value), bits)
 
 
-def scalar_max_abs(values) -> "mpmath.mpf":
-    """max |v| over an iterable of Scalars (0 for an empty iterable)."""
-    best = mpmath.mpf(0)
-    for v in values:
-        m = v.mag()
-        if m > best:
-            best = m
-    return best
+def half_precision_tol(bits: int) -> "mpmath.mpf":
+    """2**-(bits//2), the agreement tolerance for values carrying ``bits``
+    bits.  Half the precision leaves room for rounding in the inputs and for
+    the square-root conditioning of a double root; callers scale it."""
+    return mpmath.mpf(2) ** (-(bits // 2))

@@ -42,9 +42,14 @@ def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
 
 
 class PuiseuxSeries:
-    """Immutable truncated series sum_i coeffs[i] * (t - center)**(lead + i*step)."""
+    """Immutable truncated series sum_i coeffs[i] * (t - center)**(lead + i*step).
 
-    __slots__ = ("lead", "step", "coeffs", "center", "complete")
+    Being immutable, a series keeps the powers and the derivative it forms,
+    so every caller that asks for y**2 or y' again gets the same object.
+    """
+
+    __slots__ = ("lead", "step", "coeffs", "center", "complete", "_powers",
+                 "_derivative")
 
     def __init__(self, lead, step, coeffs, center=None, complete=False):
         self.lead = _frac(lead)
@@ -54,6 +59,8 @@ class PuiseuxSeries:
         self.coeffs = tuple(as_scalar(c) for c in coeffs)
         self.center = as_scalar(center) if center is not None else _ZERO
         self.complete = bool(complete)
+        self._powers = []           # _powers[i] is self**(i + 2)
+        self._derivative = None
 
     # -- constructors --------------------------------------------------------
 
@@ -245,17 +252,20 @@ class PuiseuxSeries:
             raise ContractViolation("negative powers not supported")
         if exponent == 0:
             return PuiseuxSeries.constant(1, self.center)
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        if exponent == 1:
+            return self
+        powers = self._powers
+        while len(powers) < exponent - 1:
+            powers.append((powers[-1] if powers else self) * self)
+        return powers[exponent - 2]
 
     def differentiate(self) -> "PuiseuxSeries":
-        coeffs = []
-        for e, c in zip(self.exponents(), self.coeffs):
-            coeffs.append(c * Scalar.exact(e))
-        return PuiseuxSeries(self.lead - 1, self.step, coeffs,
-                             center=self.center, complete=self.complete)
+        if self._derivative is None:
+            self._derivative = PuiseuxSeries(
+                self.lead - 1, self.step,
+                [c * Scalar.exact(e) for e, c in zip(self.exponents(), self.coeffs)],
+                center=self.center, complete=self.complete)
+        return self._derivative
 
     # -- evaluation -----------------------------------------------------------------
 

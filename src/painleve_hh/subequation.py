@@ -8,12 +8,14 @@ satisfy an equation of the form
 Substituting a truncated Laurent series for y turns this into a linear
 system in the h_jk: one equation per matched power of t.  The nullspace of
 that (deliberately overdetermined) system collects candidate subequations;
-every candidate is re-verified by residual substitution before it is
-reported, which filters spurious vectors.
+every candidate is re-verified by residual substitution (the sum of its
+coefficients times the fitted columns) before it is reported, which filters
+spurious vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +23,9 @@ import mpmath
 
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
-from .scalars import Scalar, as_scalar, default_precision, dot, scalar_max_abs
+from .model import BivariatePoly
+from .scalars import (Scalar, as_scalar, default_precision, dot,
+                      half_precision_tol)
 from .series import PuiseuxSeries
 
 
@@ -65,19 +69,7 @@ class SubequationAnsatz:
             m=self.m, h={jk: c / pivot for jk, c in self.h.items()})
 
     def residual_series(self, y: PuiseuxSeries) -> PuiseuxSeries:
-        yp = y.differentiate()
-        ypow = {0: PuiseuxSeries.constant(1, y.center)}
-        dpow = {0: PuiseuxSeries.constant(1, y.center)}
-        acc = PuiseuxSeries.zero(y.center)
-        for (j, k), c in sorted(self.h.items()):
-            if c.is_zero():
-                continue
-            if j not in ypow:
-                ypow[j] = y.pow_int(j)
-            if k not in dpow:
-                dpow[k] = yp.pow_int(k)
-            acc = acc + (ypow[j] * dpow[k]).scale(c)
-        return acc
+        return BivariatePoly(self.nonzero()).evaluate_series(y, y.differentiate())
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,9 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
     square-root variable first for half-integer series).  match_order is
     the highest power of t matched; it must leave at least two more
     equations than unknowns, and the series must be long enough for every
-    ansatz term to be known through it.
+    ansatz term to be known through it.  Each column y^j * (y')^k is expanded
+    once; a nullspace candidate's residual is the sum of its coefficients
+    times those fitted columns, checked through match_order.
     """
     if y_series.step != 1:
         raise ContractViolation(
@@ -104,47 +98,37 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
     indices = ansatz_indices(m)
     unknowns = len(indices)
     yp = y_series.differentiate()
-    terms = {}
-    window_cap = None
-    for (j, k) in indices:
-        term = y_series.pow_int(j) * yp.pow_int(k)
-        terms[(j, k)] = term
-        if term.max_exp is not None:
-            window_cap = term.max_exp if window_cap is None \
-                else min(window_cap, term.max_exp)
+    # the columns y^j * y'^k, each formed once
+    terms = {(j, k): y_series.pow_int(j) * yp.pow_int(k) for j, k in indices}
+    window_cap = min((t.max_exp for t in terms.values() if t.max_exp is not None),
+                     default=None)
     lead = min(t.lead for t in terms.values())
     if window_cap is not None and match_order > window_cap:
         raise ContractViolation(
             f"series too short: ansatz terms known only through t^{window_cap}, "
             f"match_order {match_order} requested")
-    exponents = []
-    e = lead
-    while e <= match_order:
-        exponents.append(e)
-        e += 1
+    exponents = [lead + i for i in range(math.floor(match_order - lead) + 1)]
     if len(exponents) < unknowns + 2:
         raise ContractViolation(
             f"match_order {match_order} gives {len(exponents)} equations for "
             f"{unknowns} unknowns; need at least {unknowns + 2}")
-    rows = []
-    for e in exponents:
-        row = []
-        for jk in indices:
-            c = terms[jk].coefficient(e)
-            row.append(c if c is not None else Scalar.exact(0))
-        rows.append(row)
+    # the window check above leaves no unknown coefficient in these rows
+    rows = [[terms[jk].coefficient(e) for jk in indices] for e in exponents]
     system = DenseMatrix.from_rows(rows)
     sol = solve_linear(system, [Scalar.exact(0)] * len(exponents))
     if sol.kind == "unique":
         return FitResult(nullspace_dim=0, basis=(), residual_orders=())
     bits = max((c.precision for r in rows for c in r), default=default_precision())
     if tol is None:
-        tol = mpmath.mpf(2) ** (-(bits // 2))
+        tol = half_precision_tol(bits)
+    scale = 1 + max((c.mag() for t in terms.values() for c in t.coeffs),
+                    default=mpmath.mpf(0))
     basis, orders = [], []
     for vec in sol.nullspace:
         ans = SubequationAnsatz(m=m, h=dict(zip(indices, vec))).normalized()
-        resid = ans.residual_series(y_series)
-        scale = 1 + max(scalar_max_abs(terms[jk].coeffs) for jk in indices)
+        resid = PuiseuxSeries.zero(y_series.center)
+        for jk, c in sorted(ans.nonzero().items()):
+            resid = resid + terms[jk].scale(c)
         verified = None
         ok = True
         for e, c in zip(resid.exponents(), resid.coeffs):
@@ -204,7 +188,7 @@ def mobius_squared_series(a, b, c, d, P0, g2, g3, n_terms: int,
     bits = bits or default_precision()
     a, b, c, d, P0 = (as_scalar(v).with_precision(bits) for v in (a, b, c, d, P0))
     det = a * d - b * c
-    if not (det - 1).is_zero() and (det - 1).mag() > mpmath.mpf(2) ** (-(bits // 2)):
+    if not (det - 1).is_zero() and (det - 1).mag() > half_precision_tol(bits):
         raise ContractViolation("Mobius constants must satisfy ad - bc = 1")
     p = weierstrass_p_series(g2, g3, n_terms + 4, bits)
     num = p.scale(a) + PuiseuxSeries.constant(b)
@@ -331,7 +315,7 @@ def residue_pairing(branches, tol=None) -> list[ResiduePair]:
         items.append((idx, res))
     if tol is None:
         bits = min((r.precision for _, r in items), default=default_precision())
-        tol = mpmath.mpf(2) ** -(bits // 2)
+        tol = half_precision_tol(bits)
     used = set()
     pairs = []
     for idx, res in items:

@@ -131,6 +131,20 @@ def test_fit_command_on_series_report(capsys, tmp_path):
     json.loads(out)
 
 
+@pytest.mark.parametrize("text, named", [
+    ("{not json", "not JSON"),
+    ('{"coeffs": []}', "'lead'"),
+    ("[1, 2]", "must be an object"),
+], ids=["not-json", "missing-lead", "list-payload"])
+def test_fit_bad_series_file_exits_2(capsys, tmp_path, text, named):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "fit", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert named in err and "Traceback" not in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "C165",
                            "--lambda", "1/9", "--branch", "plus",

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
-from painleve_hh.scalars import dot
+from painleve_hh.scalars import dot, half_precision_tol
 
 rationals = st.builds(
     Fraction,
@@ -271,3 +271,12 @@ def test_exact_and_rounded_one_are_one_set_element():
     assert Scalar.from_real(1, 64) == Scalar.from_real(1, 256)
     for v in (-1, 2 ** 61 - 1):
         assert hash(Scalar.from_real(v)) == hash(Scalar.exact(v)) == hash(v)
+
+
+@pytest.mark.parametrize("bits", [64, 129, 256, 512])
+def test_half_precision_tol_is_an_exact_power_of_two(bits):
+    # thresholds scale it by factors, so it must be exactly 2**-(bits//2)
+    with mpmath.workprec(53):
+        tol = half_precision_tol(bits)
+    man, exp = tol.man_exp
+    assert (man, exp) == (1, -(bits // 2))

@@ -182,3 +182,55 @@ def test_product_matches_double_loop(a, b, step_a, step_b, complete_a,
         got = P.coefficient(e)
         assert got.is_exact
         assert got.fraction() == ref.get(e, Scalar.exact(0)).fraction()
+
+
+def _scalar_of(kind, q: Fraction, bits=128):
+    if kind == "exact":
+        return Scalar.exact(q)
+    if kind == "real":
+        return Scalar.from_real(mpmath.mpf(q.numerator) / q.denominator, bits)
+    return Scalar.from_complex(mpmath.mpf(q.numerator) / q.denominator,
+                               mpmath.mpf(q.denominator) / 7, bits)
+
+
+def _same_coefficients(a, b):
+    assert (a.lead, a.step, a.complete, a.max_exp) == \
+        (b.lead, b.step, b.complete, b.max_exp)
+    assert len(a.coeffs) == len(b.coeffs)
+    for x, y in zip(a.coeffs, b.coeffs):
+        assert (x.is_exact, x.precision) == (y.is_exact, y.precision)
+        assert x == y
+        if not x.is_exact:
+            assert x.mpc() == y.mpc()
+
+
+@given(zero_rich_coeffs, st.sampled_from(["exact", "real", "complex"]),
+       st.sampled_from([1, Fraction(1, 2)]), st.booleans(),
+       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4))
+def test_memoized_powers_match_iterated_products(coeffs, kind, step, complete,
+                                                 requests):
+    s = PuiseuxSeries(Fraction(-3, 2), step,
+                      [_scalar_of(kind, q) for q in coeffs], complete=complete)
+    # ask in a random order, so later powers build on whatever is stored
+    for n in requests + [6]:
+        expected = PuiseuxSeries.constant(1) if n == 0 else s
+        for _ in range(n - 1):
+            expected = expected * s
+        _same_coefficients(s.pow_int(n), expected)
+
+
+def test_powers_and_derivative_are_formed_once():
+    s = S(-2, [1, 0, Fraction(1, 3), 2])
+    assert s.pow_int(1) is s
+    for n in (2, 3, 5):
+        assert s.pow_int(n) is s.pow_int(n)
+    assert s.differentiate() is s.differentiate()
+    assert s.differentiate().differentiate() is s.differentiate().differentiate()
+
+
+def test_high_power_builds_without_recursion():
+    s = PuiseuxSeries.monomial(Scalar.exact(1), 1)
+    p = s.pow_int(1500)
+    assert p.lead == 1500 and p.complete
+    assert [c.fraction() for c in p.coeffs] == [1]
+    assert s.pow_int(1499).lead == 1499

@@ -57,6 +57,53 @@ def test_weierstrass_fit_recovers_invariants():
         assert (got - Scalar.exact(want)).mag() < mpmath.mpf("1e-25")
 
 
+@pytest.mark.parametrize("m, match_order", [(2, 25), (3, 35)])
+@pytest.mark.parametrize("g2, g3", [
+    (Scalar.exact(1, 3), Scalar.exact(-2, 5)),
+    (Scalar.from_real("0.3", 256), Scalar.from_real("-0.7", 256)),
+], ids=["exact", "rounded"])
+def test_fit_basis_passes_reference_residual(m, match_order, g2, g3):
+    # fit sums its own columns; the reference expands each candidate afresh
+    p = weierstrass_p_series(g2, g3, 30, 256)
+    result = fit(p, m, match_order)
+    assert result.nullspace_dim >= 1
+    yp = p.differentiate()
+    columns = [p.pow_int(j) * yp.pow_int(k) for j, k in ansatz_indices(m)]
+    scale = 1 + max(c.mag() for col in columns for c in col.coeffs)
+    tol = mpmath.mpf(2) ** -128 * scale
+    for ans, order in zip(result.basis, result.residual_orders):
+        resid = ans.residual_series(p)
+        checked = [c for e, c in zip(resid.exponents(), resid.coeffs)
+                   if e <= order]
+        assert checked or resid.complete
+        for c in checked:
+            if g2.is_exact:
+                assert c.is_exact and c.is_zero()
+            else:
+                assert c.mag() <= tol
+    if not g2.is_exact:
+        # the rounding noise in each candidate's residual fails a tolerance
+        # far below it, so the residual is really formed from the candidate
+        assert fit(p, m, match_order, tol=mpmath.mpf(2) ** -1024).basis == ()
+
+
+@pytest.mark.parametrize("m, match_order, products", [(2, 25, 13), (3, 35, 23)])
+def test_fit_expands_each_column_once(monkeypatch, m, match_order, products):
+    # y^2..y^(2m), y'^2..y'^m and one product per column; no second expansion
+    p = weierstrass_p_series(Scalar.exact(1, 3), Scalar.exact(-2, 5), 30)
+    mul = PuiseuxSeries.__mul__
+    count = []
+
+    def counted(a, b):
+        if isinstance(b, PuiseuxSeries):
+            count.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counted)
+    monkeypatch.setattr(SubequationAnsatz, "residual_series", None)
+    assert fit(p, m, match_order).nullspace_dim >= 1
+    assert len(count) == products
+
+
 def test_fit_scale_normalization():
     p = weierstrass_p_series(Scalar.exact(3, 2), Scalar.exact(2, 7), 20)
     result = fit(p, 2, 25)
