@@ -20,9 +20,10 @@ u = k*(k-1) and D = |(u-2)*(u-12)|,
     |d_k| <= (|u-8|*|P_k| + 2*sqrt(6)*|Q_k|) / D
     |f_k| <= (|u-6|*|Q_k| + 2*sqrt(6)*|P_k|) / D.
 
-Both bound factors have numerators linear in k over quadratics in k, so
-once both are <= 1 at some k above the resonance indices they stay <= 1;
-the smallest such k is the induction threshold N.
+For C165 the bound factors are linear over quadratic in k, for C43 cubic
+over quartic.  N is scanned, not proven: the first k >= 5 with both
+factors <= 1 (as rounded magnitudes) at k, k+1 and k+2, stepping by k//8
+above k = 4096 and giving up beyond 10**5.
 """
 
 from __future__ import annotations
@@ -83,11 +84,10 @@ def bound_step(k: int, M, lam, c1_abs, case: str):
 
 def _induction_threshold(M: Scalar, lam: Scalar, c1_abs: Scalar, case: str,
                          k_cap: int = 10 ** 5) -> int | None:
-    """A k >= 5 with both bound factors <= 1 for it and beyond (None below cap).
+    """The first scanned k >= 5 with both bound factors <= 1 at k, k+1, k+2.
 
-    Numerators are linear and denominators quadratic in k, so the factors
-    decrease beyond their first crossing; the scan confirms the crossing
-    locally and is exact (the smallest admissible k) while it steps by 1.
+    The scan steps by 1 up to 4096 and by k//8 above; None past k_cap.  The
+    local check at k+1 and k+2 does not prove the factors stay <= 1 beyond.
     """
     def ok(k: int) -> bool:
         b1, b2 = bound_step(k, M, lam, c1_abs, case)

@@ -16,11 +16,11 @@ from mpmath import mp
 from .convergence import ConvergenceCertificate
 from .errors import ContractViolation
 from .laurent import BranchSpec, SeriesSolution
-from .model import PhaseState, PolynomialODESystem, build_henon_heiles
+from .model import PhaseState
 from .painleve import ClassificationVerdict, DominantBalance, ResonanceSet
 from .scalars import Scalar
 from .series import PuiseuxSeries
-from .subequation import FitResult, QuarticForm, SubequationAnsatz
+from .subequation import FitResult, SubequationAnsatz
 
 
 def _roundtrip_digits(bits: int) -> int:
@@ -158,18 +158,6 @@ def encode_state(s: PhaseState) -> dict:
             "t": encode_scalar(s.t)}
 
 
-def decode_state(obj) -> PhaseState:
-    return PhaseState(*(decode_scalar(obj[k]) for k in ("x", "xt", "y", "yt", "t")))
-
-
-def encode_model(sys: PolynomialODESystem) -> dict:
-    return {"C": encode_scalar(sys.C), "lambda": encode_scalar(sys.lam)}
-
-
-def decode_model(obj) -> PolynomialODESystem:
-    return build_henon_heiles(decode_scalar(obj["C"]), decode_scalar(obj["lambda"]))
-
-
 def encode_balance(b: DominantBalance) -> dict:
     return {
         "case": b.case_tag,
@@ -225,14 +213,6 @@ def encode_ansatz(a: SubequationAnsatz) -> dict:
                   for (j, k), c in a.nonzero().items()}}
 
 
-def decode_ansatz(obj) -> SubequationAnsatz:
-    h = {}
-    for key, val in obj["h"].items():
-        j, k = (int(p) for p in key.split(","))
-        h[(j, k)] = decode_scalar(val)
-    return SubequationAnsatz(m=int(obj["m"]), h=h)
-
-
 def encode_fit_result(r: FitResult) -> dict:
     return {
         "nullspace_dim": r.nullspace_dim,
@@ -241,13 +221,3 @@ def encode_fit_result(r: FitResult) -> dict:
             for a, o in zip(r.basis, r.residual_orders)
         ],
     }
-
-
-def encode_quartic(q: QuarticForm) -> dict:
-    return {name: encode_scalar(getattr(q, name))
-            for name in ("A", "G", "B", "E", "C", "P0")}
-
-
-def decode_quartic(obj) -> QuarticForm:
-    return QuarticForm(*(decode_scalar(obj[name])
-                         for name in ("A", "G", "B", "E", "C", "P0")))

@@ -26,6 +26,15 @@ from .scalars import Scalar, as_scalar
 from .series import PuiseuxSeries
 
 
+def power_product(xs: PuiseuxSeries, ys: PuiseuxSeries, i, j):
+    """xs^i * ys^j; a pure power is not multiplied by the constant 1."""
+    if i == 0:
+        return ys.pow_int(j)
+    if j == 0:
+        return xs.pow_int(i)
+    return xs.pow_int(i) * ys.pow_int(j)
+
+
 class BivariatePoly:
     """Sparse bivariate polynomial in (x, y) with Scalar coefficients."""
 
@@ -51,7 +60,7 @@ class BivariatePoly:
     def evaluate_series(self, xs: PuiseuxSeries, ys: PuiseuxSeries) -> PuiseuxSeries:
         acc = PuiseuxSeries.zero(xs.center)
         for (i, j), c in sorted(self.terms.items()):
-            acc = acc + (xs.pow_int(i) * ys.pow_int(j)).scale(c)
+            acc = acc + power_product(xs, ys, i, j).scale(c)
         return acc
 
     def partial(self, var: str) -> "BivariatePoly":

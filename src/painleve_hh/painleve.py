@@ -10,10 +10,13 @@ y ~ b*(t-t0)^beta of the model come in two flavors:
   where the alpha branch taking the minus sign carries the plus
   resonance.
 
-Resonances are computed both from those closed forms and from the roots of
-the linearized (Kowalevski) 2x2 determinant polynomial around the leading
-behavior; the two routes must agree to half the precision the compared
-values carry.
+The resonances are the roots of the linearized (Kowalevski) 2x2
+determinant, a quartic in r.  The closed forms are checked against it as a
+polynomial identity, coefficient by coefficient:
+
+* Case 1: the quartic is (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
+* Case 2: it is r(r + 2*alpha - 1)(r^2 - 5r - 6), because
+  alpha*(alpha - 1) = -12/C.
 """
 
 from __future__ import annotations
@@ -137,15 +140,6 @@ def kowalevski_polynomial(balance: DominantBalance, C: Scalar) -> list:
     return _poly_mul(p, row_y)
 
 
-def _poly_roots(coeffs, bits):
-    with mp.workprec(bits + 40):
-        cs = [c.mpc(bits) for c in coeffs]
-        while len(cs) > 1 and abs(cs[-1]) == 0:
-            cs.pop()
-        roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=80)
-    return list(roots)
-
-
 def _table_resonances(balance: DominantBalance, C: Scalar) -> list[Scalar]:
     minus_one = Scalar.exact(-1)
     six = Scalar.exact(6)
@@ -170,40 +164,32 @@ def _is_integer(v: Scalar) -> bool:
             <= half_precision_tol(v.precision) * max(1, abs(z.real))
 
 
-def resonances(balance: DominantBalance, C, cross_check: bool = True) -> ResonanceSet:
-    """Resonance exponents of a balance, table formula vs Kowalevski matrix.
+def resonances(balance: DominantBalance, C) -> ResonanceSet:
+    """Resonance exponents of a balance, from the closed-form table.
 
-    The closed-form table values are authoritative for the returned set;
-    when cross_check is on, the determinant-polynomial roots must match
-    them as a multiset to half_precision_tol of the lowest precision among the
-    rounded table values and polynomial coefficients, or a RuntimeError
-    is raised.
+    The table is checked against the Kowalevski determinant as the identity
+    prod(r - r_i) = quartic (Case 1: (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
+    Case 2: r(r + 2*alpha - 1)(r^2 - 5r - 6)).  Exact coefficients must be
+    equal; otherwise each may differ by half_precision_tol(p) * (1 + max
+    |coefficient|), p the lowest precision among the rounded table values
+    and quartic coefficients.  A mismatch raises RuntimeError.
     """
     C = as_scalar(C)
     _require_nonzero_C(C)
     table = _table_resonances(balance, C)
-    if cross_check:
-        bits = max(C.precision, 128)
-        poly = kowalevski_polynomial(balance, C)
-        roots = _poly_roots(poly, bits)
-        if len(roots) != len(table):
-            raise RuntimeError("resonance polynomial degree mismatch")
-        carried = min([bits] + [s.precision for s in table + poly
-                                if not s.is_exact])
-        with mp.workprec(bits):
-            tol = half_precision_tol(carried)
-            remaining = list(roots)
-            for v in table:
-                z = v.mpc(bits)
-                best = min(range(len(remaining)),
-                           key=lambda i: abs(remaining[i] - z))
-                if abs(remaining[best] - z) > tol * max(1, abs(z)):
-                    raise RuntimeError(
-                        f"table resonance {v!r} not matched by Kowalevski root "
-                        f"(nearest off by "
-                        f"{mpmath.nstr(abs(remaining[best] - z), 5)})"
-                    )
-                remaining.pop(best)
+    quartic = kowalevski_polynomial(balance, C)
+    product = [Scalar.exact(1)]
+    for v in table:
+        product = _poly_mul(product, [-v, Scalar.exact(1)])
+    rounded = [s.precision for s in table + quartic if not s.is_exact]
+    tol = half_precision_tol(min(rounded)) \
+        * (1 + max(c.mag() for c in quartic)) if rounded else 0
+    for power, (got, want) in enumerate(zip(product, quartic)):
+        off = (got - want).mag()
+        if off > tol:
+            raise RuntimeError(
+                f"table resonances {table!r} not matched by Kowalevski root "
+                f"polynomial: r^{power} coefficient off by {mpmath.nstr(off, 5)}")
     values = tuple(table)
     all_integer = all(_is_integer(v) for v in values)
     negatives = 0

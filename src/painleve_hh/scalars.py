@@ -182,7 +182,8 @@ class Scalar:
         """Value as an mpmath.mpc at the requested (default: own) precision."""
         bits = bits or self._prec
         if self._frac is not None:
-            return mpmath.mpc(_fraction_to_mpf(self._frac, bits), 0)
+            # make_mpc keeps the bits that mpmath.mpc would round to mp.prec
+            return mp.make_mpc((_fraction_to_mpf(self._frac, bits)._mpf_, fzero))
         return self._val
 
     def real(self) -> "Scalar":

@@ -23,7 +23,7 @@ import mpmath
 
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
-from .model import BivariatePoly
+from .model import BivariatePoly, power_product
 from .scalars import (Scalar, as_scalar, default_precision, dot,
                       half_precision_tol)
 from .series import PuiseuxSeries
@@ -99,7 +99,7 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
     unknowns = len(indices)
     yp = y_series.differentiate()
     # the columns y^j * y'^k, each formed once
-    terms = {(j, k): y_series.pow_int(j) * yp.pow_int(k) for j, k in indices}
+    terms = {(j, k): power_product(y_series, yp, j, k) for j, k in indices}
     window_cap = min((t.max_exp for t in terms.values() if t.max_exp is not None),
                      default=None)
     lead = min(t.lead for t in terms.values())

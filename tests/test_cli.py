@@ -51,6 +51,16 @@ def test_analyze_candidates_block(capsys):
     assert len(cands) == 6
 
 
+@pytest.mark.parametrize("bits", ["64", "256"])
+@pytest.mark.parametrize("C", ["-23/24", "48"])
+def test_analyze_double_resonance(capsys, C, bits):
+    # -23/24: Case 1 resonance 5/2 twice; 48: Case 2 resonance 0 twice
+    code, out, err = run_cli(capsys, "--precision-bits", bits, "analyze",
+                             "--C", C)
+    assert code == 0, err
+    assert json.loads(out)["classification"]["label"] == "generic"
+
+
 def test_analyze_invalid_C(capsys):
     code, _, err = run_cli(capsys, "analyze", "--C", "0")
     assert code == 2

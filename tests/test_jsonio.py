@@ -5,14 +5,11 @@ import mpmath
 
 from painleve_hh import (BranchSpec, PhaseState, Scalar, build_series, certify,
                          classify, fit, nth_root, weierstrass_p_series)
-from painleve_hh.jsonio import (decode_ansatz, decode_branch, decode_model,
-                                decode_quartic, decode_scalar, decode_series,
-                                decode_solution, decode_state,
-                                encode_branch, encode_certificate,
-                                encode_fit_result, encode_model, encode_quartic,
+from painleve_hh.jsonio import (decode_branch, decode_scalar, decode_series,
+                                decode_solution, encode_branch,
+                                encode_certificate, encode_fit_result,
                                 encode_scalar, encode_series, encode_solution,
                                 encode_state, encode_verdict)
-from painleve_hh.subequation import QuarticForm
 
 
 def _roundtrip(obj, enc, dec):
@@ -68,16 +65,11 @@ def test_branch_and_solution_roundtrip():
 def test_state_and_model_roundtrip():
     s = PhaseState(Scalar.exact(1), Scalar.exact(-2), Scalar.exact(1, 3),
                    nth_root(Scalar.exact(5), 2, 0), Scalar.exact(0))
-    out = _roundtrip(s, encode_state, decode_state)
-    assert out.x.fraction() == 1
-    assert (out.yt - s.yt).mag() <= mpmath.mpf(2) ** (-250)
-    payload = encode_state(s)
+    payload = json.loads(json.dumps(encode_state(s)))
     assert set(payload) == {"x", "xt", "y", "yt", "t"}
-
-    sys_ = decode_model({"C": {"num": "-6", "den": "1"},
-                         "lambda": {"num": "1", "den": "1"}})
-    assert sys_.C.fraction() == -6
-    assert json.loads(json.dumps(encode_model(sys_)))["C"]["num"] == "-6"
+    assert decode_scalar(payload["x"]).fraction() == 1
+    assert decode_scalar(payload["y"]).fraction() == Fraction(1, 3)
+    assert (decode_scalar(payload["yt"]) - s.yt).mag() <= mpmath.mpf(2) ** (-250)
 
 
 def test_verdict_encoding():
@@ -102,14 +94,6 @@ def test_fit_result_and_ansatz_roundtrip():
     result = fit(p, 2, 25)
     payload = json.loads(json.dumps(encode_fit_result(result)))
     assert payload["nullspace_dim"] == 1
-    ans = decode_ansatz(payload["basis"][0])
-    assert ans.m == 2
-    assert not ans.coefficient(0, 2).is_zero()
-
-
-def test_quartic_roundtrip():
-    q = QuarticForm.make(A=4, G=Fraction(1, 2), B=0, E=-1, C=Fraction(2, 3),
-                         P0=Fraction(-1, 5))
-    out = _roundtrip(q, encode_quartic, decode_quartic)
-    assert out.A.fraction() == 4
-    assert out.P0.fraction() == Fraction(-1, 5)
+    ans = payload["basis"][0]
+    assert ans["m"] == 2
+    assert not decode_scalar(ans["h"]["0,2"]).is_zero()

@@ -6,7 +6,7 @@ from painleve_hh import (ContractViolation, DenseMatrix, PhaseState,
                          PuiseuxSeries, Scalar, build_henon_heiles, energy,
                          energy_series, reduce_to_fourth_order,
                          residual_of_series, solve_linear)
-from painleve_hh.model import potential
+from painleve_hh.model import potential, power_product
 
 
 def test_rhs_examples():
@@ -169,3 +169,23 @@ def test_energy_series_of_zero_series_is_zero():
     sys_ = build_henon_heiles(Scalar.exact(-4, 3), Scalar.exact(1))
     es = energy_series(sys_, PuiseuxSeries.zero(), PuiseuxSeries.zero())
     assert all(c.is_zero() for c in es.coeffs)
+
+
+def test_power_product_skips_the_constant_one(monkeypatch):
+    xs = PuiseuxSeries(Fraction(-3, 2), Fraction(1, 2),
+                       [Scalar.exact(v) for v in (2, -1, 3, 5)])
+    ys = PuiseuxSeries(-2, 1, [Scalar.exact(-3), Scalar.exact(0),
+                               Scalar.from_real("0.7")])
+    assert power_product(xs, ys, 3, 0) is xs.pow_int(3)
+    assert power_product(xs, ys, 0, 2) is ys.pow_int(2)
+    mul = PuiseuxSeries.__mul__
+    count = []
+
+    def counted(a, b):
+        count.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counted)
+    mixed = power_product(xs, ys, 1, 1)
+    assert len(count) == 1
+    assert mixed.lead == xs.lead + ys.lead
+    assert mixed.coeffs == mul(xs, ys).coeffs

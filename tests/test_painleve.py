@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from painleve_hh import (Scalar, UnsupportedParameter, candidate_C_values,
                          classify, find_dominant_balances, resonances,
@@ -104,13 +106,41 @@ def test_case1_pair_sums_to_five():
             assert (total - Scalar.exact(5)).mag() < mpmath.mpf("1e-70")
 
 
-def test_kowalevski_cross_check_random_rational_C():
-    # the formula-vs-matrix agreement is asserted inside resonances()
-    for c in (Fraction(-13, 4), Fraction(-8, 3), Fraction(-21, 5),
-              Fraction(-1, 2), Fraction(7, 9)):
-        C = Scalar.exact(c)
-        for b in find_dominant_balances(C):
-            resonances(b, C, cross_check=True)
+nonzero_rational_C = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+    # exact Case-1 table: 1 - 24*(1 + C) = d^2
+    st.fractions(min_value=0, max_value=20, max_denominator=50).map(
+        lambda d: (1 - d * d) / 24 - 1),
+    # exact Case-2 table: 1 - 48/C = s^2
+    st.fractions(min_value=0, max_value=20, max_denominator=50).filter(
+        lambda s: s != 1).map(lambda s: 48 / (1 - s * s)),
+).filter(lambda c: c != 0)
+
+
+@given(nonzero_rational_C)
+@example(Fraction(-23, 24))   # Case 1 double root r = 5/2
+@example(Fraction(48))        # Case 2 double root r = 0
+@example(Fraction(-13, 4))
+@example(Fraction(-8, 3))
+@example(Fraction(-21, 5))
+@example(Fraction(-1, 2))
+@example(Fraction(7, 9))
+def test_kowalevski_cross_check_random_rational_C(c):
+    # resonances() raises unless the table matches the Kowalevski quartic;
+    # an all-exact table must reproduce its coefficients as Fractions
+    C = Scalar.exact(c)
+    for b in find_dominant_balances(C):
+        values = resonances(b, C).values
+        if not all(v.is_exact for v in values):
+            continue
+        product = [Fraction(1)]
+        for v in values:
+            shifted = [Fraction(0)] + product
+            product = [s - v.fraction() * p
+                       for s, p in zip(shifted, product + [Fraction(0)])]
+        quartic = kowalevski_polynomial(b, C)
+        assert all(q.is_exact for q in quartic)
+        assert product == [q.fraction() for q in quartic]
 
 
 def test_kowalevski_polynomial_is_quartic_with_exact_case1_coeffs():
@@ -197,4 +227,25 @@ def test_perturbed_table_resonance_rejected(monkeypatch, bits):
 
     monkeypatch.setattr(painleve, "_table_resonances", perturbed)
     with pytest.raises(RuntimeError, match="not matched by Kowalevski root"):
+        resonances(balance, C)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_exactly_nudged_table_resonance_rejected(monkeypatch, bits):
+    # C = -4/3 Case 1 has the exact table {-1, 6, 1, 4}: an exact nudge far
+    # below any rounding tolerance still breaks the exact identity
+    set_default_precision(bits)
+    C = Scalar.exact(-4, 3)
+    balance = _balances_by_case(C)["Case1"][0]
+    table = painleve._table_resonances
+    assert all(v.is_exact for v in table(balance, C))
+    nudge = Scalar.exact(Fraction(1, 2 ** 300))
+
+    def perturbed(b, c):
+        values = table(b, c)
+        return values[:-1] + [values[-1] + nudge]
+
+    monkeypatch.setattr(painleve, "_table_resonances", perturbed)
+    with pytest.raises(RuntimeError, match="not matched by Kowalevski root"
+                                           ".*r\\^0 coefficient"):
         resonances(balance, C)

@@ -280,3 +280,13 @@ def test_half_precision_tol_is_an_exact_power_of_two(bits):
         tol = half_precision_tol(bits)
     man, exp = tol.man_exp
     assert (man, exp) == (1, -(bits // 2))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_exact_mpc_honours_bits_outside_a_precision_context(bits):
+    z = Scalar.exact(1, 3).mpc(bits)
+    assert mpmath.mp.prec == 53
+    with mpmath.mp.workprec(bits):
+        expected = mpmath.mpf(1) / 3
+    assert z.real == expected and z.imag == 0
+    assert z.real.man.bit_length() >= bits - 1

@@ -87,9 +87,10 @@ def test_fit_basis_passes_reference_residual(m, match_order, g2, g3):
         assert fit(p, m, match_order, tol=mpmath.mpf(2) ** -1024).basis == ()
 
 
-@pytest.mark.parametrize("m, match_order, products", [(2, 25, 13), (3, 35, 23)])
+@pytest.mark.parametrize("m, match_order, products", [(2, 25, 6), (3, 35, 13)])
 def test_fit_expands_each_column_once(monkeypatch, m, match_order, products):
-    # y^2..y^(2m), y'^2..y'^m and one product per column; no second expansion
+    # y^2..y^(2m), y'^2..y'^m and one product per column y^j * y'^k with
+    # j, k >= 1; no product by the constant 1, no second expansion
     p = weierstrass_p_series(Scalar.exact(1, 3), Scalar.exact(-2, 5), 30)
     mul = PuiseuxSeries.__mul__
     count = []
