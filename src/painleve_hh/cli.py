@@ -23,7 +23,7 @@ from .integrate import check_tolerance, integrate_numeric
 from .jsonio import (decode_series, encode_certificate, encode_fit_result,
                      encode_scalar, encode_solution, encode_state,
                      encode_verdict)
-from .laurent import (BranchSpec, build_series, enumerate_branches,
+from .laurent import (_CASES, BranchSpec, build_series, enumerate_branches,
                       branch_residue)
 from .model import energy, energy_series, residual_of_series, state_from_series
 from .painleve import candidate_C_values, classify
@@ -37,16 +37,16 @@ EXIT_COMPATIBILITY = 3
 EXIT_CERTIFICATION = 4
 
 
-def parse_scalar(text: str, bits: int | None = None) -> Scalar:
+def parse_scalar(text: str) -> Scalar:
     """'p/q' and integer literals parse exactly; decimals as big-floats."""
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Scalar.exact(Fraction(int(num), int(den)), bits=bits)
+            return Scalar.exact(Fraction(int(num), int(den)))
         if "." not in text and "e" not in text.lower():
-            return Scalar.exact(int(text), bits=bits)
-        return Scalar.from_real(text, bits)
+            return Scalar.exact(int(text))
+        return Scalar.from_real(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ContractViolation(f"cannot parse scalar literal {text!r}: {exc}")
 
@@ -71,11 +71,15 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _peak(values, solution) -> Scalar:
+    """Largest magnitude among values (0 if none), at solution precision."""
+    return Scalar.from_real(max((v.mag() for v in values), default=0),
+                            solution.precision)
+
+
 def _residual_max(solution) -> Scalar:
     rx, ry = residual_of_series(solution.system(), solution.x, solution.y)
-    mags = [c.mag() for c in rx.coeffs] + [c.mag() for c in ry.coeffs]
-    peak = max(mags) if mags else 0
-    return Scalar.from_real(peak, solution.precision)
+    return _peak(rx.coeffs + ry.coeffs, solution)
 
 
 def _spec_from_args(args) -> BranchSpec:
@@ -153,11 +157,8 @@ def cmd_verify(args) -> int:
         "energy": encode_scalar(solution.H),
     }
     es = energy_series(sys_model, solution.x, solution.y)
-    nonconst = max(
-        (c.mag() for e, c in zip(es.exponents(), es.coeffs) if e != 0),
-        default=0)
-    report["energy_nonconstant_max"] = encode_scalar(
-        Scalar.from_real(nonconst, solution.precision))
+    report["energy_nonconstant_max"] = encode_scalar(_peak(
+        (c for e, c in zip(es.exponents(), es.coeffs) if e != 0), solution))
     # complex-c1 branches integrate fine: the stepper works over complex
     # states along the real t-path
     s_a = state_from_series(solution.x, solution.y, t_a, solution.precision)
@@ -166,10 +167,9 @@ def cmd_verify(args) -> int:
     report["numeric_cross_check"] = {
         "series_state": encode_state(s_b),
         "integrated_state": encode_state(end),
-        "max_component_diff": encode_scalar(Scalar.from_real(
-            max((end.x - s_b.x).mag(), (end.xt - s_b.xt).mag(),
-                (end.y - s_b.y).mag(), (end.yt - s_b.yt).mag()),
-            solution.precision)),
+        "max_component_diff": encode_scalar(_peak(
+            (end.x - s_b.x, end.xt - s_b.xt, end.y - s_b.y, end.yt - s_b.yt),
+            solution)),
         "energy_drift": encode_scalar(
             energy(sys_model, end) - energy(sys_model, s_a)),
     }
@@ -243,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     def series_args(p):
-        p.add_argument("--case", required=True, choices=("C165", "C43"))
+        p.add_argument("--case", required=True, choices=tuple(_CASES))
         p.add_argument("--lambda", dest="lam", default="1")
-        p.add_argument("--branch", default="plus",
-                       choices=("plus", "minus", "zero"))
+        p.add_argument("--branch", default="plus", choices=tuple(
+            dict.fromkeys(r for case in _CASES.values() for r in case.roots)))
         p.add_argument("--x-sign", dest="x_sign", default="+", choices=("+", "-"))
         p.add_argument("--residue-sign", dest="residue_sign", default="+",
                        choices=("+", "-"))
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="grid over lambda, reporting branch counts")
-    p.add_argument("--case", required=True, choices=("C165", "C43"))
+    p.add_argument("--case", required=True, choices=tuple(_CASES))
     p.add_argument("--lambda-grid", dest="lambda_grid", required=True,
                    help="start:end:step with rational entries")
     p.set_defaults(func=cmd_sweep)

@@ -5,18 +5,24 @@ every k > N the recurrence maps coefficient bounds [0, M]^2 into
 themselves, then |a_n|, |b_n| <= M for all n and the series converge on
 the punctured disc 0 < |t| <= 1 - eps for any eps > 0.
 
-For C = -16/5 the step bounds read
+One template bounds the right-hand sides of the step system in both
+cases, from the k+1 x*y pairs and from the x*x and y*y pairs (xx_lo and C
+from the recurrence's case table):
+
+    |P_k| <= |lam|*M + 2*(k+1)*M**2
+    |Q_k| <= M + ((k - xx_lo) + |C|*(k+1))*M**2
+
+Only the last step differs.  The C = -16/5 step matrix is triangular, and
+with xx_lo = -2 the bounds read
 
     |a_k| <= (2*M*(k+1) + |lam| + 2*|c1|) / |k**2 - 4| * M
     |b_k| <= (21*M*k + 26*M + 5) / (5*|k**2 - k - 12|) * M
 
 (the second absorbs the two c1-endpoint terms of the x**2 convolution
 under |c1| <= M, which certification therefore also requires).  For
-C = -4/3 the same template applied to the step systems gives, with
-u = k*(k-1) and D = |(u-2)*(u-12)|,
+C = -4/3, xx_lo = -1 gives |Q_k| <= M + (7/3)*(k+1)*M**2, and Cramer's
+rule with u = k*(k-1) and D = |(u-2)*(u-12)| gives
 
-    |P_k| <= |lam|*M + 2*(k+1)*M**2
-    |Q_k| <= M + (7/3)*(k+1)*M**2
     |d_k| <= (|u-8|*|P_k| + 2*sqrt(6)*|Q_k|) / D
     |f_k| <= (|u-6|*|Q_k| + 2*sqrt(6)*|P_k|) / D.
 
@@ -34,10 +40,11 @@ import mpmath
 from mpmath import mp
 
 from .errors import ContractViolation, InsufficientPrefix
-from .laurent import CASE_C165, SeriesSolution, _case
+from .laurent import SeriesSolution, _case
 from .scalars import Scalar, as_scalar
 
 _RESONANCE_CEILING = 5   # first admissible induction index (above k = 4)
+_SCAN_CAP = 10 ** 5      # the threshold scan gives up beyond this k
 
 
 @dataclass(frozen=True)
@@ -58,43 +65,38 @@ class ConvergenceCertificate:
 def bound_step(k: int, M, lam, c1_abs, case: str):
     """The two step bounds at index k for prefix bound M.
 
-    Returns the classical closed-form pair for C165 and the derived pair
-    for C43.  The diagonals and determinant come from the recurrence's
-    per-case table; k must avoid the determinant zeros (the resonance
-    indices of the respective case).
+    P and Q bound the right-hand sides the same way in both cases; the
+    triangular C165 matrix then bounds each unknown by its own row, and
+    C43 takes Cramer's rule.  The diagonals, determinant, xx_lo and C come
+    from the recurrence's per-case table; k must avoid the determinant
+    zeros (the resonance indices of the respective case).
     """
     M, lam, c1_abs = as_scalar(M), as_scalar(lam), as_scalar(c1_abs)
-    lam_abs = lam.magnitude()
     table = _case(case)
     d1, d2, D = table.x_diag(k), table.y_diag(k), Scalar.exact(abs(table.det(k)))
     if D.is_zero():
         raise ContractViolation(f"bound denominators vanish at k={k}")
-    if table.lead_sq is None:
-        # triangular step matrix: each row bounds its own unknown
-        b1 = (2 * M * (k + 1) + lam_abs + 2 * c1_abs) / abs(d1) * M
-        b2 = (21 * M * k + 26 * M + 5) / (5 * abs(d2)) * M
-        return b1, b2
-    p = lam_abs * M + 2 * (k + 1) * M * M
-    q = M + Scalar.exact(7, 3) * (k + 1) * M * M
+    p = lam.magnitude() * M + 2 * (k + 1) * M * M
+    q = M + ((k - table.xx_lo) + abs(table.C) * (k + 1)) * M * M
+    if table.lead_free:
+        return (p + 2 * c1_abs * M) / abs(d1), q / abs(d2)
     two_s = 2 * Scalar.exact(table.lead_sq).sqrt()
-    b1 = (abs(d2) * p + two_s * q) / D
-    b2 = (abs(d1) * q + two_s * p) / D
-    return b1, b2
+    return (abs(d2) * p + two_s * q) / D, (abs(d1) * q + two_s * p) / D
 
 
-def _induction_threshold(M: Scalar, lam: Scalar, c1_abs: Scalar, case: str,
-                         k_cap: int = 10 ** 5) -> int | None:
+def _induction_threshold(M: Scalar, lam: Scalar, c1_abs: Scalar,
+                         case: str) -> int | None:
     """The first scanned k >= 5 with both bound factors <= 1 at k, k+1, k+2.
 
-    The scan steps by 1 up to 4096 and by k//8 above; None past k_cap.  The
-    local check at k+1 and k+2 does not prove the factors stay <= 1 beyond.
+    The scan steps by 1 up to 4096 and by k//8 above; None past _SCAN_CAP.
+    The local check at k+1 and k+2 does not prove the factors stay <= 1.
     """
     def ok(k: int) -> bool:
         b1, b2 = bound_step(k, M, lam, c1_abs, case)
         return b1.mag() <= M.mag() and b2.mag() <= M.mag()
 
     k = _RESONANCE_CEILING
-    while k <= k_cap:
+    while k <= _SCAN_CAP:
         if ok(k):
             # the factors are eventually monotone; confirm locally
             if ok(k + 1) and ok(k + 2):
@@ -118,15 +120,14 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
         raise ContractViolation("epsilon must lie in (0, 1)")
     bits = solution.precision
     case = solution.spec.case
+    lead_free = _case(case).lead_free
     lam = solution.spec.lam
     xs, ys = solution.recurrence_coefficients()
     prefix_mags = [v.mag() for idx, v in xs.items() if idx >= -1]
     prefix_mags += [v.mag() for idx, v in ys.items() if idx >= -1]
     max_coeff = max(prefix_mags)
-    c1_abs = solution.c1.magnitude() if case == CASE_C165 else Scalar.exact(0)
-    floor = max_coeff
-    if case == CASE_C165:
-        floor = max(floor, c1_abs.mag())
+    c1_abs = solution.c1.magnitude() if lead_free else Scalar.exact(0)
+    floor = max(max_coeff, c1_abs.mag())
     with mp.workprec(bits):
         exponent = max(0, int(mpmath.ceil(mpmath.log(floor, 2)))) if floor > 1 \
             else 0
@@ -135,7 +136,7 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
         "max_prefix_coefficient": Scalar.from_mpc(mpmath.mpc(max_coeff), bits),
         "c1_abs": c1_abs,
         "prefix_bound_indices": "[-1, %d]" % solution.trunc_order,
-        "c43_derived_constants": None if case == CASE_C165 else {
+        "c43_derived_constants": None if lead_free else {
             "p_terms": "|lam|*M + 2*(k+1)*M^2",
             "q_terms": "M + (7/3)*(k+1)*M^2",
             "coupling": "2*sqrt(6)",
@@ -146,18 +147,14 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     # threshold (the bound factors grow with M), so the first power of two
     # covering the prefix is the only candidate worth checking.
     M = Scalar.exact(2) ** exponent
-    if M.mag() > limit:
-        return ConvergenceCertificate(
-            M=M, N=-1, epsilon=epsilon, checked_prefix=solution.trunc_order,
-            verdict="not-certified", case=case,
-            audit={**audit, "reason": "required M exceeds the search limit"},
-        )
-    n_ind = _induction_threshold(M, lam, c1_abs, case)
+    over_limit = M.mag() > limit
+    n_ind = None if over_limit else _induction_threshold(M, lam, c1_abs, case)
     if n_ind is None:
         return ConvergenceCertificate(
             M=M, N=-1, epsilon=epsilon, checked_prefix=solution.trunc_order,
             verdict="not-certified", case=case,
-            audit={**audit, "reason": "induction threshold beyond scan cap"},
+            audit={**audit, "reason": "required M exceeds the search limit"
+                   if over_limit else "induction threshold beyond scan cap"},
         )
     if n_ind > solution.trunc_order:
         raise InsufficientPrefix(required=n_ind, available=solution.trunc_order)

@@ -31,6 +31,7 @@ from .model import PhaseState, PolynomialODESystem
 from .scalars import Scalar, as_scalar
 
 MIN_ORDER = 8
+MAX_STEPS = 100000   # step budget of one integrate_numeric call
 
 
 def check_tolerance(tol) -> Scalar:
@@ -96,8 +97,7 @@ def _horner_pair(coeffs, h):
 
 
 def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
-                      tol, order: int | None = None,
-                      max_steps: int = 100000, center=0) -> PhaseState:
+                      tol, order: int | None = None, center=0) -> PhaseState:
     """Integrate from s0.t to t_end along the real axis.
 
     The path must keep |t - center| >= tol**(1/4) away from the movable
@@ -135,7 +135,7 @@ def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
         direction = 1 if te >= t else -1
         steps = 0
         while (te - t) * direction > 0:
-            if steps >= max_steps:
+            if steps >= MAX_STEPS:
                 raise SingularityApproach("step budget exhausted")
             steps += 1
             X, Y = _taylor_coefficients(lam, C, x, xt, y, yt, order)

@@ -30,12 +30,15 @@ singular at k = -1 (f_{-1} free), k = 2 (compatibility constrains f_{-1};
 f_2 free) and k = 4 (one equation; f_4 free).
 
 One stepper serves both cases; the frozen per-case table ``_CASES`` holds
-everything that differs.  At a resonance with free column f (value v) and
-bound column b, x_b = (r_b - M_bf*v)/M_bb and the defect is the left-null
-combination M_bb*r_f - M_fb*r_b of the right-hand side, which must vanish.
+everything that differs: the step matrix, the resonances, whether the lead
+is the free c1, the closed form below and the roots the branch listing
+runs over.  At a resonance with free column f (value v) and bound column
+b, x_b = (r_b - M_bf*v)/M_bb and the defect is the left-null combination
+M_bb*r_f - M_fb*r_b of the right-hand side, which must vanish.
 For C165 that is -10*(r_1 - 2*c1*b_2) at k = 2 and 12*r_2 at k = 4.
 
-Compatibility closed forms:
+Compatibility closed forms, one shape s*(a - b*lam +- c*sqrt(d*(e*lam**2 -
+f*lam + g)))/n evaluated from the table:
 
     c1**4   = 1125*(525 - 1680*lam +- 4*sqrt(35*(2048*lam**2 - 1280*lam + 387)))/167552
     f. -1^2 = (105 - 140*lam +- sqrt(7*(1216*lam**2 - 1824*lam + 783)))/385
@@ -55,7 +58,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import CompatibilityViolation, ContractViolation
-from .linalg import DenseMatrix
 from .model import build_henon_heiles, energy_series
 from .scalars import (Scalar, as_scalar, default_precision, dot,
                       half_precision_tol, nth_root)
@@ -76,7 +78,9 @@ class _Case:
     None when s is the free c1 (C165).  The x*x sum runs from j = xx_lo
     over pairs adding to k + xx_lo - 1, and resonances map k -> (free
     column, value source: a free_params index or "residue", resolution,
-    freed name)."""
+    freed name).  closed_form holds (s, a, b, c, d, e, f, g, n) of the
+    compatibility closed form: c1**4 where the lead is free, f_{-1}**2
+    otherwise, and exactly 0 on the root "zero"."""
 
     C: Fraction
     y_lead: Fraction
@@ -88,10 +92,16 @@ class _Case:
     lead_sq: Fraction | None
     roots: tuple
     resonances: dict
+    closed_form: tuple
+
+    @property
+    def lead_free(self) -> bool:
+        """Whether the x lead is the free c1, not fixed by the balance."""
+        return self.lead_sq is None
 
     def det(self, k: int) -> Fraction:
         """Closed-form determinant of the step matrix at k."""
-        coupling = 4 * self.lead_sq if self.lead_sq is not None else 0
+        coupling = 0 if self.lead_free else 4 * self.lead_sq
         return self.x_diag(k) * self.y_diag(k) - coupling
 
 
@@ -102,7 +112,9 @@ _CASES = {
         x_diag=lambda k: k * k - 4, y_diag=lambda k: (k - 1) * k - 12,
         lead_sq=None, roots=("plus", "minus"),
         resonances={2: (0, 0, "compatibility-constrained", "a2"),
-                    4: (1, 1, "freed-parameter", "b4")}),
+                    4: (1, 1, "freed-parameter", "b4")},
+        closed_form=(Fraction(1125, 167552), 525, 1680, 4, 35,
+                     2048, 1280, 387, 1)),
     CASE_C43: _Case(
         C=Fraction(-4, 3), y_lead=Fraction(-3), xx_lo=-1,
         x_lead=Fraction(-2), x_step=Fraction(1),
@@ -110,14 +122,21 @@ _CASES = {
         lead_sq=Fraction(6), roots=("zero", "plus", "minus"),
         resonances={-1: (1, "residue", "freed-parameter", "f-1"),
                     2: (1, 0, "compatibility-constrained", "f2"),
-                    4: (1, 1, "freed-parameter", "f4")}),
+                    4: (1, 1, "freed-parameter", "f4")},
+        closed_form=(1, 105, 140, 1, 7, 1216, 1824, 783, 385)),
 }
 
 
 def _case(case: str) -> _Case:
     if case not in _CASES:
-        raise ContractViolation(f"unknown case {case!r}; expected C165 or C43")
+        raise ContractViolation(
+            f"unknown case {case!r}; expected {' or '.join(_CASES)}")
     return _CASES[case]
+
+
+def _branch_bits(lam: Scalar) -> int:
+    """A branch's working precision: that of lam, at least the default."""
+    return max(lam.precision, default_precision())
 
 
 @dataclass(frozen=True)
@@ -150,13 +169,13 @@ class BranchSpec:
             )
         if self.x_sign not in (1, -1) or self.residue_sign not in (1, -1):
             raise ContractViolation("signs must be +1 or -1")
-        if self.imaginary_rotation and self.case != CASE_C165:
-            raise ContractViolation("imaginary rotation applies to C165 only")
+        if self.imaginary_rotation and not _CASES[self.case].lead_free:
+            raise ContractViolation("imaginary rotation needs a free lead c1")
 
     def label(self) -> str:
         bits = [self.case, self.root_branch]
         bits.append("x+" if self.x_sign > 0 else "x-")
-        if self.case == CASE_C43 and self.root_branch != "zero":
+        if not _CASES[self.case].lead_free and self.root_branch != "zero":
             bits.append("res+" if self.residue_sign > 0 else "res-")
         if self.imaginary_rotation:
             bits.append("i")
@@ -168,7 +187,6 @@ class RecurrenceStep:
     """Record of one linear step of the recurrence."""
 
     k: int
-    matrix: DenseMatrix
     rhs: tuple
     det: Scalar                  # exact closed-form determinant of the step
     resolution: str              # unique | freed-parameter | compatibility-constrained
@@ -187,70 +205,58 @@ def singular_step_indices(case: str, k_min: int = -1, k_max: int = 50) -> list[i
             if recurrence_determinant(case, k).is_zero()]
 
 
-def c1_fourth_power(lam, branch: str, bits: int | None = None) -> Scalar:
-    """Closed form for c1**4 in the C = -16/5 compatibility condition.
-
-    The inner radicand 35*(2048*lam**2 - 1280*lam + 387) is positive for
-    every real lam; the minus branch itself may still be negative, making
-    c1 complex.
-    """
+def _closed_form(case: str, lam, branch: str) -> Scalar:
+    """The compatibility closed form of case at lam on the root branch."""
+    table = _case(case)
+    if branch not in table.roots:
+        raise ContractViolation(
+            f"branch must be one of {', '.join(table.roots)} for {case}")
     lam = as_scalar(lam)
-    bits = bits or max(lam.precision, default_precision())
-    lam = lam.with_precision(bits)
-    if branch not in ("plus", "minus"):
-        raise ContractViolation("branch must be plus or minus")
-    quad = Scalar.exact(2048, 1, bits) * lam * lam \
-        - Scalar.exact(1280, 1, bits) * lam + Scalar.exact(387, 1, bits)
-    # the quadratic has discriminant 1280**2 - 4*2048*387 = -1531904 < 0 and
-    # its minimum 187 at lam = 5/16, so for real lam the radicand is at
-    # least 35*187 = 6545 and its square root is real
-    radicand = Scalar.exact(35, 1, bits) * quad
-    root = nth_root(radicand, 2, 0)
-    sign = Scalar.exact(1 if branch == "plus" else -1)
-    inner = Scalar.exact(525, 1, bits) - Scalar.exact(1680, 1, bits) * lam \
-        + sign * Scalar.exact(4) * root
-    return Scalar.exact(1125, 167552, bits) * inner
-
-
-def f_minus1_squared(lam, branch: str, bits: int | None = None) -> Scalar:
-    """Closed form for f_{-1}**2 in the C = -4/3 compatibility condition."""
-    lam = as_scalar(lam)
-    bits = bits or max(lam.precision, default_precision())
+    bits = _branch_bits(lam)
     lam = lam.with_precision(bits)
     if branch == "zero":
         return Scalar.exact(0, 1, bits)
-    if branch not in ("plus", "minus"):
-        raise ContractViolation("branch must be plus, minus or zero")
-    quad = Scalar.exact(1216, 1, bits) * lam * lam \
-        - Scalar.exact(1824, 1, bits) * lam + Scalar.exact(783, 1, bits)
-    root = nth_root(Scalar.exact(7, 1, bits) * quad, 2, 0)
+    s, a, b, c, d, e, f, g, n = (Scalar.exact(v, 1, bits)
+                                 for v in table.closed_form)
+    # both quadratics have negative discriminants (C165's has its minimum
+    # 187 at lam = 5/16), so for real lam the square root is real
+    root = nth_root(d * (e * lam * lam - f * lam + g), 2, 0)
     sign = Scalar.exact(1 if branch == "plus" else -1)
-    return (Scalar.exact(105, 1, bits) - Scalar.exact(140, 1, bits) * lam
-            + sign * root) / 385
+    return s * (a - b * lam + sign * c * root) / n
 
 
-def leading_x_coefficient(spec: BranchSpec, bits: int | None = None) -> Scalar:
+def c1_fourth_power(lam, branch: str) -> Scalar:
+    """Closed form for c1**4 in the C = -16/5 compatibility condition; the
+    minus branch may be negative, making c1 complex."""
+    return _closed_form(CASE_C165, lam, branch)
+
+
+def f_minus1_squared(lam, branch: str) -> Scalar:
+    """Closed form for f_{-1}**2 in the C = -4/3 compatibility condition."""
+    return _closed_form(CASE_C43, lam, branch)
+
+
+def leading_x_coefficient(spec: BranchSpec) -> Scalar:
     """c1 (C165) or the +-sqrt(6) leading coefficient (C43)."""
-    bits = bits or default_precision()
+    table = _CASES[spec.case]
+    bits = _branch_bits(spec.lam)
     sign = Scalar.exact(spec.x_sign)
-    lead_sq = _CASES[spec.case].lead_sq
-    if lead_sq is not None:
-        return sign * nth_root(Scalar.exact(lead_sq, 1, bits), 2, 0)
-    c1 = nth_root(c1_fourth_power(spec.lam, spec.root_branch, bits), 4, 0)
+    if not table.lead_free:
+        return sign * nth_root(Scalar.exact(table.lead_sq, 1, bits), 2, 0)
+    c1 = nth_root(_closed_form(spec.case, spec.lam, spec.root_branch), 4, 0)
     if spec.imaginary_rotation:
         c1 = c1 * Scalar.from_complex(0, 1, bits)
     return sign * c1
 
 
-def branch_residue(spec: BranchSpec, bits: int | None = None) -> Scalar:
+def branch_residue(spec: BranchSpec) -> Scalar:
     """Residue of the y-series (coefficient of 1/t)."""
-    bits = bits or default_precision()
-    if spec.case == CASE_C165:
-        c1 = leading_x_coefficient(spec, bits)
-        return c1 * c1 / 10
-    if spec.root_branch == "zero":
-        return Scalar.exact(0, 1, bits)
-    w = nth_root(f_minus1_squared(spec.lam, spec.root_branch, bits), 2, 0)
+    table = _CASES[spec.case]
+    if table.lead_free:
+        # the k = -1 y row reads y_diag(-1)*y_{-1} = -c1**2
+        c1 = leading_x_coefficient(spec)
+        return c1 * c1 / -table.y_diag(-1)
+    w = nth_root(_closed_form(spec.case, spec.lam, spec.root_branch), 2, 0)
     return Scalar.exact(spec.residue_sign) * w
 
 
@@ -271,7 +277,7 @@ class _Recurrence:
         self.lam = spec.lam.with_precision(bits)
         self.case = _CASES[spec.case]
         self.x = {-2: leading_override if leading_override is not None
-                  else leading_x_coefficient(spec, bits)}
+                  else leading_x_coefficient(spec)}
         self.y = {-2: Scalar.exact(self.case.y_lead, 1, bits)}
         self.residue_override = residue_override
 
@@ -283,20 +289,18 @@ class _Recurrence:
             + Scalar.exact(self.case.C) * _cauchy(y, y, -1, k - 2)
         return r1, r2
 
-    def _matrix(self, k: int) -> DenseMatrix:
+    def _matrix(self, k: int) -> tuple:
         off = 2 * self.x[-2]
-        return DenseMatrix.from_rows([
-            [Scalar.exact(self.case.x_diag(k)), off],
-            [off if self.case.lead_sq is not None else Scalar.exact(0),
-             Scalar.exact(self.case.y_diag(k))],
-        ])
+        return ((Scalar.exact(self.case.x_diag(k)), off),
+                (Scalar.exact(0) if self.case.lead_free else off,
+                 Scalar.exact(self.case.y_diag(k))))
 
     def _free_value(self, source) -> Scalar:
         if source != "residue":
             return self.spec.free_params[source]
         if self.residue_override is not None:
             return self.residue_override
-        return branch_residue(self.spec, self.bits)
+        return branch_residue(self.spec)
 
     def step(self, k: int) -> RecurrenceStep:
         """Solve (or resolve) the step at index k and record it."""
@@ -305,12 +309,12 @@ class _Recurrence:
         det = Scalar.exact(self.case.det(k))
         if not det.is_zero():
             # Cramer on the 2x2 step system; exact whenever the inputs are
-            d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            xk = (r[0] * m[1, 1] - r[1] * m[0, 1]) / d
-            yk = (m[0, 0] * r[1] - m[1, 0] * r[0]) / d
+            d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+            xk = (r[0] * m[1][1] - r[1] * m[0][1]) / d
+            yk = (m[0][0] * r[1] - m[1][0] * r[0]) / d
             self.x[k], self.y[k] = xk, yk
-            return RecurrenceStep(k=k, matrix=m, rhs=r, det=det,
-                                  resolution="unique", solution=(xk, yk))
+            return RecurrenceStep(k=k, rhs=r, det=det, resolution="unique",
+                                  solution=(xk, yk))
         # Fredholm alternative: the free column f takes its value, the bound
         # column b follows from row b, and the left-null combination of the
         # rhs is the defect
@@ -318,12 +322,11 @@ class _Recurrence:
         b = 1 - f
         sol = [None, None]
         sol[f] = self._free_value(source)
-        sol[b] = (r[b] - m[b, f] * sol[f]) / m[b, b]
-        defect = m[b, b] * r[f] - m[f, b] * r[b]
+        sol[b] = (r[b] - m[b][f] * sol[f]) / m[b][b]
+        defect = m[b][b] * r[f] - m[f][b] * r[b]
         self.x[k], self.y[k] = sol
-        return RecurrenceStep(k=k, matrix=m, rhs=r, det=det,
-                              resolution=resolution, solution=tuple(sol),
-                              defect=defect, freed=freed)
+        return RecurrenceStep(k=k, rhs=r, det=det, resolution=resolution,
+                              solution=tuple(sol), defect=defect, freed=freed)
 
     def defect_acceptable(self, step: RecurrenceStep) -> bool:
         """Exact defects must vanish; rounded ones must be below
@@ -340,13 +343,13 @@ class _Recurrence:
 def step_recurrence(spec: BranchSpec, k: int, prior) -> RecurrenceStep:
     """Single-step entry point: prior is a pair of dicts (x-coeffs, y-coeffs)
     indexed from -2 with every index below k present."""
-    bits = max(spec.lam.precision, default_precision())
     if k < -1:
         raise ContractViolation(f"steps start at k = -1, got {k}")
     for j in range(-2, k):
         if j not in prior[0] or j not in prior[1]:
             raise ContractViolation(f"prior coefficients missing index {j}")
-    eng = _Recurrence(spec, bits, leading_override=prior[0].get(-2),
+    eng = _Recurrence(spec, _branch_bits(spec.lam),
+                      leading_override=prior[0].get(-2),
                       residue_override=prior[1].get(-1))
     eng.x, eng.y = dict(prior[0]), dict(prior[1])
     step = eng.step(k)
@@ -385,10 +388,11 @@ class SeriesSolution:
         return self.y.coeffs[1]
 
 
-def build_series(spec: BranchSpec, N: int, precision: int | None = None,
+def build_series(spec: BranchSpec, N: int,
                  on_incompatible: str = "raise") -> SeriesSolution:
     """Run the recurrence through index N and assemble the series pair.
 
+    The precision is that of spec.lam, at least the default.
     on_incompatible: "raise" aborts with CompatibilityViolation at an
     inconsistent zero-determinant step; "force" keeps stepping (satisfying
     the solvable row) and leaves the defect visible in the step log and the
@@ -399,8 +403,7 @@ def build_series(spec: BranchSpec, N: int, precision: int | None = None,
         raise ContractViolation(f"N must be >= 5 to pass every resonance, got {N}")
     if on_incompatible not in ("raise", "force"):
         raise ContractViolation("on_incompatible must be 'raise' or 'force'")
-    bits = precision or max(spec.lam.precision, default_precision())
-    eng = _Recurrence(spec, bits)
+    eng = _Recurrence(spec, _branch_bits(spec.lam))
     steps = []
     for k in range(-1, N + 1):
         step = eng.step(k)
@@ -423,7 +426,7 @@ def build_series(spec: BranchSpec, N: int, precision: int | None = None,
     h = energy_series(sys, xs.truncate(_H_WINDOW), ys.truncate(_H_WINDOW)) \
         .coefficient(0)
     return SeriesSolution(spec=spec, x=xs, y=ys, H=h, steps=tuple(steps),
-                          trunc_order=N, precision=bits)
+                          trunc_order=N, precision=eng.bits)
 
 
 def _compatibility_step(eng: _Recurrence) -> RecurrenceStep:
@@ -433,8 +436,7 @@ def _compatibility_step(eng: _Recurrence) -> RecurrenceStep:
     return eng.step(2)
 
 
-def compatibility_defect(case: str, lam, free_value, x_sign: int = 1,
-                         precision: int | None = None) -> Scalar:
+def compatibility_defect(case: str, lam, free_value) -> Scalar:
     """k=2 consistency defect as a function of the leading free value.
 
     For C165 the free value is a trial c1, for C43 a trial f_{-1}.  The
@@ -443,62 +445,55 @@ def compatibility_defect(case: str, lam, free_value, x_sign: int = 1,
     oracle for them.
     """
     lam = as_scalar(lam)
-    bits = precision or max(lam.precision, default_precision())
     table = _case(case)
-    probe = BranchSpec(case=case, lam=lam, root_branch=table.roots[0],
-                       x_sign=x_sign)
+    probe = BranchSpec(case=case, lam=lam, root_branch=table.roots[0])
+    bits = _branch_bits(lam)
     value = as_scalar(free_value).with_precision(bits)
-    # the trial value is the free residue f_{-1} where k = -1 is a
-    # resonance (C43), and the lead c1 otherwise (C165)
-    residue_free = -1 in table.resonances
+    # the trial value is the lead c1 where it is free (C165), and the free
+    # residue f_{-1} otherwise (C43)
     eng = _Recurrence(probe, bits,
-                      leading_override=None if residue_free else value,
-                      residue_override=value if residue_free else None)
+                      leading_override=value if table.lead_free else None,
+                      residue_override=None if table.lead_free else value)
     return _compatibility_step(eng).defect
 
 
 def enumerate_branches(case: str, lam, include_complex: bool = False,
-                       dedup: bool = False, free_params=None,
-                       t0=None, precision: int | None = None) -> list[BranchSpec]:
+                       dedup: bool = False) -> list[BranchSpec]:
     """The nominal local-solution families at (case, lam).
 
-    C165 yields 4 specs ({plus,minus} roots x the x -> -x image); with
-    include_complex the four i-rotated c1 branches join.  C43 yields 5
-    specs (zero, then {plus,minus} roots x the residue sign).  Each spec's
-    ``compatible`` flag records whether its k=2 compatibility actually
-    holds at this lambda; dedup=True collapses specs whose series coincide
-    (branch merges, e.g. the C43 plus pair onto the zero branch at
-    lam = 1), annotating survivors with ``merged_with``.
+    One listing over rotations x roots x signs: C165 yields 4 specs
+    ({plus,minus} roots x the x -> -x image); with include_complex the four
+    i-rotated c1 branches join.  C43 yields 5 specs (zero, then
+    {plus,minus} roots x the residue sign).  Each spec's ``compatible``
+    flag records whether its k=2 compatibility actually holds at this
+    lambda; dedup=True collapses specs whose series coincide (branch
+    merges, e.g. the C43 plus pair onto the zero branch at lam = 1),
+    annotating survivors with ``merged_with``.
     """
+    table = _case(case)
     lam = as_scalar(lam)
-    bits = precision or max(lam.precision, default_precision())
-    roots = _case(case).roots
-    kwargs = {}
-    if free_params is not None:
-        kwargs["free_params"] = tuple(as_scalar(v) for v in free_params)
-    if t0 is not None:
-        kwargs["t0"] = as_scalar(t0)
-    if case == CASE_C165:
-        # c1 comes from the compatibility closed form itself
-        rotations = (False, True) if include_complex else (False,)
-        specs = [BranchSpec(case=case, lam=lam, root_branch=root, x_sign=sign,
-                            imaginary_rotation=rot, compatible=True, **kwargs)
-                 for rot in rotations for root in roots for sign in (1, -1)]
-    else:
-        specs = []
-        for root, rs in [("zero", 1)] + [(r, rs) for r in roots[1:]
-                                         for rs in (1, -1)]:
-            probe = BranchSpec(case=case, lam=lam, root_branch=root,
-                               residue_sign=rs, **kwargs)
-            eng = _Recurrence(probe, bits)
-            ok = eng.defect_acceptable(_compatibility_step(eng))
-            specs.append(replace(probe, compatible=ok))
+    rotations = (False, True) if include_complex and table.lead_free \
+        else (False,)
+    bits = _branch_bits(lam)
+    flip = "x_sign" if table.lead_free else "residue_sign"
+    specs = []
+    for rot in rotations:
+        for root in table.roots:
+            for sign in (1,) if root == "zero" else (1, -1):
+                spec = BranchSpec(case=case, lam=lam, root_branch=root,
+                                  imaginary_rotation=rot, **{flip: sign})
+                # a free c1's closed form is its k = 2 compatibility condition
+                ok = table.lead_free
+                if not ok:
+                    eng = _Recurrence(spec, bits)
+                    ok = eng.defect_acceptable(_compatibility_step(eng))
+                specs.append(replace(spec, compatible=ok))
     if not dedup:
         return specs
     kept, keys = [], []
     tol = half_precision_tol(bits) * 8
     for spec in specs:
-        key = (leading_x_coefficient(spec, bits), branch_residue(spec, bits))
+        key = (leading_x_coefficient(spec), branch_residue(spec))
         idx = next((i for i, seen in enumerate(keys)
                     if all((a - b).mag() <= tol for a, b in zip(key, seen))),
                    None)

@@ -72,17 +72,6 @@ class BivariatePoly:
                 out[(i, j - 1)] = out.get((i, j - 1), Scalar.exact(0)) + c * j
         return BivariatePoly(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            a = self.terms.get(k, Scalar.exact(0))
-            b = other.terms.get(k, Scalar.exact(0))
-            if not (a - b).is_zero():
-                return False
-        return True
-
     def __repr__(self):
         return "BivariatePoly(" + ", ".join(
             f"x^{i} y^{j}: {c!r}" for (i, j), c in sorted(self.terms.items())
@@ -96,11 +85,6 @@ class PhaseState:
     y: Scalar
     yt: Scalar
     t: Scalar
-
-    @staticmethod
-    def make(x, xt, y, yt, t) -> "PhaseState":
-        return PhaseState(as_scalar(x), as_scalar(xt), as_scalar(y),
-                          as_scalar(yt), as_scalar(t))
 
 
 class PolynomialODESystem:

@@ -106,11 +106,27 @@ def find_dominant_balances(C) -> list[DominantBalance]:
 
 
 def _poly_mul(p, q):
-    out = [Scalar.exact(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return out
+
+
+def _kowalevski_rows(balance: DominantBalance, C: Scalar):
+    """The x and y rows of the linearization (ascending in r), each entry as
+    the terms that sum to it, and the coupling subtracted at r^0."""
+    b = balance.b_beta
+    # q(r) = (r-2)(r-3): the y-row second-derivative factor at beta = -2
+    q0, q1, q2 = [Scalar.exact(6)], [Scalar.exact(-5)], [Scalar.exact(1)]
+    row_y = [q0 + [-2 * C * b], q1, q2]
+    if balance.case_tag == "Case1":
+        # coupling 4*a^2 with a^2 = 9*(2+C) kept exact
+        return [q0 + [2 * b], q1, q2], row_y, 4 * (Scalar.exact(9) * (C + 2))
+    # Case 2: x-row (alpha+r)(alpha+r-1) + 2b, y-row decoupled at leading order
+    alpha = balance.alpha
+    return ([[alpha * (alpha - 1), 2 * b], [2 * alpha - 1], q2], row_y,
+            Scalar.exact(0))
 
 
 def kowalevski_polynomial(balance: DominantBalance, C: Scalar) -> list:
@@ -121,23 +137,10 @@ def kowalevski_polynomial(balance: DominantBalance, C: Scalar) -> list:
     perturbation amplitudes; its determinant is a quartic in r whose roots
     are the resonances.
     """
-    C = as_scalar(C)
-    b = balance.b_beta
-    # q(r) = (r-2)(r-3): the y-row second-derivative factor at beta = -2
-    q = [Scalar.exact(6), Scalar.exact(-5), Scalar.exact(1)]
-    if balance.case_tag == "Case1":
-        row_x = [q[0] + 2 * b, q[1], q[2]]
-        row_y = [q[0] - 2 * C * b, q[1], q[2]]
-        prod = _poly_mul(row_x, row_y)
-        # coupling -4*a^2 with a^2 = 9*(2+C) kept exact
-        a_sq = Scalar.exact(9) * (C + 2)
-        prod[0] = prod[0] - 4 * a_sq
-        return prod
-    # Case 2: x-row (alpha+r)(alpha+r-1) + 2b, y-row decoupled at leading order
-    alpha = balance.alpha
-    p = [alpha * (alpha - 1) + 2 * b, 2 * alpha - 1, Scalar.exact(1)]
-    row_y = [q[0] - 2 * C * b, q[1], q[2]]
-    return _poly_mul(p, row_y)
+    row_x, row_y, coupling = _kowalevski_rows(balance, as_scalar(C))
+    prod = _poly_mul([sum(e) for e in row_x], [sum(e) for e in row_y])
+    prod[0] = prod[0] - coupling
+    return prod
 
 
 def _table_resonances(balance: DominantBalance, C: Scalar) -> list[Scalar]:
@@ -170,9 +173,10 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
     The table is checked against the Kowalevski determinant as the identity
     prod(r - r_i) = quartic (Case 1: (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
     Case 2: r(r + 2*alpha - 1)(r^2 - 5r - 6)).  Exact coefficients must be
-    equal; otherwise each may differ by half_precision_tol(p) * (1 + max
-    |coefficient|), p the lowest precision among the rounded table values
-    and quartic coefficients.  A mismatch raises RuntimeError.
+    equal; otherwise each may differ by half_precision_tol(p) * (1 + S), p
+    the lowest precision among the rounded table values and quartic
+    coefficients, S the summed magnitudes of the terms forming the quartic
+    coefficient.  A mismatch raises RuntimeError.
     """
     C = as_scalar(C)
     _require_nonzero_C(C)
@@ -182,11 +186,17 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
     for v in table:
         product = _poly_mul(product, [-v, Scalar.exact(1)])
     rounded = [s.precision for s in table + quartic if not s.is_exact]
-    tol = half_precision_tol(min(rounded)) \
-        * (1 + max(c.mag() for c in quartic)) if rounded else 0
+    allowance = [0] * len(quartic)
+    if rounded:
+        # in Case 2 the terms alpha*(alpha - 1) and 2b, of size 12/|C|, cancel
+        row_x, row_y, coupling = _kowalevski_rows(balance, C)
+        size = _poly_mul(*([sum(t.mag() for t in e) for e in row]
+                           for row in (row_x, row_y)))
+        size[0] += coupling.mag()
+        allowance = [half_precision_tol(min(rounded)) * (1 + v) for v in size]
     for power, (got, want) in enumerate(zip(product, quartic)):
         off = (got - want).mag()
-        if off > tol:
+        if off > allowance[power]:
             raise RuntimeError(
                 f"table resonances {table!r} not matched by Kowalevski root "
                 f"polynomial: r^{power} coefficient off by {mpmath.nstr(off, 5)}")

@@ -215,7 +215,7 @@ class Scalar:
     def mag(self):
         """|self| as an mpf at own precision (for thresholds and sorting)."""
         if self._frac is not None:
-            return abs(_fraction_to_mpf(self._frac, self._prec))
+            return _fraction_to_mpf(abs(self._frac), self._prec)
         with mp.workprec(self._prec):
             return abs(self._val)
 
@@ -349,16 +349,16 @@ class Scalar:
         return nth_root(self, 2, 0)
 
 
-def as_scalar(value, bits: int | None = None) -> Scalar:
+def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions, floats, strings and Scalars to Scalar."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar(Fraction(value), None, bits or _default_precision)
+        return Scalar(Fraction(value), None, _default_precision)
     if isinstance(value, (float, str)) or isinstance(value, mpmath.mpf):
-        return Scalar.from_real(value, bits)
+        return Scalar.from_real(value)
     if isinstance(value, mpmath.mpc):
-        return Scalar.from_mpc(value, bits or _default_precision)
+        return Scalar.from_mpc(value, _default_precision)
     raise ContractViolation(f"cannot coerce {type(value).__name__} to Scalar")
 
 

@@ -178,14 +178,13 @@ def weierstrass_p_series(g2, g3, n_terms: int, bits: int | None = None) -> Puise
     return PuiseuxSeries(-2, 1, coeffs)
 
 
-def mobius_squared_series(a, b, c, d, P0, g2, g3, n_terms: int,
-                          bits: int | None = None) -> PuiseuxSeries:
+def mobius_squared_series(a, b, c, d, P0, g2, g3, n_terms: int) -> PuiseuxSeries:
     """Series of y = ((a*p + b)/(c*p + d))**2 + P0 with ad - bc = 1.
 
     Verification target only: expands the known two-parameter elliptic
     solution shape so a fit can be confirmed against it.
     """
-    bits = bits or default_precision()
+    bits = default_precision()
     a, b, c, d, P0 = (as_scalar(v).with_precision(bits) for v in (a, b, c, d, P0))
     det = a * d - b * c
     if not (det - 1).is_zero() and (det - 1).mag() > half_precision_tol(bits):

@@ -51,10 +51,12 @@ def test_analyze_candidates_block(capsys):
     assert len(cands) == 6
 
 
-@pytest.mark.parametrize("bits", ["64", "256"])
-@pytest.mark.parametrize("C", ["-23/24", "48"])
+@pytest.mark.parametrize("C, bits", [
+    ("-23/24", "64"), ("-23/24", "256"), ("48", "64"), ("48", "256"),
+    ("1e-30", "64"), ("-1e-30", "64")])
 def test_analyze_double_resonance(capsys, C, bits):
-    # -23/24: Case 1 resonance 5/2 twice; 48: Case 2 resonance 0 twice
+    # -23/24: Case 1 resonance 5/2 twice; 48: Case 2 resonance 0 twice;
+    # +-1e-30: the Case 2 terms alpha*(alpha - 1) and 2b of size 12/|C| cancel
     code, out, err = run_cli(capsys, "--precision-bits", bits, "analyze",
                              "--C", C)
     assert code == 0, err

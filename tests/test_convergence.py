@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from painleve_hh import (BranchSpec, ContractViolation, InsufficientPrefix,
                          Scalar, bound_step, build_series, certify)
@@ -39,6 +41,34 @@ def test_bounds_monotone_in_M():
         large = bound_step(12, Scalar.exact(3), LAM9, Scalar.exact(1), case)
         assert large[0].mag() > small[0].mag()
         assert large[1].mag() > small[1].mag()
+
+
+def _bits(s: Scalar):
+    return (s.precision, s.fraction() if s.is_exact else s.mpc()._mpc_)
+
+
+@given(st.integers(0, 12), st.integers(5, 5000),
+       st.one_of(st.fractions(-5, 5, max_denominator=100).map(Scalar.exact),
+                 st.floats(-5, 5).map(Scalar.from_real)),
+       st.floats(0.01, 4).map(Scalar.from_real),
+       st.sampled_from(["C165", "C43"]))
+def test_bound_step_is_bit_identical_to_the_closed_forms(j, k, lam, c1_abs,
+                                                         case):
+    # the module docstring's two pairs, written out; certify passes M = 2**j
+    M, lam_abs = Scalar.exact(2) ** j, lam.magnitude()
+    if case == "C165":
+        want = ((2 * M * (k + 1) + lam_abs + 2 * c1_abs) / abs(k * k - 4) * M,
+                (21 * M * k + 26 * M + 5) / (5 * abs(k * k - k - 12)) * M)
+    else:
+        u = k * (k - 1)
+        D = abs((u - 2) * (u - 12))
+        p = lam_abs * M + 2 * (k + 1) * M * M
+        q = M + Scalar.exact(7, 3) * (k + 1) * M * M
+        two_s = 2 * Scalar.exact(6).sqrt()
+        want = ((abs(u - 8) * p + two_s * q) / D,
+                (abs(u - 6) * q + two_s * p) / D)
+    got = bound_step(k, M, lam, c1_abs, case)
+    assert [_bits(b) for b in got] == [_bits(b) for b in want]
 
 
 def test_bound_step_denominator_guards():

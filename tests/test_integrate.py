@@ -196,9 +196,11 @@ def test_verify_complex_step_count(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(integrate, "_taylor_coefficients", counting)
-    spec = BranchSpec(case="C43", lam=Scalar.exact(2), root_branch="minus",
+    spec = BranchSpec(case="C43", lam=Scalar.exact(2, 1, 512),
+                      root_branch="minus",
                       free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
-    sol = build_series(spec, 80, precision=512)
+    sol = build_series(spec, 80)
+    assert sol.precision == 512
     t_a, t_b = Scalar.from_real("0.3", 512), Scalar.from_real("0.5", 512)
     s_a = state_from_series(sol.x, sol.y, t_a, 512)
     s_b = state_from_series(sol.x, sol.y, t_b, 512)

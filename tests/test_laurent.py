@@ -409,6 +409,42 @@ def test_enumerated_complex_branch_builds():
     assert abs(c1.mpc().imag) > 0
 
 
+_C165_REAL = ["C165:plus:x+", "C165:plus:x-", "C165:minus:x+", "C165:minus:x-"]
+_C43_ALL = ["C43:zero:x+", "C43:plus:x+:res+", "C43:plus:x+:res-",
+            "C43:minus:x+:res+", "C43:minus:x+:res-"]
+
+
+@pytest.mark.parametrize("case, lam, include_complex, labels, compatible", [
+    ("C165", LAM9, False, _C165_REAL, [True] * 4),
+    ("C165", LAM9, True, _C165_REAL + [s + ":i" for s in _C165_REAL],
+     [True] * 8),
+    ("C165", Scalar.exact(1), False, _C165_REAL, [True] * 4),
+    ("C165", Scalar.exact(1), True, _C165_REAL + [s + ":i" for s in _C165_REAL],
+     [True] * 8),
+    ("C43", LAM9, False, _C43_ALL, [False, True, True, True, True]),
+    ("C43", LAM9, True, _C43_ALL, [False, True, True, True, True]),
+    ("C43", Scalar.exact(1), False, _C43_ALL, [True] * 5),
+    ("C43", Scalar.exact(1), True, _C43_ALL, [True] * 5),
+])
+def test_enumerate_listing_is_pinned(case, lam, include_complex, labels,
+                                     compatible):
+    specs = enumerate_branches(case, lam, include_complex=include_complex)
+    assert [s.label() for s in specs] == labels
+    assert [s.compatible for s in specs] == compatible
+
+
+@pytest.mark.parametrize("case, branch", [("C165", "plus"), ("C43", "minus")])
+def test_lead_and_residue_take_the_precision_of_lambda(case, branch):
+    # the default stays at 256 bits; a 512-bit lambda carries the branch
+    spec = BranchSpec(case=case, lam=Scalar.from_real("0.7", 512),
+                      root_branch=branch)
+    sol = build_series(spec, 10)
+    lead, residue = leading_x_coefficient(spec), branch_residue(spec)
+    assert sol.precision == lead.precision == residue.precision == 512
+    assert lead.mpc()._mpc_ == sol.c1.mpc()._mpc_
+    assert residue.mpc()._mpc_ == sol.residue().mpc()._mpc_
+
+
 def test_branch_spec_validation():
     with pytest.raises(ContractViolation):
         BranchSpec(case="C165", lam=LAM9, root_branch="zero")
@@ -425,7 +461,7 @@ def test_energy_constant_window_is_bit_identical(case, branch, bits):
     set_default_precision(bits)
     spec = BranchSpec(case=case, lam=LAM9, root_branch=branch,
                       free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
-    sol = build_series(spec, 40, precision=bits)
+    sol = build_series(spec, 40)
     full = energy_series(sol.system(), sol.x, sol.y).coefficient(0)
     assert not sol.H.is_exact and sol.H.precision == full.precision == bits
     assert sol.H.mpc()._mpc_ == full.mpc()._mpc_

@@ -290,3 +290,5 @@ def test_exact_mpc_honours_bits_outside_a_precision_context(bits):
         expected = mpmath.mpf(1) / 3
     assert z.real == expected and z.imag == 0
     assert z.real.man.bit_length() >= bits - 1
+    # mag() rounds |q| at the scalar's own precision, too
+    assert Scalar.exact(-1, 3, bits).mag() == expected
