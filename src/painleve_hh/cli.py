@@ -23,8 +23,8 @@ from .integrate import check_tolerance, integrate_numeric
 from .jsonio import (decode_series, encode_certificate, encode_fit_result,
                      encode_scalar, encode_solution, encode_state,
                      encode_verdict)
-from .laurent import (_CASES, BranchSpec, build_series, enumerate_branches,
-                      branch_residue)
+from .laurent import (_CASES, BranchSpec, _merge_coincident, build_series,
+                      enumerate_branches, branch_residue)
 from .model import energy, energy_series, residual_of_series, state_from_series
 from .painleve import candidate_C_values, classify
 from .scalars import (Scalar, default_precision, env_precision,
@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
     for lam_frac in _parse_grid(args.lambda_grid):
         lam = Scalar.exact(lam_frac)
         nominal = enumerate_branches(args.case, lam)
-        distinct = enumerate_branches(args.case, lam, dedup=True)
+        distinct = _merge_coincident(nominal)
         merges = [s.merged_with for s in distinct if s.merged_with]
         rows.append({
             "lambda": encode_scalar(lam),
@@ -297,19 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SCALAR_OPTIONS = {"--C", "--lambda", "--p2", "--p4", "--t0", "--epsilon",
-                   "--m-limit", "--t-from", "--t-to", "--tol"}
-_NEGATIVE_SCALAR = re.compile(r"^-[0-9][0-9./eE+-]*$")
+_NEGATIVE_VALUE = re.compile(r"^-[0-9][0-9./:eE+-]*$")
 
 
 def _merge_negative_literals(argv):
-    """Let scalar options accept leading-dash values like ``--C -16/5``."""
-    pattern = _NEGATIVE_SCALAR
+    """Let options accept leading-dash values like ``--C -16/5`` or
+    ``--lambda-grid -1:1:1/8``; argparse would take them for options."""
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _SCALAR_OPTIONS and i + 1 < len(argv) \
-                and pattern.match(argv[i + 1]):
+        if tok.startswith("--") and "=" not in tok and i + 1 < len(argv) \
+                and _NEGATIVE_VALUE.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

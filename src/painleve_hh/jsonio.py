@@ -18,7 +18,7 @@ from .errors import ContractViolation
 from .laurent import BranchSpec, SeriesSolution
 from .model import PhaseState
 from .painleve import ClassificationVerdict, DominantBalance, ResonanceSet
-from .scalars import Scalar
+from .scalars import Scalar, default_precision
 from .series import PuiseuxSeries
 from .subequation import FitResult, SubequationAnsatz
 
@@ -60,7 +60,7 @@ def decode_scalar(obj) -> Scalar:
             obj, "den", "scalar", lambda den: Fraction(1, int(den))))
     for key in ("re", "im"):
         _field(obj, key, "scalar", mpmath.mpf)
-    bits = _field(obj, "bits", "scalar", int) if "bits" in obj else 256
+    bits = _field(obj, "bits", "scalar", int) if "bits" in obj else default_precision()
     return Scalar.from_complex(obj["re"], obj["im"], bits)
 
 
@@ -148,7 +148,7 @@ def decode_solution(obj) -> SeriesSolution:
         H=decode_scalar(obj["H"]),
         steps=(),
         trunc_order=int(obj["N"]),
-        precision=int(obj.get("precision_bits", 256)),
+        precision=int(obj.get("precision_bits", default_precision())),
     )
 
 

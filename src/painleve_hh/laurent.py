@@ -488,10 +488,14 @@ def enumerate_branches(case: str, lam, include_complex: bool = False,
                     eng = _Recurrence(spec, bits)
                     ok = eng.defect_acceptable(_compatibility_step(eng))
                 specs.append(replace(spec, compatible=ok))
-    if not dedup:
-        return specs
+    return _merge_coincident(specs) if dedup else specs
+
+
+def _merge_coincident(specs: list[BranchSpec]) -> list[BranchSpec]:
+    """The distinct specs of a listing; a spec whose lead and residue match
+    an earlier one's is dropped, its label added to that one's merged_with."""
     kept, keys = [], []
-    tol = half_precision_tol(bits) * 8
+    tol = half_precision_tol(_branch_bits(specs[0].lam)) * 8
     for spec in specs:
         key = (leading_x_coefficient(spec), branch_residue(spec))
         idx = next((i for i, seen in enumerate(keys)

@@ -14,7 +14,8 @@ The fourth-order reduction in y alone,
     y_tttt = (2C-8)*y_tt*y - (4*lambda+1)*y_tt + 2*(C+1)*y_t**2
              + (20C/3)*y**3 + (4*C*lambda-6)*y**2 - 4*lambda*y - 4*H,
 
-is carried only as a residual-verification target for y-series.
+is carried only as a residual-verification target for y-series.  A
+system is formed from (C, lambda) alone, right-hand sides included.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class BivariatePoly:
             for (i, j), c in dict(terms).items()
             if not (as_scalar(c).is_exact and as_scalar(c).is_zero())
         }
-
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=0)
 
     def evaluate(self, x, y) -> Scalar:
         x, y = as_scalar(x), as_scalar(y)
@@ -88,17 +86,16 @@ class PhaseState:
 
 
 class PolynomialODESystem:
-    """Parametric model (lambda, C) with its two quadratic right-hand sides."""
+    """The model at (lambda, C), its right-hand sides formed from them."""
 
     __slots__ = ("lam", "C", "rhs1", "rhs2")
 
-    def __init__(self, lam: Scalar, C: Scalar, rhs1: BivariatePoly, rhs2: BivariatePoly):
+    def __init__(self, lam: Scalar, C: Scalar):
         self.lam = lam
         self.C = C
-        self.rhs1 = rhs1
-        self.rhs2 = rhs2
-        if rhs1.total_degree() > 2 or rhs2.total_degree() > 2:
-            raise ContractViolation("right-hand sides must have total degree <= 2")
+        self.rhs1 = BivariatePoly({(1, 0): -lam, (1, 1): Scalar.exact(-2)})
+        self.rhs2 = BivariatePoly({(0, 1): Scalar.exact(-1),
+                                   (2, 0): Scalar.exact(-1), (0, 2): C})
 
     def rhs(self, x, y):
         return self.rhs1.evaluate(x, y), self.rhs2.evaluate(x, y)
@@ -106,11 +103,7 @@ class PolynomialODESystem:
 
 def build_henon_heiles(C, lam) -> PolynomialODESystem:
     """Canonical system: rhs1 = -lam*x - 2*x*y, rhs2 = -y - x^2 + C*y^2."""
-    C, lam = as_scalar(C), as_scalar(lam)
-    rhs1 = BivariatePoly({(1, 0): -lam, (1, 1): Scalar.exact(-2)})
-    rhs2 = BivariatePoly({(0, 1): Scalar.exact(-1), (2, 0): Scalar.exact(-1),
-                          (0, 2): C})
-    return PolynomialODESystem(lam, C, rhs1, rhs2)
+    return PolynomialODESystem(as_scalar(lam), as_scalar(C))
 
 
 def potential(sys: PolynomialODESystem) -> BivariatePoly:

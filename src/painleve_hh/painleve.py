@@ -17,6 +17,10 @@ polynomial identity, coefficient by coefficient:
 * Case 1: the quartic is (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
 * Case 2: it is r(r + 2*alpha - 1)(r^2 - 5r - 6), because
   alpha*(alpha - 1) = -12/C.
+
+``_CANDIDATES`` holds the six candidate C values once, in report order,
+each with its case tag, ``--candidates`` note, the lambda its label needs
+(None for any), its label and its ``classify`` detail.
 """
 
 from __future__ import annotations
@@ -137,7 +141,11 @@ def kowalevski_polynomial(balance: DominantBalance, C: Scalar) -> list:
     perturbation amplitudes; its determinant is a quartic in r whose roots
     are the resonances.
     """
-    row_x, row_y, coupling = _kowalevski_rows(balance, as_scalar(C))
+    return _determinant(*_kowalevski_rows(balance, as_scalar(C)))
+
+
+def _determinant(row_x, row_y, coupling) -> list:
+    """(sum row_x) * (sum row_y) - coupling, ascending in r."""
     prod = _poly_mul([sum(e) for e in row_x], [sum(e) for e in row_y])
     prod[0] = prod[0] - coupling
     return prod
@@ -181,18 +189,18 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
     C = as_scalar(C)
     _require_nonzero_C(C)
     table = _table_resonances(balance, C)
-    quartic = kowalevski_polynomial(balance, C)
+    row_x, row_y, coupling = _kowalevski_rows(balance, C)
+    quartic = _determinant(row_x, row_y, coupling)
     product = [Scalar.exact(1)]
     for v in table:
         product = _poly_mul(product, [-v, Scalar.exact(1)])
     rounded = [s.precision for s in table + quartic if not s.is_exact]
     allowance = [0] * len(quartic)
     if rounded:
-        # in Case 2 the terms alpha*(alpha - 1) and 2b, of size 12/|C|, cancel
-        row_x, row_y, coupling = _kowalevski_rows(balance, C)
-        size = _poly_mul(*([sum(t.mag() for t in e) for e in row]
-                           for row in (row_x, row_y)))
-        size[0] += coupling.mag()
+        # in Case 2 the terms alpha*(alpha - 1) and 2b, of size 12/|C|, cancel;
+        # the sizes are the same determinant over term magnitudes
+        size = _determinant(*([[t.mag() for t in e] for e in row]
+                              for row in (row_x, row_y)), -coupling.mag())
         allowance = [half_precision_tol(min(rounded)) * (1 + v) for v in size]
     for power, (got, want) in enumerate(zip(product, quartic)):
         off = (got - want).mag()
@@ -213,48 +221,46 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
                         has_extra_negative=negatives > 1)
 
 
-_INTEGRABLE = (
-    (Fraction(-1), Fraction(1)),
-    (Fraction(-6), None),          # any lambda
-    (Fraction(-16), Fraction(1, 16)),
-)
-_THREE_PARAMETER = (Fraction(-16, 5), Fraction(-4, 3))
+_CANDIDATES = {
+    Fraction(-1): ("Case1", "integrable with lambda = 1", Fraction(1),
+                   "integrable-candidate",
+                   "C=-1 with lambda=1: passes the full test"),
+    Fraction(-4, 3): ("Case1", "three-parameter solutions, any lambda", None,
+                      "three-parameter-candidate",
+                      "C=-4/3 (Case 1): single-valued three-parameter local "
+                      "solutions exist for any lambda"),
+    Fraction(-16, 5): ("Case2", "alpha = (1 - sqrt(1 - 48/C))/2 = -3/2; "
+                       "three-parameter solutions, any lambda", None,
+                       "three-parameter-candidate",
+                       "C=-16/5 (Case 2, alpha=-3/2): single-valued "
+                       "three-parameter local solutions exist for any lambda"),
+    Fraction(-6): ("Case2", "integrable for arbitrary lambda", None,
+                   "integrable-candidate",
+                   "C=-6 with lambda=arbitrary: passes the full test"),
+    Fraction(-16): ("Case2", "integrable with lambda = 1/16", Fraction(1, 16),
+                    "integrable-candidate",
+                    "C=-16 with lambda=1/16: passes the full test"),
+    Fraction(-2): ("coincident", "two types of singular behaviour coincide; "
+                   "dominant term includes a logarithm", None, "logarithmic",
+                   "C=-2: the two singular behaviors coincide and the "
+                   "dominant term carries a logarithm"),
+}
 
 
 def classify(C, lam) -> ClassificationVerdict:
-    """Place (C, lambda) in the integrability landscape.
-
-    integrable-candidate exactly on {(-1,1), (-6,any), (-16,1/16)};
-    three-parameter-candidate for C in {-16/5, -4/3} at any lambda;
-    logarithmic at C = -2; generic otherwise.
-    """
+    """Place (C, lambda) in the integrability landscape: an exact C in
+    _CANDIDATES takes its entry's label and detail where the entry needs
+    no lambda or this one; anything else is generic."""
     C, lam = as_scalar(C), as_scalar(lam)
     _require_nonzero_C(C)
     balances = tuple(
         (b, resonances(b, C)) for b in find_dominant_balances(C)
     )
-    cf = C.fraction() if C.is_exact else None
+    entry = _CANDIDATES.get(C.fraction()) if C.is_exact else None
     lf = lam.fraction() if lam.is_exact else None
     label, detail = "generic", "resonances leave no single-valued candidate"
-    if cf is not None:
-        for c_val, lam_val in _INTEGRABLE:
-            if cf == c_val and (lam_val is None or lf == lam_val):
-                label = "integrable-candidate"
-                detail = (f"C={cf} with lambda="
-                          f"{'arbitrary' if lam_val is None else lam_val}: "
-                          "passes the full test")
-                break
-        else:
-            if cf in _THREE_PARAMETER:
-                label = "three-parameter-candidate"
-                which = "Case 2, alpha=-3/2" if cf == Fraction(-16, 5) \
-                    else "Case 1"
-                detail = (f"C={cf} ({which}): single-valued three-parameter "
-                          "local solutions exist for any lambda")
-            elif cf == Fraction(-2):
-                label = "logarithmic"
-                detail = ("C=-2: the two singular behaviors coincide and the "
-                          "dominant term carries a logarithm")
+    if entry is not None and entry[2] in (None, lf):
+        label, detail = entry[3:]
     return ClassificationVerdict(label=label, detail=detail, balances=balances)
 
 
@@ -267,16 +273,5 @@ class CandidateC:
 
 def candidate_C_values() -> list[CandidateC]:
     """The six C values admitting (near-)integer resonance ladders."""
-    e = Scalar.exact
-    return [
-        CandidateC(e(-1), "Case1", "integrable with lambda = 1"),
-        CandidateC(e(-4, 3), "Case1", "three-parameter solutions, any lambda"),
-        CandidateC(e(-16, 5), "Case2",
-                   "alpha = (1 - sqrt(1 - 48/C))/2 = -3/2; three-parameter "
-                   "solutions, any lambda"),
-        CandidateC(e(-6), "Case2", "integrable for arbitrary lambda"),
-        CandidateC(e(-16), "Case2", "integrable with lambda = 1/16"),
-        CandidateC(e(-2), "coincident",
-                   "two types of singular behaviour coincide; dominant term "
-                   "includes a logarithm"),
-    ]
+    return [CandidateC(Scalar.exact(c), tag, note)
+            for c, (tag, note, *_) in _CANDIDATES.items()]

@@ -184,6 +184,35 @@ def test_sweep_detects_merge(capsys):
     assert by_lambda["1/2"]["merge_detected"] is True
 
 
+def test_sweep_lists_each_lambda_once(capsys, monkeypatch):
+    from painleve_hh import laurent
+    calls = []
+    step = laurent._Recurrence.step
+
+    def counted(self, k):
+        calls.append(k)
+        return step(self, k)
+
+    monkeypatch.setattr(laurent._Recurrence, "step", counted)
+    code, _, _ = run_cli(capsys, "sweep", "--case", "C43",
+                         "--lambda-grid", "0:2:1/4")
+    assert code == 0
+    # 9 lambda x 5 specs x the steps k = -1..2 of one compatibility probe
+    assert len(calls) == 9 * 5 * 4
+
+
+def test_negative_value_after_any_option(capsys):
+    spaced = run_cli(capsys, "sweep", "--case", "C43",
+                     "--lambda-grid", "-1:1:1/8")
+    joined = run_cli(capsys, "sweep", "--case", "C43",
+                     "--lambda-grid=-1:1:1/8")
+    assert spaced[0] == 0
+    assert spaced == joined
+    code, _, err = run_cli(capsys, "series", "--case", "C165", "--N", "-5")
+    assert code == 2
+    assert "N must be >= 5" in err
+
+
 def test_reports_carry_provenance(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--C", "-2")
     assert code == 0

@@ -4,7 +4,9 @@ from fractions import Fraction
 import mpmath
 
 from painleve_hh import (BranchSpec, PhaseState, Scalar, build_series, certify,
-                         classify, fit, nth_root, weierstrass_p_series)
+                         classify, fit, nth_root, set_default_precision,
+                         weierstrass_p_series)
+from painleve_hh.cli import parse_scalar
 from painleve_hh.jsonio import (decode_branch, decode_scalar, decode_series,
                                 decode_solution, encode_branch,
                                 encode_certificate, encode_fit_result,
@@ -60,6 +62,16 @@ def test_branch_and_solution_roundtrip():
     assert (restored.H - sol.H).mag() <= mpmath.mpf(2) ** (-245)
     for a, b in zip(restored.y.coeffs, sol.y.coeffs):
         assert (a - b).mag() <= mpmath.mpf(2) ** (-245)
+
+
+def test_missing_bits_take_the_working_precision():
+    spec = BranchSpec(case="C165", lam=Scalar.exact(1, 9), root_branch="plus")
+    payload = json.loads(json.dumps(encode_solution(build_series(spec, 8))))
+    del payload["precision_bits"]
+    set_default_precision(512)
+    scalar = decode_scalar({"re": "0.3", "im": "0"})
+    assert scalar.precision == parse_scalar("0.3").precision == 512
+    assert decode_solution(payload).precision == 512
 
 
 def test_state_and_model_roundtrip():

@@ -190,6 +190,62 @@ def test_candidate_C_values():
     assert "coincide" in by_value[Fraction(-2)].note
 
 
+@pytest.mark.parametrize("c, lam, label, detail", [
+    (Fraction(-1), 1, "integrable-candidate",
+     "C=-1 with lambda=1: passes the full test"),
+    (Fraction(-1), 2, "generic", "resonances leave no single-valued candidate"),
+    (Fraction(-4, 3), 1, "three-parameter-candidate",
+     "C=-4/3 (Case 1): single-valued three-parameter local solutions exist "
+     "for any lambda"),
+    (Fraction(-16, 5), 1, "three-parameter-candidate",
+     "C=-16/5 (Case 2, alpha=-3/2): single-valued three-parameter local "
+     "solutions exist for any lambda"),
+    (Fraction(-6), 1, "integrable-candidate",
+     "C=-6 with lambda=arbitrary: passes the full test"),
+    (Fraction(-16), Fraction(1, 16), "integrable-candidate",
+     "C=-16 with lambda=1/16: passes the full test"),
+    (Fraction(-16), Fraction(1, 8), "generic",
+     "resonances leave no single-valued candidate"),
+    (Fraction(-2), 1, "logarithmic",
+     "C=-2: the two singular behaviors coincide and the dominant term "
+     "carries a logarithm"),
+])
+def test_classification_label_and_detail(c, lam, label, detail):
+    verdict = classify(Scalar.exact(c), Scalar.exact(lam))
+    assert (verdict.label, verdict.detail) == (label, detail)
+
+
+def test_candidate_C_values_listing():
+    assert [(c.value.fraction(), c.case_tag, c.note)
+            for c in candidate_C_values()] == [
+        (Fraction(-1), "Case1", "integrable with lambda = 1"),
+        (Fraction(-4, 3), "Case1", "three-parameter solutions, any lambda"),
+        (Fraction(-16, 5), "Case2", "alpha = (1 - sqrt(1 - 48/C))/2 = -3/2; "
+         "three-parameter solutions, any lambda"),
+        (Fraction(-6), "Case2", "integrable for arbitrary lambda"),
+        (Fraction(-16), "Case2", "integrable with lambda = 1/16"),
+        (Fraction(-2), "coincident", "two types of singular behaviour "
+         "coincide; dominant term includes a logarithm"),
+    ]
+
+
+def test_resonances_expand_the_rows_once(monkeypatch):
+    # C = -16/5 has a rounded Case-1 pair, whose allowance needs term sizes
+    C = Scalar.exact(-16, 5)
+    rows = painleve._kowalevski_rows
+    calls = []
+
+    def counted(balance, c):
+        calls.append(balance)
+        return rows(balance, c)
+
+    monkeypatch.setattr(painleve, "_kowalevski_rows", counted)
+    for balance in find_dominant_balances(C):
+        calls.clear()
+        resonances(balance, C)
+        assert len(calls) == 1, balance
+
+
 def test_C_zero_unsupported():
     with pytest.raises(UnsupportedParameter):
         find_dominant_balances(Scalar.exact(0))
