@@ -23,8 +23,8 @@ from .integrate import check_tolerance, integrate_numeric
 from .jsonio import (decode_series, encode_certificate, encode_fit_result,
                      encode_scalar, encode_solution, encode_state,
                      encode_verdict)
-from .laurent import (_CASES, BranchSpec, _merge_coincident, build_series,
-                      enumerate_branches, branch_residue)
+from .laurent import (_CASES, BranchSpec, _branch_listing, _merge_coincident,
+                      build_series)
 from .model import energy, energy_series, residual_of_series, state_from_series
 from .painleve import candidate_C_values, classify
 from .scalars import (Scalar, default_precision, env_precision,
@@ -199,17 +199,17 @@ def cmd_sweep(args) -> int:
     rows = []
     for lam_frac in _parse_grid(args.lambda_grid):
         lam = Scalar.exact(lam_frac)
-        nominal = enumerate_branches(args.case, lam)
-        distinct = _merge_coincident(nominal)
+        listing = _branch_listing(args.case, lam)
+        distinct = _merge_coincident(listing)
         merges = [s.merged_with for s in distinct if s.merged_with]
         rows.append({
             "lambda": encode_scalar(lam),
-            "nominal_branches": len(nominal),
+            "nominal_branches": len(listing),
             "distinct_branches": len(distinct),
             "merge_detected": bool(merges),
             "merges": merges,
-            "incompatible": [s.label() for s in nominal if s.compatible is False],
-            "residues": [encode_scalar(branch_residue(s)) for s in nominal],
+            "incompatible": [s.label() for s, *_ in listing if not s.compatible],
+            "residues": [encode_scalar(residue) for _, _, residue in listing],
         })
     _emit({"provenance": _provenance(args), "sweep": rows}, args)
     return EXIT_OK

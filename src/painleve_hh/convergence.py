@@ -113,25 +113,28 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     induction threshold must lie inside the computed prefix; otherwise
     InsufficientPrefix reports how many coefficients are needed.
     """
-    epsilon = as_scalar(epsilon)
+    epsilon, limit = as_scalar(epsilon), as_scalar(m_search_limit)
     if solution.trunc_order < 10:
         raise ContractViolation("certification needs a series built with N >= 10")
-    if epsilon.mag() <= 0 or epsilon.mag() >= 1:
-        raise ContractViolation("epsilon must lie in (0, 1)")
+    # _rational() is None unless the value is a finite real
+    eps_q, limit_q = epsilon._rational(), limit._rational()
+    if eps_q is None or not 0 < eps_q < 1:
+        raise ContractViolation("epsilon must be a real number in (0, 1)")
+    if limit_q is None or limit_q <= 0:
+        raise ContractViolation("the M search limit must be a positive real")
     bits = solution.precision
     case = solution.spec.case
     lead_free = _case(case).lead_free
     lam = solution.spec.lam
-    xs, ys = solution.recurrence_coefficients()
-    prefix_mags = [v.mag() for idx, v in xs.items() if idx >= -1]
-    prefix_mags += [v.mag() for idx, v in ys.items() if idx >= -1]
-    max_coeff = max(prefix_mags)
+    # from index -1 on; the x slots between C165's exponents are exact zeros
+    max_coeff = max(v.mag() for v in solution.x.coeffs[1:]
+                    + solution.y.coeffs[1:])
     c1_abs = solution.c1.magnitude() if lead_free else Scalar.exact(0)
     floor = max(max_coeff, c1_abs.mag())
     with mp.workprec(bits):
         exponent = max(0, int(mpmath.ceil(mpmath.log(floor, 2)))) if floor > 1 \
             else 0
-    limit = as_scalar(m_search_limit).mag()
+    limit = limit.mag()
     audit = {
         "max_prefix_coefficient": Scalar.from_mpc(mpmath.mpc(max_coeff), bits),
         "c1_abs": c1_abs,

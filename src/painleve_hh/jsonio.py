@@ -54,12 +54,25 @@ def _field(obj, key: str, what: str, convert):
         raise ContractViolation(f"bad {what} field {key!r}: {exc}") from None
 
 
+def _finite(value):
+    number = mpmath.mpf(value)
+    if not mpmath.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict) and "num" in obj:
         return Scalar.exact(_field(obj, "num", "scalar", int) * _field(
             obj, "den", "scalar", lambda den: Fraction(1, int(den))))
     for key in ("re", "im"):
-        _field(obj, key, "scalar", mpmath.mpf)
+        _field(obj, key, "scalar", _finite)
     bits = _field(obj, "bits", "scalar", int) if "bits" in obj else default_precision()
     return Scalar.from_complex(obj["re"], obj["im"], bits)
 
@@ -80,7 +93,8 @@ def decode_series(obj) -> PuiseuxSeries:
         _field(obj, "step", "series", Fraction),
         [decode_scalar(c) for c in _field(obj, "coeffs", "series", list)],
         center=decode_scalar(obj["center"]) if "center" in obj else None,
-        complete=bool(obj.get("complete", False)),
+        complete=_field(obj, "complete", "series", _boolean)
+        if "complete" in obj else False,
     )
 
 

@@ -236,28 +236,29 @@ def f_minus1_squared(lam, branch: str) -> Scalar:
     return _closed_form(CASE_C43, lam, branch)
 
 
-def leading_x_coefficient(spec: BranchSpec) -> Scalar:
-    """c1 (C165) or the +-sqrt(6) leading coefficient (C43)."""
+def _lead_and_residue(spec: BranchSpec) -> tuple:
+    """(x lead, y residue) of spec; its closed form is evaluated once."""
     table = _CASES[spec.case]
     bits = _branch_bits(spec.lam)
-    sign = Scalar.exact(spec.x_sign)
+    value = _closed_form(spec.case, spec.lam, spec.root_branch)
     if not table.lead_free:
-        return sign * nth_root(Scalar.exact(table.lead_sq, 1, bits), 2, 0)
-    c1 = nth_root(_closed_form(spec.case, spec.lam, spec.root_branch), 4, 0)
+        lead = nth_root(Scalar.exact(table.lead_sq, 1, bits), 2, 0)
+        return spec.x_sign * lead, spec.residue_sign * nth_root(value, 2, 0)
+    c1 = nth_root(value, 4, 0)
     if spec.imaginary_rotation:
         c1 = c1 * Scalar.from_complex(0, 1, bits)
-    return sign * c1
+    # the k = -1 y row reads y_diag(-1)*y_{-1} = -c1**2
+    return spec.x_sign * c1, c1 * c1 / -table.y_diag(-1)
+
+
+def leading_x_coefficient(spec: BranchSpec) -> Scalar:
+    """c1 (C165) or the +-sqrt(6) leading coefficient (C43)."""
+    return _lead_and_residue(spec)[0]
 
 
 def branch_residue(spec: BranchSpec) -> Scalar:
     """Residue of the y-series (coefficient of 1/t)."""
-    table = _CASES[spec.case]
-    if table.lead_free:
-        # the k = -1 y row reads y_diag(-1)*y_{-1} = -c1**2
-        c1 = leading_x_coefficient(spec)
-        return c1 * c1 / -table.y_diag(-1)
-    w = nth_root(_closed_form(spec.case, spec.lam, spec.root_branch), 2, 0)
-    return Scalar.exact(spec.residue_sign) * w
+    return _lead_and_residue(spec)[1]
 
 
 def _cauchy(u: dict, v: dict, lo: int, total: int) -> Scalar:
@@ -267,19 +268,19 @@ def _cauchy(u: dict, v: dict, lo: int, total: int) -> Scalar:
 
 
 class _Recurrence:
-    """Stateful driver for one branch; holds the coefficient tables."""
+    """Stateful stepper for one branch; holds the coefficient tables.  lead
+    is x_{-2}; a "residue" resonance (C43's f_{-1}) adopts residue, which a
+    free lead's recurrence (C165) never reads."""
 
-    def __init__(self, spec: BranchSpec, bits: int,
-                 leading_override: Scalar | None = None,
-                 residue_override: Scalar | None = None):
+    def __init__(self, spec: BranchSpec, bits: int, lead: Scalar,
+                 residue: Scalar | None):
         self.spec = spec
         self.bits = bits
         self.lam = spec.lam.with_precision(bits)
         self.case = _CASES[spec.case]
-        self.x = {-2: leading_override if leading_override is not None
-                  else leading_x_coefficient(spec)}
+        self.x = {-2: lead}
         self.y = {-2: Scalar.exact(self.case.y_lead, 1, bits)}
-        self.residue_override = residue_override
+        self.residue = residue
 
     def _rhs(self, k: int):
         x, y, lo = self.x, self.y, self.case.xx_lo
@@ -294,13 +295,6 @@ class _Recurrence:
         return ((Scalar.exact(self.case.x_diag(k)), off),
                 (Scalar.exact(0) if self.case.lead_free else off,
                  Scalar.exact(self.case.y_diag(k))))
-
-    def _free_value(self, source) -> Scalar:
-        if source != "residue":
-            return self.spec.free_params[source]
-        if self.residue_override is not None:
-            return self.residue_override
-        return branch_residue(self.spec)
 
     def step(self, k: int) -> RecurrenceStep:
         """Solve (or resolve) the step at index k and record it."""
@@ -321,7 +315,8 @@ class _Recurrence:
         f, source, resolution, freed = self.case.resonances[k]
         b = 1 - f
         sol = [None, None]
-        sol[f] = self._free_value(source)
+        sol[f] = self.residue if source == "residue" \
+            else self.spec.free_params[source]
         sol[b] = (r[b] - m[b][f] * sol[f]) / m[b][b]
         defect = m[b][b] * r[f] - m[f][b] * r[b]
         self.x[k], self.y[k] = sol
@@ -348,9 +343,9 @@ def step_recurrence(spec: BranchSpec, k: int, prior) -> RecurrenceStep:
     for j in range(-2, k):
         if j not in prior[0] or j not in prior[1]:
             raise ContractViolation(f"prior coefficients missing index {j}")
-    eng = _Recurrence(spec, _branch_bits(spec.lam),
-                      leading_override=prior[0].get(-2),
-                      residue_override=prior[1].get(-1))
+    # the prior holds the residue from k = 0 on; k = -1 adopts the spec's
+    residue = prior[1][-1] if k > -1 else branch_residue(spec)
+    eng = _Recurrence(spec, _branch_bits(spec.lam), prior[0][-2], residue)
     eng.x, eng.y = dict(prior[0]), dict(prior[1])
     step = eng.step(k)
     if not eng.defect_acceptable(step):
@@ -371,8 +366,7 @@ class SeriesSolution:
     precision: int
 
     def system(self):
-        return build_henon_heiles(Scalar.exact(_CASES[self.spec.case].C),
-                                  self.spec.lam)
+        return _system(self.spec)
 
     def recurrence_coefficients(self):
         """(x-coeffs, y-coeffs) keyed by recurrence index, leads included."""
@@ -386,6 +380,10 @@ class SeriesSolution:
 
     def residue(self) -> Scalar:
         return self.y.coeffs[1]
+
+
+def _system(spec: BranchSpec):
+    return build_henon_heiles(Scalar.exact(_CASES[spec.case].C), spec.lam)
 
 
 def build_series(spec: BranchSpec, N: int,
@@ -403,7 +401,7 @@ def build_series(spec: BranchSpec, N: int,
         raise ContractViolation(f"N must be >= 5 to pass every resonance, got {N}")
     if on_incompatible not in ("raise", "force"):
         raise ContractViolation("on_incompatible must be 'raise' or 'force'")
-    eng = _Recurrence(spec, _branch_bits(spec.lam))
+    eng = _Recurrence(spec, _branch_bits(spec.lam), *_lead_and_residue(spec))
     steps = []
     for k in range(-1, N + 1):
         step = eng.step(k)
@@ -419,12 +417,11 @@ def build_series(spec: BranchSpec, N: int,
     xs = PuiseuxSeries(case.x_lead, case.x_step, xcoeffs, center=spec.t0)
     ys = PuiseuxSeries(-2, 1, [eng.y[k] for k in range(-2, N + 1)],
                        center=spec.t0)
-    sys = build_henon_heiles(Scalar.exact(case.C), spec.lam)
     # the t**0 energy coefficient needs x and y only through t**4; each
     # product coefficient is one rounded dot, so the window gives the
     # same H as the full expansion
-    h = energy_series(sys, xs.truncate(_H_WINDOW), ys.truncate(_H_WINDOW)) \
-        .coefficient(0)
+    h = energy_series(_system(spec), xs.truncate(_H_WINDOW),
+                      ys.truncate(_H_WINDOW)).coefficient(0)
     return SeriesSolution(spec=spec, x=xs, y=ys, H=h, steps=tuple(steps),
                           trunc_order=N, precision=eng.bits)
 
@@ -451,10 +448,33 @@ def compatibility_defect(case: str, lam, free_value) -> Scalar:
     value = as_scalar(free_value).with_precision(bits)
     # the trial value is the lead c1 where it is free (C165), and the free
     # residue f_{-1} otherwise (C43)
-    eng = _Recurrence(probe, bits,
-                      leading_override=value if table.lead_free else None,
-                      residue_override=None if table.lead_free else value)
+    eng = _Recurrence(probe, bits, value, None) if table.lead_free \
+        else _Recurrence(probe, bits, leading_x_coefficient(probe), value)
     return _compatibility_step(eng).defect
+
+
+def _branch_listing(case: str, lam, include_complex: bool = False) -> list:
+    """enumerate_branches' nominal listing as (spec, lead, residue)."""
+    table = _case(case)
+    lam = as_scalar(lam)
+    rotations = (False, True) if include_complex and table.lead_free \
+        else (False,)
+    bits = _branch_bits(lam)
+    flip = "x_sign" if table.lead_free else "residue_sign"
+    listing = []
+    for rot in rotations:
+        for root in table.roots:
+            for sign in (1,) if root == "zero" else (1, -1):
+                spec = BranchSpec(case=case, lam=lam, root_branch=root,
+                                  imaginary_rotation=rot, **{flip: sign})
+                lead, residue = _lead_and_residue(spec)
+                # a free c1's closed form is its k = 2 compatibility condition
+                ok = table.lead_free
+                if not ok:
+                    eng = _Recurrence(spec, bits, lead, residue)
+                    ok = eng.defect_acceptable(_compatibility_step(eng))
+                listing.append((replace(spec, compatible=ok), lead, residue))
+    return listing
 
 
 def enumerate_branches(case: str, lam, include_complex: bool = False,
@@ -470,34 +490,17 @@ def enumerate_branches(case: str, lam, include_complex: bool = False,
     merges, e.g. the C43 plus pair onto the zero branch at lam = 1),
     annotating survivors with ``merged_with``.
     """
-    table = _case(case)
-    lam = as_scalar(lam)
-    rotations = (False, True) if include_complex and table.lead_free \
-        else (False,)
-    bits = _branch_bits(lam)
-    flip = "x_sign" if table.lead_free else "residue_sign"
-    specs = []
-    for rot in rotations:
-        for root in table.roots:
-            for sign in (1,) if root == "zero" else (1, -1):
-                spec = BranchSpec(case=case, lam=lam, root_branch=root,
-                                  imaginary_rotation=rot, **{flip: sign})
-                # a free c1's closed form is its k = 2 compatibility condition
-                ok = table.lead_free
-                if not ok:
-                    eng = _Recurrence(spec, bits)
-                    ok = eng.defect_acceptable(_compatibility_step(eng))
-                specs.append(replace(spec, compatible=ok))
-    return _merge_coincident(specs) if dedup else specs
+    listing = _branch_listing(case, lam, include_complex)
+    return _merge_coincident(listing) if dedup \
+        else [spec for spec, _, _ in listing]
 
 
-def _merge_coincident(specs: list[BranchSpec]) -> list[BranchSpec]:
-    """The distinct specs of a listing; a spec whose lead and residue match
-    an earlier one's is dropped, its label added to that one's merged_with."""
+def _merge_coincident(listing: list) -> list[BranchSpec]:
+    """The distinct specs of a (spec, lead, residue) listing; a spec whose
+    lead and residue match an earlier one's joins that one's merged_with."""
     kept, keys = [], []
-    tol = half_precision_tol(_branch_bits(specs[0].lam)) * 8
-    for spec in specs:
-        key = (leading_x_coefficient(spec), branch_residue(spec))
+    tol = half_precision_tol(_branch_bits(listing[0][0].lam)) * 8
+    for spec, *key in listing:
         idx = next((i for i, seen in enumerate(keys)
                     if all((a - b).mag() <= tol for a, b in zip(key, seen))),
                    None)

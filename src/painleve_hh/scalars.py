@@ -223,12 +223,8 @@ class Scalar:
 
     @staticmethod
     def _coerce(other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(Fraction(other), None, _default_precision)
-        if isinstance(other, float):
-            return Scalar.from_real(other)
+        if isinstance(other, (Scalar, int, Fraction, float)):
+            return as_scalar(other)
         return NotImplemented
 
     def _binary(self, other, op):

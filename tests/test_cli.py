@@ -147,7 +147,12 @@ def test_fit_command_on_series_report(capsys, tmp_path):
     ("{not json", "not JSON"),
     ('{"coeffs": []}', "'lead'"),
     ("[1, 2]", "must be an object"),
-], ids=["not-json", "missing-lead", "list-payload"])
+    ('{"lead": "-2", "step": "1", "coeffs": [{"re": "inf", "im": "0"}]}',
+     "'re': 'inf' is not a finite number"),
+    ('{"lead": "-2", "step": "1", "coeffs": [], "complete": "false"}',
+     "'complete': expected true or false"),
+], ids=["not-json", "missing-lead", "list-payload", "infinite-coefficient",
+        "string-complete"])
 def test_fit_bad_series_file_exits_2(capsys, tmp_path, text, named):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -184,21 +189,33 @@ def test_sweep_detects_merge(capsys):
     assert by_lambda["1/2"]["merge_detected"] is True
 
 
-def test_sweep_lists_each_lambda_once(capsys, monkeypatch):
+@pytest.mark.parametrize("case, steps, closed_forms", [
+    # 9 lambda x 5 specs x the steps k = -1..2 of one compatibility probe
+    ("C43", 9 * 5 * 4, 9 * 5),
+    # a free c1's closed form is its compatibility: no probe is stepped
+    ("C165", 0, 9 * 4),
+], ids=["C43", "C165"])
+def test_sweep_lists_each_lambda_once(capsys, monkeypatch, case, steps,
+                                      closed_forms):
     from painleve_hh import laurent
-    calls = []
-    step = laurent._Recurrence.step
+    calls = {"step": 0, "closed_form": 0}
+    step, closed_form = laurent._Recurrence.step, laurent._closed_form
 
-    def counted(self, k):
-        calls.append(k)
+    def counted_step(self, k):
+        calls["step"] += 1
         return step(self, k)
 
-    monkeypatch.setattr(laurent._Recurrence, "step", counted)
-    code, _, _ = run_cli(capsys, "sweep", "--case", "C43",
+    def counted_closed_form(*args):
+        calls["closed_form"] += 1
+        return closed_form(*args)
+
+    monkeypatch.setattr(laurent._Recurrence, "step", counted_step)
+    monkeypatch.setattr(laurent, "_closed_form", counted_closed_form)
+    code, _, _ = run_cli(capsys, "sweep", "--case", case,
                          "--lambda-grid", "0:2:1/4")
     assert code == 0
-    # 9 lambda x 5 specs x the steps k = -1..2 of one compatibility probe
-    assert len(calls) == 9 * 5 * 4
+    # each spec's closed form is evaluated once per sweep
+    assert calls == {"step": steps, "closed_form": closed_forms}
 
 
 def test_negative_value_after_any_option(capsys):
@@ -281,6 +298,18 @@ def test_provenance_config_has_no_seed(capsys):
     assert "seed" not in json.loads(out)["provenance"]["config"]
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--epsilon", "-1/10"), ("--m-limit", "-1048576"), ("--m-limit", "0")])
+def test_certify_rejects_bad_epsilon_and_m_limit(capsys, option, value):
+    # a negative epsilon would claim a disc of radius 1 + |epsilon|
+    code, out, err = run_cli(capsys, "certify", "--case", "C165",
+                             "--lambda", "1/9", "--branch", "plus",
+                             "--N", "40", option, value)
+    assert code == 2
+    assert out == ""
+    assert "must be a" in err
+
+
 def test_certification_failure_exit_code(capsys):
     # an M-search limit below the coefficient floor cannot certify
     code, out, _ = run_cli(capsys, "certify", "--case", "C165",
@@ -290,13 +319,14 @@ def test_certification_failure_exit_code(capsys):
     assert json.loads(out)["certificate"]["verdict"] == "not-certified"
 
 
-def test_environment_precision_variable():
+@pytest.mark.parametrize("module", ["painleve_hh.cli", "painleve_hh"])
+def test_environment_precision_variable(module):
     import os
     import subprocess
     import sys as _sys
     env = dict(os.environ, PAINLEVE_PRECISION_BITS="192")
     out = subprocess.run(
-        [_sys.executable, "-m", "painleve_hh.cli", "analyze", "--C", "-2"],
+        [_sys.executable, "-m", module, "analyze", "--C", "-2"],
         capture_output=True, text=True, env=env, check=True)
     assert json.loads(out.stdout)["provenance"]["precision_bits"] == 192
 

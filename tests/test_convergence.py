@@ -151,3 +151,6 @@ def test_certify_epsilon_validation():
         certify(sol, Scalar.exact(0))
     with pytest.raises(ContractViolation):
         certify(sol, Scalar.exact(2))
+    # |0.1 + 0.1i| lies in (0, 1), but a disc radius needs a real epsilon
+    with pytest.raises(ContractViolation):
+        certify(sol, Scalar.from_complex("0.1", "0.1"))

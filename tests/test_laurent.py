@@ -85,7 +85,8 @@ def test_determinant_matches_positive_resonances_shifted():
 def test_exact_prefix_with_rational_trial_c1():
     # with rational (lam, c1) every pre-resonance step stays exact
     spec = BranchSpec(case="C165", lam=Scalar.exact(1), root_branch="plus")
-    eng = _Recurrence(spec, 256, leading_override=Scalar.exact(1))
+    # a free lead's recurrence derives y_{-1} and never reads the residue
+    eng = _Recurrence(spec, 256, Scalar.exact(1), None)
     for k in range(-1, 2):
         eng.step(k)
         assert eng.x[k].is_exact and eng.y[k].is_exact
@@ -137,7 +138,7 @@ def test_step_resolutions_and_freed_parameters():
 def test_compatibility_violation_on_tampered_branch():
     # a wrong leading c1 must trip the k = 2 compatibility check
     spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
-    eng = _Recurrence(spec, 256, leading_override=Scalar.from_real("1.5"))
+    eng = _Recurrence(spec, 256, Scalar.from_real("1.5"), None)
     for k in range(-1, 2):
         eng.step(k)
     step = eng.step(2)

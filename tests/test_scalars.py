@@ -137,6 +137,18 @@ def test_as_scalar_coercions():
         as_scalar(object())
 
 
+def test_operators_coerce_numbers_like_as_scalar_and_refuse_strings():
+    one = Scalar.exact(1)
+    assert (one + 2) == as_scalar(3) and (one + 2).is_exact
+    assert (Fraction(1, 2) * one).fraction() == Fraction(1, 2)
+    assert one + 0.25 == as_scalar(1.25) and not (one + 0.25).is_exact
+    # as_scalar parses strings, but an operand never is one
+    with pytest.raises(TypeError):
+        one + "1"
+    with pytest.raises(TypeError):
+        "1" * one
+
+
 def test_magnitude_and_parts():
     z = Scalar.from_complex("3", "-4")
     assert abs(z.magnitude().mpc().real - 5) < mpmath.mpf("1e-70")
