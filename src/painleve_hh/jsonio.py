@@ -120,11 +120,14 @@ def decode_branch(obj) -> BranchSpec:
         root_branch=obj["root_branch"],
         x_sign=int(obj.get("x_sign", 1)),
         residue_sign=int(obj.get("residue_sign", 1)),
-        imaginary_rotation=bool(obj.get("imaginary_rotation", False)),
+        imaginary_rotation=_field(obj, "imaginary_rotation", "branch", _boolean)
+        if "imaginary_rotation" in obj else False,
         free_params=tuple(decode_scalar(v) for v in obj.get(
             "free_params", [{"num": "0", "den": "1"}] * 2)),
         t0=decode_scalar(obj["t0"]) if "t0" in obj else Scalar.exact(0),
-        compatible=obj.get("compatible"),
+        compatible=_field(obj, "compatible", "branch",
+                          lambda v: v if v is None else _boolean(v))
+        if "compatible" in obj else None,
         merged_with=obj.get("merged_with"),
     )
 

@@ -16,6 +16,10 @@ zero matrix entries exact even next to big-float data.
 
 Sums of products go through :func:`dot`, which keeps an all-exact sum
 exact and otherwise forms every product exactly and rounds the sum once.
+No arithmetic operation of a Scalar reads or sets mpmath's global
+precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
+bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
+result.
 
 Working precision is at least 64 bits and defaults to 256; the default can
 be overridden through the ``PAINLEVE_PRECISION_BITS`` environment variable
@@ -24,13 +28,15 @@ or :func:`set_default_precision`.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fzero, from_rational, mpf_mul, mpf_neg, mpf_sum,
-                          round_nearest, to_rational)
+from mpmath.libmp import (fzero, from_rational, mpc_abs, mpc_add, mpc_div,
+                          mpc_mul, mpc_neg, mpc_pow_int, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_sum, round_nearest, to_rational)
 
 from .errors import ContractViolation
 
@@ -81,8 +87,13 @@ def set_default_precision(bits: int) -> int:
 
 
 def _fraction_to_mpf(q: Fraction, bits: int):
-    with mp.workprec(bits):
-        return mpmath.mpf(q.numerator) / q.denominator
+    """q as a raw mpf, rounded once, to nearest, at bits."""
+    return from_rational(q.numerator, q.denominator, bits, round_nearest)
+
+
+def _rounded(value, bits: int) -> "Scalar":
+    """A rounded Scalar holding the raw mpc tuple value."""
+    return Scalar(None, mp.make_mpc(value), bits)
 
 
 def _int_nth_root(n: int, k: int):
@@ -179,45 +190,49 @@ class Scalar:
         return self._frac
 
     def mpc(self, bits: int | None = None):
-        """Value as an mpmath.mpc at the requested (default: own) precision."""
-        bits = bits or self._prec
+        """Value as an mpmath.mpc.  An exact value is rounded at ``bits``
+        (default: own precision); a rounded value is returned as stored."""
         if self._frac is not None:
-            # make_mpc keeps the bits that mpmath.mpc would round to mp.prec
-            return mp.make_mpc((_fraction_to_mpf(self._frac, bits)._mpf_, fzero))
+            return mp.make_mpc(self._raw(bits or self._prec))
         return self._val
+
+    def _raw(self, bits: int):
+        """Value as a raw mpc tuple; only an exact value is rounded, at bits."""
+        if self._frac is not None:
+            return _fraction_to_mpf(self._frac, bits), fzero
+        return self._val._mpc_
 
     def real(self) -> "Scalar":
         if self._frac is not None:
             return self
-        with mp.workprec(self._prec):
-            return Scalar(None, mpmath.mpc(self._val.real, 0), self._prec)
+        re = mpf_pos(self._val._mpc_[0], self._prec, round_nearest)
+        return _rounded((re, fzero), self._prec)
 
     def imag(self) -> "Scalar":
         if self._frac is not None:
             return Scalar(Fraction(0), None, self._prec)
-        with mp.workprec(self._prec):
-            return Scalar(None, mpmath.mpc(self._val.imag, 0), self._prec)
+        im = mpf_pos(self._val._mpc_[1], self._prec, round_nearest)
+        return _rounded((im, fzero), self._prec)
 
     def conjugate(self) -> "Scalar":
         if self._frac is not None:
             return self
-        with mp.workprec(self._prec):
-            return Scalar(None, mpmath.mpc(self._val.real, -self._val.imag),
-                          self._prec)
+        re, im = self._val._mpc_
+        return _rounded((mpf_pos(re, self._prec, round_nearest),
+                         mpf_neg(im, self._prec, round_nearest)), self._prec)
 
     def magnitude(self) -> "Scalar":
         """|self| as a Scalar (exact for exact input)."""
         if self._frac is not None:
             return Scalar(abs(self._frac), None, self._prec)
-        with mp.workprec(self._prec):
-            return Scalar(None, mpmath.mpc(abs(self._val), 0), self._prec)
+        return _rounded((mpc_abs(self._val._mpc_, self._prec, round_nearest),
+                         fzero), self._prec)
 
     def mag(self):
         """|self| as an mpf at own precision (for thresholds and sorting)."""
         if self._frac is not None:
-            return _fraction_to_mpf(abs(self._frac), self._prec)
-        with mp.workprec(self._prec):
-            return abs(self._val)
+            return mp.make_mpf(_fraction_to_mpf(abs(self._frac), self._prec))
+        return mp.make_mpf(mpc_abs(self._val._mpc_, self._prec, round_nearest))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -227,15 +242,14 @@ class Scalar:
             return as_scalar(other)
         return NotImplemented
 
-    def _binary(self, other, op):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _binary(self, other, exact_op, rounded_op):
+        """exact_op on two Fractions, else the libmpc rounded_op at the wider
+        precision (other is already coerced)."""
+        bits = self._prec if self._prec > other._prec else other._prec
         if self._frac is not None and other._frac is not None:
-            return Scalar(op(self._frac, other._frac), None, max(self._prec, other._prec))
-        bits = max(self._prec, other._prec)
-        with mp.workprec(bits):
-            return Scalar(None, op(self.mpc(bits), other.mpc(bits)), bits)
+            return Scalar(exact_op(self._frac, other._frac), None, bits)
+        return _rounded(rounded_op(self._raw(bits), other._raw(bits), bits,
+                                   round_nearest), bits)
 
     def __add__(self, other):
         s = Scalar._coerce(other)
@@ -245,7 +259,7 @@ class Scalar:
             return s
         if s._frac == 0 and s._frac is not None:
             return self
-        return self._binary(s, lambda a, b: a + b)
+        return self._binary(s, operator.add, mpc_add)
 
     __radd__ = __add__
 
@@ -270,7 +284,7 @@ class Scalar:
             s._frac is not None and s._frac == 0
         ):
             return Scalar(Fraction(0), None, max(self._prec, s._prec))
-        return self._binary(s, lambda a, b: a * b)
+        return self._binary(s, operator.mul, mpc_mul)
 
     __rmul__ = __mul__
 
@@ -282,7 +296,7 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         if self._frac is not None and self._frac == 0:
             return Scalar(Fraction(0), None, max(self._prec, s._prec))
-        return self._binary(s, lambda a, b: a / b)
+        return self._binary(s, operator.truediv, mpc_div)
 
     def __rtruediv__(self, other):
         s = Scalar._coerce(other)
@@ -293,8 +307,8 @@ class Scalar:
     def __neg__(self):
         if self._frac is not None:
             return Scalar(-self._frac, None, self._prec)
-        with mp.workprec(self._prec):
-            return Scalar(None, -self._val, self._prec)
+        return _rounded(mpc_neg(self._val._mpc_, self._prec, round_nearest),
+                        self._prec)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -303,8 +317,8 @@ class Scalar:
             if exponent < 0 and self._frac == 0:
                 raise ZeroDivisionError("0 ** negative")
             return Scalar(self._frac ** exponent, None, self._prec)
-        with mp.workprec(self._prec):
-            return Scalar(None, self._val ** exponent, self._prec)
+        return _rounded(mpc_pow_int(self._val._mpc_, exponent, self._prec,
+                                    round_nearest), self._prec)
 
     def __abs__(self):
         return self.magnitude()
@@ -444,16 +458,15 @@ def dot(a, b) -> Scalar:
         return Scalar(exact, None, bits or _default_precision)
     guard = bits + _DOT_GUARD_BITS
     for q, (vr, vi) in mixed:
-        f = from_rational(q.numerator, q.denominator, guard, round_nearest)
+        f = _fraction_to_mpf(q, guard)
         re.append(mpf_mul(f, vr))
         if vi[1]:
             im.append(mpf_mul(f, vi))
     if exact:
-        re.append(from_rational(exact.numerator, exact.denominator, guard,
-                                round_nearest))
+        re.append(_fraction_to_mpf(exact, guard))
     value = (mpf_sum(re, bits, round_nearest),
              mpf_sum(im, bits, round_nearest) if im else fzero)
-    return Scalar(None, mp.make_mpc(value), bits)
+    return _rounded(value, bits)
 
 
 def half_precision_tol(bits: int) -> "mpmath.mpf":

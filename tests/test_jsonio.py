@@ -2,10 +2,11 @@ import json
 from fractions import Fraction
 
 import mpmath
+import pytest
 
-from painleve_hh import (BranchSpec, PhaseState, Scalar, build_series, certify,
-                         classify, fit, nth_root, set_default_precision,
-                         weierstrass_p_series)
+from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
+                         build_series, certify, classify, fit, nth_root,
+                         set_default_precision, weierstrass_p_series)
 from painleve_hh.cli import parse_scalar
 from painleve_hh.jsonio import (decode_branch, decode_scalar, decode_series,
                                 decode_solution, encode_branch,
@@ -62,6 +63,22 @@ def test_branch_and_solution_roundtrip():
     assert (restored.H - sol.H).mag() <= mpmath.mpf(2) ** (-245)
     for a, b in zip(restored.y.coeffs, sol.y.coeffs):
         assert (a - b).mag() <= mpmath.mpf(2) ** (-245)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("imaginary_rotation", "false"), ("imaginary_rotation", 0),
+    ("imaginary_rotation", None), ("compatible", "true"), ("compatible", 1),
+])
+def test_branch_flags_must_be_json_booleans(field, value):
+    payload = json.loads(json.dumps(encode_branch(
+        BranchSpec(case="C165", lam=Scalar.exact(1, 9), root_branch="plus"))))
+    assert payload["compatible"] is None and decode_branch(payload).compatible is None
+    for flag in (True, False):
+        payload[field] = flag
+        assert getattr(decode_branch(payload), field) is flag
+    payload[field] = value
+    with pytest.raises(ContractViolation, match=field):
+        decode_branch(payload)
 
 
 def test_missing_bits_take_the_working_precision():

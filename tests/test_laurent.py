@@ -170,6 +170,19 @@ def test_build_series_residuals_c43():
         assert (sol.residue() - branch_residue(spec)).mag() < TINY
 
 
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("case, lam", [("C165", "1/9"), ("C43", "2")])
+def test_residual_floor_tracks_the_working_precision(case, lam, bits):
+    # the residual of a compatible branch sits a few bits above 2**-bits
+    set_default_precision(bits)
+    spec = BranchSpec(case=case, lam=Scalar.exact(Fraction(lam)),
+                      root_branch="plus")
+    sol = build_series(spec, 40)
+    assert sol.precision == bits
+    residual = _residual_max(sol)
+    assert residual == 0 or -mpmath.log(residual, 2) >= bits - 8
+
+
 def test_zero_branch_at_special_lambdas():
     # f_{-1} = 0 satisfies the k=2 compatibility exactly at lam = 1/2, 1
     for lam_val in (Fraction(1), Fraction(1, 2)):

@@ -1,9 +1,11 @@
+import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
 from painleve_hh.scalars import dot, half_precision_tol
@@ -304,3 +306,142 @@ def test_exact_mpc_honours_bits_outside_a_precision_context(bits):
     assert z.real.man.bit_length() >= bits - 1
     # mag() rounds |q| at the scalar's own precision, too
     assert Scalar.exact(-1, 3, bits).mag() == expected
+
+
+
+# -- rounded arithmetic is libmp at the scalar's own bits ------------------------
+
+# The reference is the arithmetic as mpmath's number types did it inside
+# ``mp.workprec(bits)``, written out operation by operation.  Exact
+# numerators stay below 64 bits, so the reference's mpf(n)/d rounds only
+# once, like the conversion under test.
+_numerators = st.integers(min_value=-(2 ** 40), max_value=2 ** 40)
+_denominators = st.integers(min_value=1, max_value=2 ** 20)
+_BITS = st.sampled_from([64, 256, 512])
+
+
+@st.composite
+def mixed_scalars(draw):
+    """Exact, real and complex scalars at 64, 256 or 512 bits; a rounded one
+    may store more bits than its precision (narrowed by ``with_precision``)."""
+    kind = draw(st.sampled_from(["exact", "real", "complex"]))
+    bits = draw(_BITS)
+    re = Fraction(draw(_numerators), draw(_denominators))
+    if kind == "exact":
+        return Scalar.exact(re, bits=bits)
+    im = Fraction(draw(_numerators), draw(_denominators)) if kind == "complex" else 0
+    stored = max(bits, draw(_BITS))
+    with mpmath.workprec(stored):
+        value = mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                           mpmath.mpf(im.numerator) / im.denominator)
+    return Scalar.from_mpc(value, stored).with_precision(bits)
+
+
+def _old_value(s, bits):
+    """The operand as mpmath saw it: an exact value is mpf(n)/d at bits."""
+    if s.is_exact:
+        q = s.fraction()
+        with mpmath.workprec(bits):
+            return mpmath.mpc(mpmath.mpf(q.numerator) / q.denominator)
+    return s.mpc()
+
+
+def _old_unary(exact_op, op):
+    def run(a, b):
+        if a.is_exact:
+            return Scalar.exact(exact_op(a.fraction()), bits=a.precision)
+        with mpmath.workprec(a.precision):
+            return Scalar.from_mpc(op(a.mpc()), a.precision)
+    return run
+
+
+def _old_binary(op, zero_if):
+    """zero_if(a, b) names the operands whose exact zero short-cuts the
+    result to an exact zero, as the operator does before any rounding."""
+    def run(a, b):
+        bits = max(a.precision, b.precision)
+        if any(s.is_exact and s.fraction() == 0 for s in zero_if(a, b)):
+            return Scalar.exact(0, bits=bits)
+        if a.is_exact and b.is_exact:
+            return Scalar.exact(op(a.fraction(), b.fraction()), bits=bits)
+        with mpmath.workprec(bits):
+            return Scalar.from_mpc(op(_old_value(a, bits), _old_value(b, bits)), bits)
+    return run
+
+
+def _old_add(a, b):
+    if a.is_exact and a.fraction() == 0:
+        return b
+    if b.is_exact and b.fraction() == 0:
+        return a
+    return _old_binary(operator.add, lambda a, b: ())(a, b)
+
+
+def _old_mag(a, b):
+    with mpmath.workprec(a.precision):
+        if a.is_exact:
+            q = abs(a.fraction())
+            return mpmath.mpf(q.numerator) / q.denominator
+        return abs(a.mpc())
+
+
+_old_neg = _old_unary(operator.neg, operator.neg)
+
+# name -> (operation under test, reference)
+_OPS = {
+    "add": (operator.add, _old_add),
+    "sub": (operator.sub, lambda a, b: _old_add(a, _old_neg(b, None))),
+    "mul": (operator.mul, _old_binary(operator.mul, lambda a, b: (a, b))),
+    "div": (operator.truediv, _old_binary(operator.truediv, lambda a, b: (a,))),
+    "neg": (lambda a, b: -a, _old_neg),
+    "magnitude": (lambda a, b: a.magnitude(),
+                  _old_unary(abs, lambda v: mpmath.mpc(abs(v), 0))),
+    "mag": (lambda a, b: a.mag(), _old_mag),
+    "real": (lambda a, b: a.real(),
+             _old_unary(lambda q: q, lambda v: mpmath.mpc(v.real, 0))),
+    "imag": (lambda a, b: a.imag(),
+             _old_unary(lambda q: 0, lambda v: mpmath.mpc(v.imag, 0))),
+    "conjugate": (lambda a, b: a.conjugate(),
+                  _old_unary(lambda q: q, lambda v: mpmath.mpc(v.real, -v.imag))),
+}
+
+
+def _bits_of(value):
+    """Everything that identifies a result: kind, exact value or raw tuple,
+    and precision."""
+    if isinstance(value, mpmath.mpf):
+        return "mpf", value._mpf_
+    if value.is_exact:
+        return "exact", value.fraction(), value.precision
+    return "rounded", value.mpc()._mpc_, value.precision
+
+
+@given(mixed_scalars(), mixed_scalars(), st.integers(min_value=-4, max_value=5))
+def test_rounded_ops_match_mpmath_in_workprec_bit_for_bit(a, b, n):
+    ops = dict(_OPS)
+    ops["pow"] = (lambda a, b: a ** n,
+                  _old_unary(lambda q: q ** n, lambda v: v ** n))
+    if b.is_zero():
+        del ops["div"]
+    if n < 0 and a.is_zero():
+        del ops["pow"]
+    want = {name: _bits_of(old(a, b)) for name, (_, old) in ops.items()}
+    # the ambient precision must not reach any result
+    for ambient in (53, 2000):
+        with mpmath.workprec(ambient):
+            got = {name: _bits_of(new(a, b)) for name, (new, _) in ops.items()}
+        assert got == want
+
+
+def test_wide_numerator_is_rounded_once():
+    # mpf(n)/d at 64 bits rounds n first and then the quotient, and lands
+    # one ulp off for this numerator; the conversion rounds n/d once
+    q = Fraction(1145853876439395080251763, 3)
+    assert q.numerator.bit_length() > 64
+    once = from_rational(q.numerator, q.denominator, 64, round_nearest)
+    assert Scalar.exact(q, bits=64).mpc().real._mpf_ == once
+    assert Scalar.exact(q, bits=64).mag()._mpf_ == once
+    assert (Scalar.exact(q, bits=64) * Scalar.from_real(1, 64)).mpc()._mpc_ == (once, fzero)
+    with mpmath.workprec(64):
+        twice = (mpmath.mpf(q.numerator) / q.denominator)._mpf_
+    assert twice != once
