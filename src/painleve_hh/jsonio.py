@@ -113,25 +113,6 @@ def encode_branch(spec: BranchSpec) -> dict:
     }
 
 
-def decode_branch(obj) -> BranchSpec:
-    return BranchSpec(
-        case=obj["case"],
-        lam=decode_scalar(obj["lambda"]),
-        root_branch=obj["root_branch"],
-        x_sign=int(obj.get("x_sign", 1)),
-        residue_sign=int(obj.get("residue_sign", 1)),
-        imaginary_rotation=_field(obj, "imaginary_rotation", "branch", _boolean)
-        if "imaginary_rotation" in obj else False,
-        free_params=tuple(decode_scalar(v) for v in obj.get(
-            "free_params", [{"num": "0", "den": "1"}] * 2)),
-        t0=decode_scalar(obj["t0"]) if "t0" in obj else Scalar.exact(0),
-        compatible=_field(obj, "compatible", "branch",
-                          lambda v: v if v is None else _boolean(v))
-        if "compatible" in obj else None,
-        merged_with=obj.get("merged_with"),
-    )
-
-
 def encode_solution(sol: SeriesSolution) -> dict:
     return {
         "step": str(sol.x.step),
@@ -154,19 +135,6 @@ def encode_solution(sol: SeriesSolution) -> dict:
             for st in sol.steps
         ],
     }
-
-
-def decode_solution(obj) -> SeriesSolution:
-    """Rebuild the series pair of a solution report (step log omitted)."""
-    return SeriesSolution(
-        spec=decode_branch(obj["branch"]),
-        x=decode_series(obj["x"]),
-        y=decode_series(obj["y"]),
-        H=decode_scalar(obj["H"]),
-        steps=(),
-        trunc_order=int(obj["N"]),
-        precision=int(obj.get("precision_bits", default_precision())),
-    )
 
 
 def encode_state(s: PhaseState) -> dict:

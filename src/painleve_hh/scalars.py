@@ -15,7 +15,7 @@ by an exact zero annihilates to an exact zero, which keeps structurally
 zero matrix entries exact even next to big-float data.
 
 Sums of products go through :func:`dot`, which keeps an all-exact sum
-exact and otherwise forms every product exactly and rounds the sum once.
+exact and otherwise rounds the exact sum once.
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -28,6 +28,7 @@ or :func:`set_default_precision`.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from fractions import Fraction
@@ -35,8 +36,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (fzero, from_rational, mpc_abs, mpc_add, mpc_div,
-                          mpc_mul, mpc_neg, mpc_pow_int, mpf_mul, mpf_neg,
-                          mpf_pos, mpf_sum, round_nearest, to_rational)
+                          mpc_mul, mpc_neg, mpc_pow_int, mpf_neg, mpf_pos,
+                          mpf_shift, round_nearest, to_rational)
 
 from .errors import ContractViolation
 
@@ -407,66 +408,96 @@ def nth_root(x, n: int, branch: int = 0) -> Scalar:
     return Scalar(None, principal, bits)
 
 
-# Extra bits for exact factors that meet rounded ones in a dot product, so
-# that the final rounding of the sum dominates the error.
-_DOT_GUARD_BITS = 16
+def _rounded_sum(terms, bits: int):
+    """The (numerator, denominator, exponent) terms' exact sum, rounded
+    once to nearest at bits, as a raw mpf."""
+    den = math.lcm(*{d for _, d, _ in terms})
+    exps = [e for _, _, e in terms]
+    low = min(exps)
+    if max(exps) - low > 4 * bits:      # exact * rounded products reach 2*bits
+        # Sum down the exponents in groups, each starting gap bits under the
+        # nonzero sum of the one before: all after the first group stays
+        # under half an ulp of the result, so only its sign can count.
+        terms = sorted(((e, n * (den // d)) for n, d, e in terms), reverse=True)
+        gap = (bits + den.bit_length() + len(terms).bit_length() + 2
+               + max(m.bit_length() for _, m in terms))
+        first, num = None, 0
+        for e, m in terms:
+            if num and e < low - gap:
+                if first:
+                    break
+                first, num = (num, low), 0
+            num, low = ((num << (low - e)) + m, e) if num else (m, e)
+        if first:
+            num, low = (first[0] << gap) + (num > 0) - (num < 0), first[1] - gap
+    elif den == 1:
+        num = sum(n << (e - low) for n, _, e in terms)
+    else:
+        num = sum(n * (den // d) << (e - low) for n, d, e in terms)
+    return mpf_shift(from_rational(num, den, bits, round_nearest), low)
 
 
 def dot(a, b) -> Scalar:
     """sum_i a[i]*b[i] over two equal-length sequences of Scalars.
 
     Terms with an exact-zero factor are skipped, so a sum with no other
-    term is an exact zero.  When every remaining term is exact the sum is
-    the exact Fraction.  Otherwise every product is formed exactly (an
-    exact factor enters rounded to the working precision plus guard bits)
-    and the sum is rounded once, to nearest, at the highest precision of
-    the remaining factors.  Imaginary parts are only carried when some
-    factor has a nonzero one.
+    term is an exact zero.  Every other product is formed exactly, as
+    integers n * 2**e / d.  When every remaining term is exact the result
+    is their exact Fraction sum; otherwise it is the exact sum rounded
+    once, to nearest, at the highest precision of the remaining factors,
+    however far apart the exponents of the terms are.  Imaginary parts are
+    only carried when some factor has a nonzero one.  A non-finite factor
+    raises ContractViolation.
     """
-    exact = Fraction(0)
-    mixed = []           # (Fraction, (re, im)) of exact * rounded terms
-    re, im = [], []      # exact mpf products of rounded * rounded terms
-    bits = 0
+    re, im = [], []      # (numerator, denominator, exponent) terms
+    bits, rounded = 0, False
     for x, y in zip(a, b):
-        fx, fy = x._frac, y._frac
-        if fx is not None:
-            if not fx:
+        if x._frac is None and y._frac is not None:
+            x, y = y, x
+        q, r = x._frac, y._frac
+        if q is not None:
+            if not q or r is not None and not r:
                 continue
-            if fy is not None:
-                if not fy:
-                    continue
-                exact += fx * fy
+            if r is not None:
+                re.append((q.numerator * r.numerator,
+                           q.denominator * r.denominator, 0))
             else:
-                mixed.append((fx, y._val._mpc_))
-        elif fy is not None:
-            if not fy:
-                continue
-            mixed.append((fy, x._val._mpc_))
+                rounded = True
+                n, d = q.numerator, q.denominator
+                for u, terms in zip(y._val._mpc_, (re, im)):
+                    if u[1]:
+                        terms.append((-n * u[1] if u[0] else n * u[1], d, u[2]))
+                    elif u[3] < 0:
+                        raise ContractViolation("dot of a non-finite scalar")
         else:
+            rounded = True
             xr, xi = x._val._mpc_
             yr, yi = y._val._mpc_
-            re.append(mpf_mul(xr, yr))
-            if xi[1] or yi[1]:
-                re.append(mpf_neg(mpf_mul(xi, yi)))
-                im.append(mpf_mul(xr, yi))
-                im.append(mpf_mul(xi, yr))
+            if xi[3] or yi[3]:
+                # (xr + i xi)(yr + i yi); the i*i part enters negated
+                for u, v, terms, neg in ((xr, yr, re, 0), (xi, yi, re, 1),
+                                         (xr, yi, im, 0), (xi, yr, im, 0)):
+                    m = u[1] * v[1]
+                    if m:
+                        terms.append((-m if u[0] ^ v[0] ^ neg else m, 1, u[2] + v[2]))
+                    elif u[3] < 0 or v[3] < 0:
+                        raise ContractViolation("dot of a non-finite scalar")
+            else:
+                m = xr[1] * yr[1]
+                if m:
+                    re.append((-m if xr[0] ^ yr[0] else m, 1, xr[2] + yr[2]))
+                elif xr[3] < 0 or yr[3] < 0:
+                    raise ContractViolation("dot of a non-finite scalar")
         p = x._prec if x._prec > y._prec else y._prec
         if p > bits:
             bits = p
-    if not (mixed or re):
+    if not rounded:
+        den = math.lcm(*{d for _, d, _ in re})
         # bits is still 0 when no term was left
-        return Scalar(exact, None, bits or _default_precision)
-    guard = bits + _DOT_GUARD_BITS
-    for q, (vr, vi) in mixed:
-        f = _fraction_to_mpf(q, guard)
-        re.append(mpf_mul(f, vr))
-        if vi[1]:
-            im.append(mpf_mul(f, vi))
-    if exact:
-        re.append(_fraction_to_mpf(exact, guard))
-    value = (mpf_sum(re, bits, round_nearest),
-             mpf_sum(im, bits, round_nearest) if im else fzero)
-    return _rounded(value, bits)
+        return Scalar(Fraction(sum(n * (den // d) for n, d, _ in re), den),
+                      None, bits or _default_precision)
+    return _rounded((_rounded_sum(re, bits) if re else fzero,
+                     _rounded_sum(im, bits) if im else fzero), bits)
 
 
 def half_precision_tol(bits: int) -> "mpmath.mpf":

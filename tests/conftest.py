@@ -1,10 +1,13 @@
+import os
+
 import pytest
 from hypothesis import settings
 
 from painleve_hh import set_default_precision
 
 settings.register_profile("fast", max_examples=30, deadline=None)
-settings.load_profile("fast")
+settings.register_profile("ci", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
 
 
 @pytest.fixture(autouse=True)

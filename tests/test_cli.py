@@ -248,10 +248,15 @@ def test_roundtrip_residual_within_factor_two(capsys, tmp_path):
     payload = json.loads(path.read_text())
     recorded = mpmath.mpf(payload["residual_max"]["re"])
 
-    from painleve_hh.jsonio import decode_solution
-    from painleve_hh.model import residual_of_series
-    sol = decode_solution(payload["solution"])
-    rx, ry = residual_of_series(sol.system(), sol.x, sol.y)
+    from painleve_hh import Scalar
+    from painleve_hh.jsonio import decode_scalar, decode_series
+    from painleve_hh.model import build_henon_heiles, residual_of_series
+    solution = payload["solution"]
+    assert solution["case"] == "C165"
+    system = build_henon_heiles(Scalar.exact(-16, 5),
+                                decode_scalar(solution["branch"]["lambda"]))
+    rx, ry = residual_of_series(system, decode_series(solution["x"]),
+                                decode_series(solution["y"]))
     recomputed = max(c.mag() for c in list(rx.coeffs) + list(ry.coeffs))
     assert recomputed <= 2 * max(recorded, mpmath.mpf("1e-77")) \
         or recomputed <= mpmath.mpf("1e-60")

@@ -2,14 +2,12 @@ import json
 from fractions import Fraction
 
 import mpmath
-import pytest
 
-from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
-                         build_series, certify, classify, fit, nth_root,
+from painleve_hh import (BranchSpec, PhaseState, Scalar, build_series,
+                         certify, classify, fit, nth_root,
                          set_default_precision, weierstrass_p_series)
 from painleve_hh.cli import parse_scalar
-from painleve_hh.jsonio import (decode_branch, decode_scalar, decode_series,
-                                decode_solution, encode_branch,
+from painleve_hh.jsonio import (decode_scalar, decode_series, encode_branch,
                                 encode_certificate, encode_fit_result,
                                 encode_scalar, encode_series, encode_solution,
                                 encode_state, encode_verdict)
@@ -52,43 +50,23 @@ def test_branch_and_solution_roundtrip():
     spec = BranchSpec(case="C43", lam=Scalar.exact(1, 9), root_branch="minus",
                       residue_sign=-1,
                       free_params=(Scalar.exact(1, 3), Scalar.exact(0)))
-    out = _roundtrip(spec, encode_branch, decode_branch)
-    assert out.case == "C43" and out.residue_sign == -1
-    assert out.free_params[0].fraction() == Fraction(1, 3)
+    payload = json.loads(json.dumps(encode_branch(spec)))
+    assert payload["case"] == "C43" and payload["residue_sign"] == -1
+    assert decode_scalar(payload["free_params"][0]).fraction() == Fraction(1, 3)
 
     sol = build_series(spec, 8)
     payload = json.loads(json.dumps(encode_solution(sol)))
-    restored = decode_solution(payload)
-    assert restored.trunc_order == 8
-    assert (restored.H - sol.H).mag() <= mpmath.mpf(2) ** (-245)
-    for a, b in zip(restored.y.coeffs, sol.y.coeffs):
+    assert payload["N"] == 8
+    assert (decode_scalar(payload["H"]) - sol.H).mag() <= mpmath.mpf(2) ** (-245)
+    y = decode_series(payload["y"])
+    for a, b in zip(y.coeffs, sol.y.coeffs):
         assert (a - b).mag() <= mpmath.mpf(2) ** (-245)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("imaginary_rotation", "false"), ("imaginary_rotation", 0),
-    ("imaginary_rotation", None), ("compatible", "true"), ("compatible", 1),
-])
-def test_branch_flags_must_be_json_booleans(field, value):
-    payload = json.loads(json.dumps(encode_branch(
-        BranchSpec(case="C165", lam=Scalar.exact(1, 9), root_branch="plus"))))
-    assert payload["compatible"] is None and decode_branch(payload).compatible is None
-    for flag in (True, False):
-        payload[field] = flag
-        assert getattr(decode_branch(payload), field) is flag
-    payload[field] = value
-    with pytest.raises(ContractViolation, match=field):
-        decode_branch(payload)
-
-
 def test_missing_bits_take_the_working_precision():
-    spec = BranchSpec(case="C165", lam=Scalar.exact(1, 9), root_branch="plus")
-    payload = json.loads(json.dumps(encode_solution(build_series(spec, 8))))
-    del payload["precision_bits"]
     set_default_precision(512)
     scalar = decode_scalar({"re": "0.3", "im": "0"})
     assert scalar.precision == parse_scalar("0.3").precision == 512
-    assert decode_solution(payload).precision == 512
 
 
 def test_state_and_model_roundtrip():

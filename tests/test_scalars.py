@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational, fzero, round_nearest
+from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
 from painleve_hh.scalars import dot, half_precision_tol
@@ -207,29 +207,96 @@ def test_dot_matches_naive_fold(pairs):
     assert got.precision == ref.precision
 
 
-@given(term_lists)
+@st.composite
+def wide_scalars(draw):
+    """kernel_scalars at 64 or 256 bits scaled by 2**k, |k| <= 2000, so that
+    the exponents of a sum spread far wider than twice the precision."""
+    x = draw(kernel_scalars()).with_precision(draw(st.sampled_from([64, 256])))
+    return x * sc(Fraction(2) ** draw(st.integers(min_value=-2000, max_value=2000)))
+
+
+@st.composite
+def wide_term_lists(draw):
+    """Lists of wide_scalars pairs, half of them with two more terms that
+    cancel exactly, so that the sum can be far below its largest terms."""
+    pairs = draw(st.lists(st.tuples(wide_scalars(), wide_scalars()),
+                          max_size=12))
+    if draw(st.booleans()):
+        x, y = draw(wide_scalars()), draw(wide_scalars())
+        for term in ((x, y), (-x, y)):
+            pairs.insert(draw(st.integers(0, len(pairs))), term)
+    return pairs
+
+
+def _exact_value(s):
+    """(re, im) of a Scalar as exact Fractions."""
+    if s.is_exact:
+        return s.fraction(), Fraction(0)
+    return tuple(Fraction(*to_rational(v)) for v in s.mpc()._mpc_)
+
+
+@given(st.one_of(term_lists, wide_term_lists()))
 def test_dot_rounds_the_exact_sum_once(pairs):
-    # with dyadic (rounded) factors only, the result is the exact sum
-    # rounded to nearest at the working precision, in each component
-    pairs = [(x, y) for x, y in pairs if not (x.is_exact or y.is_exact)]
+    # the result is the exact sum: a Fraction when every term with no
+    # exact-zero factor is exact, else rounded once to nearest at the
+    # highest precision of those factors, in each component
     got = dot([x for x, _ in pairs], [y for _, y in pairs])
-    if not pairs:
-        assert got.is_exact and got.is_zero()
+    kept = [(x, y) for x, y in pairs
+            if not (x.is_exact and x.is_zero() or y.is_exact and y.is_zero())]
+    exact_re = exact_im = Fraction(0)
+    for x, y in kept:
+        (xr, xi), (yr, yi) = _exact_value(x), _exact_value(y)
+        exact_re += xr * yr - xi * yi
+        exact_im += xr * yi + xi * yr
+    if all(x.is_exact and y.is_exact for x, y in kept):
+        assert got.is_exact and got.fraction() == exact_re
         return
+    bits = max(max(x.precision, y.precision) for x, y in kept)
+    assert not got.is_exact and got.precision == bits
+    assert got.mpc()._mpc_ == tuple(
+        from_rational(q.numerator, q.denominator, bits, round_nearest)
+        for q in (exact_re, exact_im))
 
-    def q(v):
-        sign, man, exp, _ = v._mpf_
-        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
-    parts = [(q(x.mpc().real), q(x.mpc().imag), q(y.mpc().real),
-              q(y.mpc().imag)) for x, y in pairs]
-    exact_re = sum((xr * yr - xi * yi for xr, xi, yr, yi in parts), Fraction(0))
-    exact_im = sum((xr * yi + xi * yr for xr, xi, yr, yi in parts), Fraction(0))
-    with mpmath.workprec(256):
-        want_re = mpmath.mpf(exact_re.numerator) / exact_re.denominator
-        want_im = mpmath.mpf(exact_im.numerator) / exact_im.denominator
-    assert got.mpc().real == want_re
-    assert got.mpc().imag == want_im
+@pytest.mark.parametrize("second", ["exact", "rounded"])
+def test_dot_keeps_a_term_far_below_a_cancelling_pair(second):
+    first = [Scalar.from_real(v, 64) for v in ("1e-300", "1e300", "1e300")]
+    factor = (lambda q: Scalar.exact(q, 1, 64)) if second == "exact" else (
+        lambda q: Scalar.from_real(q, 64))
+    got = dot(first, [factor(1), factor(1), factor(-1)])
+    assert got.mpc()._mpc_ == first[0].mpc()._mpc_
+
+
+def test_dot_rounds_an_exact_tie_once():
+    # 1 + 2**-64 lies halfway between two 64-bit neighbours; the exact
+    # sum ties to even, so no exact factor may be rounded on the way
+    exact = [Scalar.exact(q, 1, 64) for q in
+             (1, Fraction(1, 2 ** 64), Fraction(1, 3), Fraction(1, 5))]
+    other = [Scalar.exact(1, 1, 64), Scalar.exact(1, 1, 64),
+             Scalar.from_real(3 * 2.0 ** -100, 64),
+             Scalar.from_real(-5 * 2.0 ** -100, 64)]
+    got = dot(exact, other)
+    assert not got.is_exact and got == 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dot_breaks_a_tie_by_a_term_far_below(sign):
+    # 1 + 2**-64 is a 64-bit tie; a term 2**-5000 decides it, under a
+    # pair of terms at 2**3000 that cancel
+    exact = [Scalar.exact(q, 1, 64) for q in (2 ** 3000, 2 ** 3000, 1,
+                                               Fraction(1, 2 ** 64),
+                                               sign * Fraction(1, 2 ** 5000))]
+    rounded = [Scalar.from_real(v, 64) for v in (1, -1, 1, 1, 1)]
+    assert dot(exact, rounded) == (1 + Fraction(1, 2 ** 63) if sign > 0 else 1)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_dot_rejects_a_non_finite_factor(value):
+    for bad in (Scalar.from_real(value), Scalar.from_complex(1, value)):
+        for other in (sc(2), Scalar.from_real(2), Scalar.from_complex(1, 1)):
+            for a, b in (([bad], [other]), ([sc(1), other], [sc(1), bad])):
+                with pytest.raises(ContractViolation, match="non-finite"):
+                    dot(a, b)
 
 
 def test_dot_exact_zero_when_every_term_has_an_exact_zero_factor():
