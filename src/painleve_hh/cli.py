@@ -320,6 +320,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_negative_literals(argv))
+    previous = default_precision()
     try:
         bits = args.precision_bits
         if bits is None:
@@ -340,6 +341,8 @@ def main(argv=None) -> int:
     except SingularityApproach as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
+    finally:
+        set_default_precision(previous)
 
 
 if __name__ == "__main__":

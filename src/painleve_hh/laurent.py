@@ -59,7 +59,7 @@ from typing import Callable
 
 from .errors import CompatibilityViolation, ContractViolation
 from .model import build_henon_heiles, energy_series
-from .scalars import (Scalar, as_scalar, default_precision, dot,
+from .scalars import (Scalar, as_scalar, cauchy, default_precision,
                       half_precision_tol, nth_root)
 from .series import PuiseuxSeries
 
@@ -261,16 +261,11 @@ def branch_residue(spec: BranchSpec) -> Scalar:
     return _lead_and_residue(spec)[1]
 
 
-def _cauchy(u: dict, v: dict, lo: int, total: int) -> Scalar:
-    """sum_{j=lo}^{total-lo} u[j]*v[total-j] over index-keyed coefficients."""
-    js = range(lo, total - lo + 1)
-    return dot([u[j] for j in js], [v[total - j] for j in js])
-
-
 class _Recurrence:
-    """Stateful stepper for one branch; holds the coefficient tables.  lead
-    is x_{-2}; a "residue" resonance (C43's f_{-1}) adopts residue, which a
-    free lead's recurrence (C165) never reads."""
+    """Stateful stepper for one branch; x[i] and y[i] hold index i - 2, so
+    the Cauchy sum of total index s is cauchy(., ., s + 4).  lead is x_{-2};
+    a "residue" resonance (C43's f_{-1}) adopts residue, which a free
+    lead's recurrence (C165) never reads."""
 
     def __init__(self, spec: BranchSpec, bits: int, lead: Scalar,
                  residue: Scalar | None):
@@ -278,20 +273,20 @@ class _Recurrence:
         self.bits = bits
         self.lam = spec.lam.with_precision(bits)
         self.case = _CASES[spec.case]
-        self.x = {-2: lead}
-        self.y = {-2: Scalar.exact(self.case.y_lead, 1, bits)}
+        self.x = [lead]
+        self.y = [Scalar.exact(self.case.y_lead, 1, bits)]
         self.residue = residue
 
     def _rhs(self, k: int):
-        x, y, lo = self.x, self.y, self.case.xx_lo
-        zero = Scalar.exact(0)
-        r1 = -self.lam * x.get(k - 2, zero) - 2 * _cauchy(x, y, -1, k - 2)
-        r2 = -y.get(k - 2, zero) - _cauchy(x, x, lo, k + lo - 1) \
-            + Scalar.exact(self.case.C) * _cauchy(y, y, -1, k - 2)
+        x, y = self.x, self.y
+        x2, y2 = (x[k], y[k]) if k >= 0 else (Scalar.exact(0),) * 2
+        r1 = -self.lam * x2 - 2 * cauchy(x, y, k + 2)
+        r2 = -y2 - cauchy(x, x, k + 3 + self.case.xx_lo) \
+            + Scalar.exact(self.case.C) * cauchy(y, y, k + 2)
         return r1, r2
 
     def _matrix(self, k: int) -> tuple:
-        off = 2 * self.x[-2]
+        off = 2 * self.x[0]
         return ((Scalar.exact(self.case.x_diag(k)), off),
                 (Scalar.exact(0) if self.case.lead_free else off,
                  Scalar.exact(self.case.y_diag(k))))
@@ -306,7 +301,8 @@ class _Recurrence:
             d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
             xk = (r[0] * m[1][1] - r[1] * m[0][1]) / d
             yk = (m[0][0] * r[1] - m[1][0] * r[0]) / d
-            self.x[k], self.y[k] = xk, yk
+            self.x.append(xk)
+            self.y.append(yk)
             return RecurrenceStep(k=k, rhs=r, det=det, resolution="unique",
                                   solution=(xk, yk))
         # Fredholm alternative: the free column f takes its value, the bound
@@ -319,7 +315,8 @@ class _Recurrence:
             else self.spec.free_params[source]
         sol[b] = (r[b] - m[b][f] * sol[f]) / m[b][b]
         defect = m[b][b] * r[f] - m[f][b] * r[b]
-        self.x[k], self.y[k] = sol
+        self.x.append(sol[0])
+        self.y.append(sol[1])
         return RecurrenceStep(k=k, rhs=r, det=det, resolution=resolution,
                               solution=tuple(sol), defect=defect, freed=freed)
 
@@ -346,7 +343,7 @@ def step_recurrence(spec: BranchSpec, k: int, prior) -> RecurrenceStep:
     # the prior holds the residue from k = 0 on; k = -1 adopts the spec's
     residue = prior[1][-1] if k > -1 else branch_residue(spec)
     eng = _Recurrence(spec, _branch_bits(spec.lam), prior[0][-2], residue)
-    eng.x, eng.y = dict(prior[0]), dict(prior[1])
+    eng.x, eng.y = ([p[j] for j in range(-2, k)] for p in prior)
     step = eng.step(k)
     if not eng.defect_acceptable(step):
         raise CompatibilityViolation(k, step.defect)
@@ -413,13 +410,12 @@ def build_series(spec: BranchSpec, N: int,
     case = eng.case
     stride = int(1 / case.x_step)
     xcoeffs = [Scalar.exact(0)] * (stride * (N + 2) + 1)
-    xcoeffs[::stride] = [eng.x[k] for k in range(-2, N + 1)]
+    xcoeffs[::stride] = eng.x
     xs = PuiseuxSeries(case.x_lead, case.x_step, xcoeffs, center=spec.t0)
-    ys = PuiseuxSeries(-2, 1, [eng.y[k] for k in range(-2, N + 1)],
-                       center=spec.t0)
+    ys = PuiseuxSeries(-2, 1, eng.y, center=spec.t0)
     # the t**0 energy coefficient needs x and y only through t**4; each
-    # product coefficient is one rounded dot, so the window gives the
-    # same H as the full expansion
+    # product coefficient is one cauchy sum rounded once, so the window
+    # gives the same H as the full expansion
     h = energy_series(_system(spec), xs.truncate(_H_WINDOW),
                       ys.truncate(_H_WINDOW)).coefficient(0)
     return SeriesSolution(spec=spec, x=xs, y=ys, H=h, steps=tuple(steps),

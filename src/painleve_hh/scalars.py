@@ -15,7 +15,8 @@ by an exact zero annihilates to an exact zero, which keeps structurally
 zero matrix entries exact even next to big-float data.
 
 Sums of products go through :func:`dot`, which keeps an all-exact sum
-exact and otherwise rounds the exact sum once.
+exact and otherwise rounds the exact sum once; every coefficient of a
+series convolution is one :func:`cauchy` call on top of it.
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -498,6 +499,17 @@ def dot(a, b) -> Scalar:
                       None, bits or _default_precision)
     return _rounded((_rounded_sum(re, bits) if re else fzero,
                      _rounded_sum(im, bits) if im else fzero), bits)
+
+
+def cauchy(a, b, n: int) -> Scalar:
+    """Coefficient n of the product of the coefficient lists a and b: the
+    dot of a[j] and b[n - j] over every j where both exist, an exact zero
+    when there is none.  dot rounds the exact sum once, so the bits do not
+    depend on the order of the terms."""
+    lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
+    if hi < lo:
+        return Scalar.exact(0)
+    return dot(a[lo:hi + 1], reversed(b[n - hi:n - lo + 1]))
 
 
 def half_precision_tol(bits: int) -> "mpmath.mpf":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContractViolation
-from .scalars import Scalar, as_scalar, dot
+from .scalars import Scalar, as_scalar, cauchy
 
 _ZERO = Scalar.exact(0)
 
@@ -233,15 +233,7 @@ class PuiseuxSeries:
             n = _last_nonzero(a) + _last_nonzero(b)
         else:
             n = int((cap - lead) / step)
-        # position i pairs a[j] with b[i - j], which sits at top - i + j in
-        # the reversed list, so each position takes two plain slices
-        top = len(b) - 1
-        b = b[::-1]
-        coeffs = []
-        for i in range(n + 1):
-            lo = max(0, i - top)
-            hi = min(i, len(a) - 1)
-            coeffs.append(dot(a[lo:hi + 1], b[top - i + lo:top - i + hi + 1]))
+        coeffs = [cauchy(a, b, i) for i in range(n + 1)]
         return PuiseuxSeries(lead, step, coeffs, center=self.center,
                              complete=cap is None)
 

@@ -24,7 +24,7 @@ import mpmath
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
 from .model import BivariatePoly, power_product
-from .scalars import (Scalar, as_scalar, default_precision, dot,
+from .scalars import (Scalar, as_scalar, cauchy, default_precision,
                       half_precision_tol)
 from .series import PuiseuxSeries
 
@@ -163,18 +163,12 @@ def weierstrass_p_series(g2, g3, n_terms: int, bits: int | None = None) -> Puise
     g3 = as_scalar(g3).with_precision(bits)
     if n_terms < 3:
         raise ContractViolation("need at least 3 terms")
-    c = {2: g2 / 20, 3: g3 / 28}
+    c = [g2 / 20, g3 / 28]           # c[i] = c_{i+2}
     for k in range(4, n_terms + 2):
-        idx = range(2, k - 1)
-        c[k] = dot([c[i] for i in idx], [c[k - i] for i in idx]) \
-            * Scalar.exact(3, (2 * k + 1) * (k - 3))
-    coeffs = [Scalar.exact(1)]
-    top = 2 * (n_terms + 1) - 2
-    for e in range(-1, top + 1):
-        if e >= 2 and e % 2 == 0:
-            coeffs.append(c[e // 2 + 1])
-        else:
-            coeffs.append(Scalar.exact(0))
+        c.append(cauchy(c, c, k - 4) * Scalar.exact(3, (2 * k + 1) * (k - 3)))
+    # t**-2, then c_k at t**(2k-2) with exact zeros between
+    coeffs = [Scalar.exact(1)] + [Scalar.exact(0)] * (2 * n_terms + 2)
+    coeffs[4::2] = c
     return PuiseuxSeries(-2, 1, coeffs)
 
 
@@ -198,26 +192,27 @@ def mobius_squared_series(a, b, c, d, P0, g2, g3, n_terms: int) -> PuiseuxSeries
 
 def _series_divide(num: PuiseuxSeries, den: PuiseuxSeries,
                    order_cap: int) -> PuiseuxSeries:
-    """num/den by long division on the common grid, through order_cap."""
+    """num/den on den's grid through the exponent order_cap, and as far as
+    num and den are known: q_n = (num_n - sum_{j<n} q_j den_{n-j}) / den_0.
+    num must lie on den's grid."""
+    num._check_center(den)
     den = den.normalized()
     num = num.normalized()
     if not den.coeffs:
         raise ZeroDivisionError("series division by zero")
-    inv_lead = Scalar.exact(1) / den.coeffs[0]
     lead = num.lead - den.lead
-    step = den.step
-    out = []
-    rem = num
-    e = lead
-    while e <= order_cap:
-        c0 = rem.coefficient(e + den.lead)
-        if c0 is None:
-            break
-        q = c0 * inv_lead
-        out.append(q)
-        rem = rem - den * PuiseuxSeries.monomial(q, e, center=num.center)
-        e += step
-    return PuiseuxSeries(lead, step, out, center=num.center)
+    d = den.coeffs
+    a = num._on_grid(num.lead, den.step)
+    top = math.floor((order_cap - lead) / den.step)
+    if not num.complete:
+        top = min(top, len(a) - 1)
+    if not den.complete:
+        top = min(top, len(d) - 1)
+    a += [Scalar.exact(0)] * (top + 1 - len(a))
+    q = []
+    for n in range(top + 1):
+        q.append((a[n] - cauchy(q, d, n)) / d[0])
+    return PuiseuxSeries(lead, den.step, q, center=num.center)
 
 
 # -- the rho-quartic transform ----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from painleve_hh.cli import main, parse_scalar
 from painleve_hh.errors import ContractViolation
+from painleve_hh.scalars import default_precision
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +287,28 @@ def test_precision_floor_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--precision-bits", "512", "analyze", "--C", "-1"),
+    ("analyze", "--C", "-1", "--precision-bits", "512"),
+    ("--precision-bits", "512", "series", "--case", "C165", "--N", "3"),
+])
+def test_precision_flag_holds_for_one_run(capsys, argv):
+    before = default_precision()
+    code, out, _ = run_cli(capsys, *argv)
+    if code == 0:
+        assert json.loads(out)["provenance"]["precision_bits"] == 512
+    assert default_precision() == before
+
+
+def test_environment_precision_holds_for_one_run(capsys, monkeypatch):
+    monkeypatch.setenv("PAINLEVE_PRECISION_BITS", "192")
+    before = default_precision()
+    code, out, _ = run_cli(capsys, "analyze", "--C", "-1")
+    assert code == 0
+    assert json.loads(out)["provenance"]["precision_bits"] == 192
+    assert default_precision() == before
+
+
+@pytest.mark.parametrize("argv", [
     ("--seed", "3", "analyze", "--C", "-2"),
     ("analyze", "--seed", "3", "--C", "-2"),
 ])
@@ -400,3 +423,24 @@ def test_verify_rejects_bad_path_input_before_building(capsys, option,
     assert code == 2
     assert message in err
     assert time.perf_counter() - start < 1
+
+
+def _cli_grid():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_grid.py"
+    spec = importlib.util.spec_from_file_location("cli_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_cli_grid_run_parses():
+    from painleve_hh.cli import _merge_negative_literals, build_parser
+    grid = _cli_grid().GRID
+    assert len(grid) >= 71
+    assert len({tuple(argv) for argv in grid}) == len(grid)
+    parser = build_parser()
+    for argv in grid:
+        args = parser.parse_args(_merge_negative_literals(argv))
+        assert callable(args.func)

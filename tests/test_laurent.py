@@ -87,11 +87,12 @@ def test_exact_prefix_with_rational_trial_c1():
     spec = BranchSpec(case="C165", lam=Scalar.exact(1), root_branch="plus")
     # a free lead's recurrence derives y_{-1} and never reads the residue
     eng = _Recurrence(spec, 256, Scalar.exact(1), None)
+    # the tables are lists: index k sits at offset k + 2
     for k in range(-1, 2):
         eng.step(k)
-        assert eng.x[k].is_exact and eng.y[k].is_exact
-    assert eng.x[-1].fraction() == Fraction(1, 15)   # c1^3/15
-    assert eng.y[-1].fraction() == Fraction(1, 10)   # c1^2/10
+        assert eng.x[k + 2].is_exact and eng.y[k + 2].is_exact
+    assert eng.x[1].fraction() == Fraction(1, 15)   # c1^3/15
+    assert eng.y[1].fraction() == Fraction(1, 10)   # c1^2/10
     step2 = eng.step(2)
     assert step2.defect.is_exact and not step2.defect.is_zero()
 
@@ -334,18 +335,22 @@ def test_half_integer_structure_of_c165_x_series():
     assert sol.y.step == 1 and sol.y.lead == -2
 
 
-def test_recenter_at_t0():
-    t0 = Scalar.exact(1, 7)
-    spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus", t0=t0)
-    sol = build_series(spec, 12)
-    base = build_series(BranchSpec(case="C165", lam=LAM9, root_branch="plus"), 12)
-    # coefficients are t0-independent; the shift lives in evaluation
-    for a, b in zip(sol.y.coeffs, base.y.coeffs):
-        assert (a - b).is_zero() or (a - b).mag() < TINY
-    t = Scalar.exact(1, 2)
-    shifted = sol.y.evaluate(t)
-    reference = base.y.evaluate(t - t0)
-    assert (shifted - reference).mag() < mpmath.mpf("1e-60")
+@given(st.sampled_from(["C165", "C43"]),
+       st.fractions(min_value=-2, max_value=2, max_denominator=64),
+       st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                    max_denominator=64).filter(bool))
+def test_recenter_at_t0(case, t0, u):
+    sol = build_series(BranchSpec(case=case, lam=LAM9, root_branch="plus",
+                                  t0=Scalar.exact(t0)), 12)
+    base = build_series(BranchSpec(case=case, lam=LAM9, root_branch="plus"),
+                        12)
+    # the coefficients do not depend on t0; the shift lives in evaluation,
+    # so the series at t0 evaluated at t0 + u is the series at 0 at u
+    for shifted, series in ((sol.x, base.x), (sol.y, base.y)):
+        assert shifted.coeffs == series.coeffs
+        at = shifted.evaluate(Scalar.exact(t0 + u))
+        ref = series.evaluate(Scalar.exact(u))
+        assert at == ref and at.mpc() == ref.mpc()
 
 
 # -- enumeration ---------------------------------------------------------------------

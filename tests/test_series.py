@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from painleve_hh import ContractViolation, PuiseuxSeries, Scalar
+from painleve_hh.scalars import cauchy, dot
 
 small_coeffs = st.lists(
     st.builds(Fraction, st.integers(min_value=-9, max_value=9),
@@ -143,47 +144,6 @@ def test_coefficient_off_grid_inside_window():
     assert c is not None and c.is_zero()
 
 
-def _naive_product(a, b):
-    """(exponent -> coefficient, known window cap or None) of a*b by the
-    double loop."""
-    caps = [s.max_exp + o.lead for s, o in ((a, b), (b, a))
-            if s.max_exp is not None]
-    cap = min(caps) if caps else None
-    out = {}
-    for ea, ca in zip(a.exponents(), a.coeffs):
-        for eb, cb in zip(b.exponents(), b.coeffs):
-            e = ea + eb
-            if cap is None or e <= cap:
-                out[e] = out.get(e, Scalar.exact(0)) + ca * cb
-    return out, cap
-
-
-zero_rich_coeffs = st.lists(
-    st.one_of(st.just(Fraction(0)),
-              st.builds(Fraction, st.integers(min_value=-9, max_value=9),
-                        st.integers(min_value=1, max_value=4))),
-    min_size=1, max_size=6,
-)
-
-
-@given(zero_rich_coeffs, zero_rich_coeffs,
-       st.sampled_from([1, Fraction(1, 2)]), st.sampled_from([1, Fraction(1, 2)]),
-       st.booleans(), st.booleans())
-def test_product_matches_double_loop(a, b, step_a, step_b, complete_a,
-                                     complete_b):
-    A = S(Fraction(-3, 2), a, step=step_a, complete=complete_a)
-    B = S(-2, b, step=step_b, complete=complete_b)
-    if A.is_identically_zero() or B.is_identically_zero():
-        return
-    P = A * B
-    ref, cap = _naive_product(A, B)
-    assert P.max_exp == cap
-    for e in set(P.exponents()) | set(ref):
-        got = P.coefficient(e)
-        assert got.is_exact
-        assert got.fraction() == ref.get(e, Scalar.exact(0)).fraction()
-
-
 def _scalar_of(kind, q: Fraction, bits=128):
     if kind == "exact":
         return Scalar.exact(q)
@@ -193,19 +153,94 @@ def _scalar_of(kind, q: Fraction, bits=128):
                                mpmath.mpf(q.denominator) / 7, bits)
 
 
+def _same_scalar(x, y):
+    assert (x.is_exact, x.precision) == (y.is_exact, y.precision)
+    assert x == y
+    if not x.is_exact:
+        assert x.mpc() == y.mpc()
+
+
 def _same_coefficients(a, b):
     assert (a.lead, a.step, a.complete, a.max_exp) == \
         (b.lead, b.step, b.complete, b.max_exp)
     assert len(a.coeffs) == len(b.coeffs)
     for x, y in zip(a.coeffs, b.coeffs):
-        assert (x.is_exact, x.precision) == (y.is_exact, y.precision)
-        assert x == y
-        if not x.is_exact:
-            assert x.mpc() == y.mpc()
+        _same_scalar(x, y)
 
 
-@given(zero_rich_coeffs, st.sampled_from(["exact", "real", "complex"]),
-       st.sampled_from([1, Fraction(1, 2)]), st.booleans(),
+def _pairwise_product(a, b):
+    """(exponent -> coefficient, known window cap or None) of a*b by the
+    double loop: dot over the explicit pairs adding up to each exponent."""
+    caps = [s.max_exp + o.lead for s, o in ((a, b), (b, a))
+            if s.max_exp is not None]
+    cap = min(caps) if caps else None
+    pairs = {}
+    for ea, ca in zip(a.exponents(), a.coeffs):
+        for eb, cb in zip(b.exponents(), b.coeffs):
+            e = ea + eb
+            if cap is None or e <= cap:
+                us, vs = pairs.setdefault(e, ([], []))
+                us.append(ca)
+                vs.append(cb)
+    return {e: dot(us, vs) for e, (us, vs) in pairs.items()}, cap
+
+
+zero_rich_coeffs = st.lists(
+    st.one_of(st.just(Fraction(0)),
+              st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                        st.integers(min_value=1, max_value=4))),
+    min_size=1, max_size=6,
+)
+kinds = st.sampled_from(["exact", "real", "complex"])
+
+
+@given(zero_rich_coeffs, zero_rich_coeffs, kinds, kinds,
+       st.sampled_from([1, Fraction(1, 2)]), st.sampled_from([1, Fraction(1, 2)]),
+       st.booleans(), st.booleans())
+def test_product_matches_double_loop(a, b, kind_a, kind_b, step_a, step_b,
+                                     complete_a, complete_b):
+    A = PuiseuxSeries(Fraction(-3, 2), step_a,
+                      [_scalar_of(kind_a, q) for q in a], complete=complete_a)
+    B = PuiseuxSeries(-2, step_b, [_scalar_of(kind_b, q) for q in b],
+                      complete=complete_b)
+    if A.is_identically_zero() or B.is_identically_zero():
+        return
+    P = A * B
+    ref, cap = _pairwise_product(A, B)
+    assert P.max_exp == cap
+    for e in set(P.exponents()) | set(ref):
+        _same_scalar(P.coefficient(e), ref.get(e, Scalar.exact(0)))
+
+
+@given(zero_rich_coeffs, zero_rich_coeffs, kinds, kinds)
+def test_cauchy_is_dot_over_the_pairs_present(a, b, kind_a, kind_b):
+    a = [_scalar_of(kind_a, q) for q in a]
+    b = [_scalar_of(kind_b, q) for q in b]
+    for n in range(-2, len(a) + len(b) + 1):
+        js = [j for j in range(len(a)) if 0 <= n - j < len(b)]
+        _same_scalar(cauchy(a, b, n),
+                     dot([a[j] for j in js], [b[n - j] for j in js]))
+
+
+@pytest.mark.parametrize("kind", ["exact", "real", "complex"])
+def test_cauchy_at_the_edges_of_each_list(kind):
+    a = [_scalar_of(kind, Fraction(v)) for v in (1, 2, 3)]
+    b = [_scalar_of(kind, Fraction(v)) for v in (5, 7, 11, 13, 17)]
+    # past both lists, and below them, there is no pair: an exact zero
+    for n in (-3, -1, 7, 8, 100):
+        for u, v in ((a, b), (b, a)):
+            c = cauchy(u, v, n)
+            assert c.is_exact and c.is_zero()
+    # first of each, last of a, last of b, last of both
+    for n, pairs in ((0, [(0, 0)]), (2, [(0, 2), (1, 1), (2, 0)]),
+                     (4, [(0, 4), (1, 3), (2, 2)]), (6, [(2, 4)])):
+        expected = dot([a[i] for i, _ in pairs], [b[j] for _, j in pairs])
+        _same_scalar(cauchy(a, b, n), expected)
+        _same_scalar(cauchy(b, a, n), expected)
+
+
+@given(zero_rich_coeffs, kinds, st.sampled_from([1, Fraction(1, 2)]),
+       st.booleans(),
        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4))
 def test_memoized_powers_match_iterated_products(coeffs, kind, step, complete,
                                                  requests):

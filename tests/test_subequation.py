@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from painleve_hh import (BranchSpec, ContractViolation, PuiseuxSeries,
                          QuarticForm, Scalar, build_series, enumerate_branches,
                          fit, mobius_squared_series, residue_pairing,
                          set_default_precision, transform_quartic,
                          weierstrass_p_series)
-from painleve_hh.subequation import SubequationAnsatz, ansatz_indices
+from painleve_hh.subequation import (SubequationAnsatz, _series_divide,
+                                     ansatz_indices)
 
 LAM9 = Scalar.exact(1, 9)
 
@@ -198,7 +201,6 @@ def test_mobius_squared_series_construction():
     p = weierstrass_p_series(g2, g3, 24)
     num = p.scale(Scalar.exact(a)) + PuiseuxSeries.constant(Scalar.exact(b))
     den = p.scale(Scalar.exact(c)) + PuiseuxSeries.constant(Scalar.exact(d))
-    from painleve_hh.subequation import _series_divide
     ratio = _series_divide(num, den, 18)
     back = den * ratio - num
     for e, coeff in zip(back.exponents(), back.coeffs):
@@ -210,6 +212,107 @@ def test_mobius_squared_series_construction():
             < mpmath.mpf("1e-40")
     result = fit(y, 2, 14)
     assert result.nullspace_dim >= 0   # recorded, not asserted
+
+
+def _long_division(num, den, order_cap):
+    """num/den by the remainder loop: subtract den * q t**e from the
+    remainder for each quotient term q t**e."""
+    den, num = den.normalized(), num.normalized()
+    inv_lead = Scalar.exact(1) / den.coeffs[0]
+    lead, out, rem = num.lead - den.lead, [], num
+    e = lead
+    while e <= order_cap:
+        c0 = rem.coefficient(e + den.lead)
+        if c0 is None:
+            break
+        out.append(c0 * inv_lead)
+        rem = rem - den * PuiseuxSeries.monomial(out[-1], e)
+        e += den.step
+    return PuiseuxSeries(lead, den.step, out)
+
+
+nonzero = st.builds(Fraction, st.integers(min_value=1, max_value=9)
+                    | st.integers(min_value=-9, max_value=-1),
+                    st.integers(min_value=1, max_value=4))
+division_coeffs = st.lists(st.just(Fraction(0)) | nonzero, max_size=6)
+
+
+@st.composite
+def division_operands(draw):
+    """(num, den, order_cap) as Fractions: den on a grid of step 1 or 1/2,
+    num on the same grid or one twice as coarse, den_0 nonzero."""
+    step = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    num = draw(division_coeffs.filter(any))
+    den = [draw(nonzero)] + draw(division_coeffs)
+    num_lead, den_lead = (Fraction(draw(st.integers(-4, 2)), 2)
+                          for _ in range(2))
+    num_step = step * draw(st.sampled_from([1, 2]))
+    order_cap = draw(st.integers(-3, 6))
+    complete = draw(st.booleans()), draw(st.booleans())
+    return ((num_lead, num_step, num, complete[0]),
+            (den_lead, step, den, complete[1]), order_cap)
+
+
+def _series_of(operand, scalar=Scalar.exact):
+    lead, step, coeffs, complete = operand
+    return PuiseuxSeries(lead, step, [scalar(q) for q in coeffs],
+                         complete=complete)
+
+
+@given(division_operands())
+def test_series_divide_matches_long_division_on_exact_input(operands):
+    num_op, den_op, order_cap = operands
+    num, den = _series_of(num_op), _series_of(den_op)
+    q = _series_divide(num, den, order_cap)
+    ref = _long_division(num, den, order_cap)
+    assert (q.lead, q.step, q.complete) == (ref.lead, ref.step, False)
+    assert [c.fraction() for c in q.coeffs] == \
+        [c.fraction() for c in ref.coeffs]
+    assert all(c.is_exact for c in q.coeffs)
+
+
+@given(division_operands())
+def test_series_divide_rounded_input_multiplies_back(operands):
+    num_op, den_op, order_cap = operands
+    bits = 128
+
+    def rounded(q):
+        # structural zeros stay exact, as in every series of the package
+        return Scalar.exact(0) if q == 0 else \
+            Scalar.from_real(mpmath.mpf(q.numerator) / q.denominator, bits)
+
+    num, den = _series_of(num_op, rounded), _series_of(den_op, rounded)
+    q = _series_divide(num, den, order_cap)
+    exact = _series_divide(_series_of(num_op), _series_of(den_op), order_cap)
+    # the window is read from the operand lengths, whatever the values
+    assert (q.lead, q.step, len(q.coeffs)) == \
+        (exact.lead, exact.step, len(exact.coeffs))
+    if not q.coeffs:
+        return
+    back = den * q - num
+    scale = 1
+    for s in (num, den, q):
+        scale *= 1 + max(c.mag() for c in s.coeffs)
+    assert back.max_exp >= q.max_exp + den.lead
+    for e, c in zip(back.exponents(), back.coeffs):
+        if e <= q.max_exp + den.lead:
+            assert c.mag() <= mpmath.mpf(2) ** (16 - bits) * scale
+
+
+@pytest.mark.parametrize("num_step, den_step", [
+    (Fraction(1, 2), 1), (1, Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 2))])
+def test_series_divide_rejects_num_off_the_den_grid(num_step, den_step):
+    num = PuiseuxSeries(0, num_step, [Scalar.exact(v) for v in (1, 2, 3)])
+    den = PuiseuxSeries(0, den_step, [Scalar.exact(v) for v in (1, 1, 1)])
+    with pytest.raises(ContractViolation):
+        _series_divide(num, den, 4)
+
+
+def test_series_divide_rejects_different_centers():
+    num = PuiseuxSeries(0, 1, [Scalar.exact(1)], center=Scalar.exact(1))
+    den = PuiseuxSeries(0, 1, [Scalar.exact(1)])
+    with pytest.raises(ContractViolation):
+        _series_divide(num, den, 4)
 
 
 def test_transform_quartic_pure_a():
