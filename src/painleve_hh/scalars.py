@@ -16,7 +16,8 @@ zero matrix entries exact even next to big-float data.
 
 Sums of products go through :func:`dot`, which keeps an all-exact sum
 exact and otherwise rounds the exact sum once; every coefficient of a
-series convolution is one :func:`cauchy` call on top of it.
+series convolution is one :func:`cauchy` call on top of it, which sums
+each distinct product of a square once.
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -450,48 +451,59 @@ def dot(a, b) -> Scalar:
     only carried when some factor has a nonzero one.  A non-finite factor
     raises ContractViolation.
     """
+    return _dot(((a, b, 0),))
+
+
+def _dot(groups) -> Scalar:
+    """dot of the sum of 2**twice * a[i] * b[i] over the (a, b, twice)
+    groups; a doubled term is formed as one term, not two."""
     re, im = [], []      # (numerator, denominator, exponent) terms
     bits, rounded = 0, False
-    for x, y in zip(a, b):
-        if x._frac is None and y._frac is not None:
-            x, y = y, x
-        q, r = x._frac, y._frac
-        if q is not None:
-            if not q or r is not None and not r:
-                continue
-            if r is not None:
-                re.append((q.numerator * r.numerator,
-                           q.denominator * r.denominator, 0))
+    for a, b, twice in groups:
+        for x, y in zip(a, b):
+            if x._frac is None and y._frac is not None:
+                x, y = y, x
+            q, r = x._frac, y._frac
+            if q is not None:
+                if not q or r is not None and not r:
+                    continue
+                if r is not None:
+                    # the all-exact sum ignores the exponent: double the numerator
+                    re.append((q.numerator * r.numerator << twice,
+                               q.denominator * r.denominator, 0))
+                else:
+                    rounded = True
+                    n, d = q.numerator, q.denominator
+                    for u, terms in zip(y._val._mpc_, (re, im)):
+                        if u[1]:
+                            terms.append((-n * u[1] if u[0] else n * u[1], d,
+                                          u[2] + twice))
+                        elif u[3] < 0:
+                            raise ContractViolation("dot of a non-finite scalar")
             else:
                 rounded = True
-                n, d = q.numerator, q.denominator
-                for u, terms in zip(y._val._mpc_, (re, im)):
-                    if u[1]:
-                        terms.append((-n * u[1] if u[0] else n * u[1], d, u[2]))
-                    elif u[3] < 0:
-                        raise ContractViolation("dot of a non-finite scalar")
-        else:
-            rounded = True
-            xr, xi = x._val._mpc_
-            yr, yi = y._val._mpc_
-            if xi[3] or yi[3]:
-                # (xr + i xi)(yr + i yi); the i*i part enters negated
-                for u, v, terms, neg in ((xr, yr, re, 0), (xi, yi, re, 1),
-                                         (xr, yi, im, 0), (xi, yr, im, 0)):
-                    m = u[1] * v[1]
+                xr, xi = x._val._mpc_
+                yr, yi = y._val._mpc_
+                if xi[3] or yi[3]:
+                    # (xr + i xi)(yr + i yi); the i*i part enters negated
+                    for u, v, terms, neg in ((xr, yr, re, 0), (xi, yi, re, 1),
+                                             (xr, yi, im, 0), (xi, yr, im, 0)):
+                        m = u[1] * v[1]
+                        if m:
+                            terms.append((-m if u[0] ^ v[0] ^ neg else m, 1,
+                                          u[2] + v[2] + twice))
+                        elif u[3] < 0 or v[3] < 0:
+                            raise ContractViolation("dot of a non-finite scalar")
+                else:
+                    m = xr[1] * yr[1]
                     if m:
-                        terms.append((-m if u[0] ^ v[0] ^ neg else m, 1, u[2] + v[2]))
-                    elif u[3] < 0 or v[3] < 0:
+                        re.append((-m if xr[0] ^ yr[0] else m, 1,
+                                   xr[2] + yr[2] + twice))
+                    elif xr[3] < 0 or yr[3] < 0:
                         raise ContractViolation("dot of a non-finite scalar")
-            else:
-                m = xr[1] * yr[1]
-                if m:
-                    re.append((-m if xr[0] ^ yr[0] else m, 1, xr[2] + yr[2]))
-                elif xr[3] < 0 or yr[3] < 0:
-                    raise ContractViolation("dot of a non-finite scalar")
-        p = x._prec if x._prec > y._prec else y._prec
-        if p > bits:
-            bits = p
+            p = x._prec if x._prec > y._prec else y._prec
+            if p > bits:
+                bits = p
     if not rounded:
         den = math.lcm(*{d for _, d, _ in re})
         # bits is still 0 when no term was left
@@ -504,12 +516,19 @@ def dot(a, b) -> Scalar:
 def cauchy(a, b, n: int) -> Scalar:
     """Coefficient n of the product of the coefficient lists a and b: the
     dot of a[j] and b[n - j] over every j where both exist, an exact zero
-    when there is none.  dot rounds the exact sum once, so the bits do not
-    depend on the order of the terms."""
+    when there is none.  A square (a is b) takes each pair j < n - j once
+    and doubles its term inside the sum, then adds the middle term.  dot
+    rounds the exact sum once, so the bits depend neither on the order of
+    the terms nor on the folding."""
     lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
     if hi < lo:
         return Scalar.exact(0)
-    return dot(a[lo:hi + 1], reversed(b[n - hi:n - lo + 1]))
+    if a is not b:
+        return dot(a[lo:hi + 1], reversed(b[n - hi:n - lo + 1]))
+    half = (n + 1) // 2
+    mid = a[half:n - half + 1]      # a[n // 2] when n is even, else empty
+    return _dot(((a[lo:half], reversed(a[n - half + 1:n - lo + 1]), 1),
+                 (mid, mid, 0)))
 
 
 def half_precision_tol(bits: int) -> "mpmath.mpf":

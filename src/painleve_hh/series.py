@@ -13,6 +13,7 @@ what lets residual checks state exactly which orders they verified.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ContractViolation
 from .scalars import Scalar, as_scalar, cauchy
@@ -35,7 +36,6 @@ def _last_nonzero(coeffs) -> int:
 
 
 def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
     num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
     den = a.denominator * b.denominator
     return Fraction(num, den)
@@ -71,7 +71,7 @@ class PuiseuxSeries:
     @staticmethod
     def constant(value, center=None) -> "PuiseuxSeries":
         value = as_scalar(value)
-        if value.is_zero():
+        if value.is_exact and value.is_zero():
             return PuiseuxSeries.zero(center)
         return PuiseuxSeries(0, 1, (value,), center=center, complete=True)
 
@@ -90,7 +90,10 @@ class PuiseuxSeries:
         return self.lead + (len(self.coeffs) - 1) * self.step
 
     def is_identically_zero(self) -> bool:
-        return self.complete and all(c.is_zero() for c in self.coeffs)
+        """Complete with only exact zeros: a rounded zero may stand for a
+        nonzero value below its rounding."""
+        return self.complete and all(c.is_exact and c.is_zero()
+                                     for c in self.coeffs)
 
     def exponents(self):
         return [self.lead + i * self.step for i in range(len(self.coeffs))]
@@ -173,14 +176,10 @@ class PuiseuxSeries:
         n = max(len(a), len(b))
         a += [_ZERO] * (n - len(a))
         b += [_ZERO] * (n - len(b))
-        coeffs = []
-        for i in range(n):
-            e = lead + i * step
-            if cap is not None and e > cap:
-                break
-            coeffs.append(a[i] + b[i])
-        return PuiseuxSeries(lead, step, coeffs, center=self.center,
-                             complete=cap is None)
+        if cap is not None:
+            n = min(n, max(0, (cap - lead) // step + 1))
+        return PuiseuxSeries(lead, step, [x + y for x, y in zip(a[:n], b[:n])],
+                             center=self.center, complete=cap is None)
 
     __radd__ = __add__
 
@@ -227,13 +226,20 @@ class PuiseuxSeries:
             caps.append(other.max_exp + self.lead)
         cap = min(caps) if caps else None
         a = self._on_grid(self.lead, step)
-        b = other._on_grid(other.lead, step)
+        b = a if other is self else other._on_grid(other.lead, step)
         if cap is None:
             # complete product: through the last term with no exact-zero factor
             n = _last_nonzero(a) + _last_nonzero(b)
         else:
             n = int((cap - lead) / step)
-        coeffs = [cauchy(a, b, i) for i in range(n + 1)]
+        # when both hold their terms that are not exact zeros only at
+        # multiples of g, so does the product: convolve every g-th slot
+        g = gcd(*(i for c in (a, b) for i, x in enumerate(c)
+                  if not (x.is_exact and x.is_zero()))) or 1
+        if g > 1:
+            a, b = (a[::g],) * 2 if b is a else (a[::g], b[::g])
+        coeffs = [Scalar.exact(0)] * (n + 1)
+        coeffs[::g] = [cauchy(a, b, i) for i in range(n // g + 1)]
         return PuiseuxSeries(lead, step, coeffs, center=self.center,
                              complete=cap is None)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
-from painleve_hh.scalars import dot, half_precision_tol
+from painleve_hh.scalars import cauchy, dot, half_precision_tol
 
 rationals = st.builds(
     Fraction,
@@ -306,6 +306,43 @@ def test_dot_exact_zero_when_every_term_has_an_exact_zero_factor():
     assert dot([], []).is_exact
     # a rounded zero factor still makes the sum rounded, as x*y does
     assert not dot([Scalar.from_real(0)], [sc(2)]).is_exact
+
+
+# -- squares: each distinct product once, doubled -------------------------------
+
+
+def _same_bits(x, y):
+    """Same exactness, precision and value: the Fraction, or the raw mpc."""
+    assert (x.is_exact, x.precision) == (y.is_exact, y.precision)
+    if x.is_exact:
+        assert x.fraction() == y.fraction()
+    else:
+        assert x.mpc()._mpc_ == y.mpc()._mpc_
+
+
+square_lists = st.lists(
+    st.tuples(st.one_of(kernel_scalars(), wide_scalars()),
+              st.sampled_from([64, 128, 256])).map(
+        lambda pair: pair[0].with_precision(pair[1])),
+    max_size=10)
+
+
+@given(square_lists)
+def test_square_folds_to_the_bits_of_the_two_list_sum(a):
+    # cauchy(a, a, n) sums each pair j < n - j once and doubles it; a copy
+    # of a as the second list makes every pair a term of its own
+    for n in range(-1, 2 * len(a) + 1):
+        _same_bits(cauchy(a, a, n), cauchy(a, list(a), n))
+
+
+def test_exact_square_doubles_the_numerator():
+    a = [sc(Fraction(1, 3)), sc(Fraction(2, 5))]
+    got = cauchy(a, a, 1)
+    assert got.is_exact and got.fraction() == Fraction(4, 15)
+    # an exact term doubled inside a rounded sum: 2*(1/3)*0.5 + (2/5)**2
+    b = a + [Scalar.from_real("0.5")]
+    # is 1/3 + 4/25 rounded once
+    _same_bits(cauchy(b, b, 2), dot(a, [Scalar.from_real("1.0"), a[1]]))
 
 
 # -- equality and hashing by exact value ----------------------------------------

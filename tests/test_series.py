@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from painleve_hh import ContractViolation, PuiseuxSeries, Scalar
+from painleve_hh import (ContractViolation, PuiseuxSeries, Scalar,
+                         set_default_precision)
 from painleve_hh.scalars import cauchy, dot
 
 small_coeffs = st.lists(
@@ -124,6 +125,30 @@ def test_zero_series_behavior():
     assert (a * z).is_identically_zero()
 
 
+def test_a_complete_series_of_rounded_zeros_is_not_identically_zero():
+    # a rounded zero may stand for a nonzero value below its rounding, so it
+    # neither annihilates a product nor drops out of a sum
+    z = PuiseuxSeries(0, 1, [Scalar.from_real("0.0")], complete=True)
+    assert not z.is_identically_zero()
+    assert not PuiseuxSeries.constant(Scalar.from_real(0)).is_identically_zero()
+    p = PuiseuxSeries(-2, 1, [1, 2]) * z
+    assert (p.lead, p.step, p.complete, p.max_exp) == (-2, 1, False, -1)
+    assert all(c.is_zero() and not c.is_exact for c in p.coeffs)
+    assert len(p.coeffs) == 2
+    s = PuiseuxSeries(0, 1, [1, 2]) + z
+    assert (s.lead, s.complete, s.max_exp) == (0, False, 1)
+    assert not s.coeffs[0].is_exact and s.coeffs[0] == 1
+    assert s.coeffs[1].is_exact and s.coeffs[1].fraction() == 2
+
+
+def test_sum_keeps_no_coefficient_when_a_window_ends_below_the_lead():
+    # an empty step-1 window at 0 is known through -1, below the 1/2 grid's
+    # lead 0
+    empty = PuiseuxSeries(0, 1, ())
+    s = empty + PuiseuxSeries(0, Fraction(1, 2), [1, 2])
+    assert s.coeffs == () and not s.complete
+
+
 def test_normalized_drops_exact_leading_zeros():
     s = S(-2, [0, 0, 5, 1])
     n = s.normalized()
@@ -211,6 +236,74 @@ def test_product_matches_double_loop(a, b, kind_a, kind_b, step_a, step_b,
     for e in set(P.exponents()) | set(ref):
         _same_scalar(P.coefficient(e), ref.get(e, Scalar.exact(0)))
 
+
+def _spread(qs, kind, g, off_stride_rounded_zero):
+    """qs at every g-th slot with exact zeros between (and after the last),
+    slot 1 a rounded zero when asked."""
+    coeffs = [Scalar.exact(0)] * (g * len(qs))
+    coeffs[::g] = [_scalar_of(kind, q) for q in qs]
+    if off_stride_rounded_zero:
+        coeffs[1] = Scalar.from_real(0, 64)
+    return coeffs
+
+
+def _last_nonzero_exponent(s):
+    return max(e for e, c in zip(s.exponents(), s.coeffs)
+               if not (c.is_exact and c.is_zero()))
+
+
+@given(zero_rich_coeffs, zero_rich_coeffs, kinds, kinds,
+       st.sampled_from([2, 3]), st.sampled_from([2, 3]),
+       st.sampled_from([1, Fraction(1, 2)]), st.sampled_from([1, Fraction(1, 2)]),
+       st.booleans(), st.booleans(), st.sampled_from([None, "a", "b"]))
+def test_strided_product_matches_double_loop(a, b, kind_a, kind_b, g_a, g_b,
+                                             step_a, step_b, complete_a,
+                                             complete_b, rounded_zero_in):
+    # terms that are not exact zeros sit on a stride, except a rounded zero
+    # off it, which must not be skipped
+    A = PuiseuxSeries(Fraction(-3, 2), step_a,
+                      _spread(a, kind_a, g_a, rounded_zero_in == "a"),
+                      complete=complete_a)
+    B = PuiseuxSeries(-2, step_b, _spread(b, kind_b, g_b, rounded_zero_in == "b"),
+                      complete=complete_b)
+    if A.is_identically_zero() or B.is_identically_zero():
+        return
+    P = A * B
+    ref, cap = _pairwise_product(A, B)
+    step = min(step_a, step_b)
+    last = cap if cap is not None else \
+        _last_nonzero_exponent(A) + _last_nonzero_exponent(B)
+    assert (P.lead, P.step, P.complete, P.max_exp) == \
+        (A.lead + B.lead, step, cap is None, cap)
+    assert len(P.coeffs) == (last - P.lead) / step + 1
+    for e, c in zip(P.exponents(), P.coeffs):
+        _same_scalar(c, ref.get(e, Scalar.exact(0)))
+    for e in set(ref) - set(P.exponents()):
+        assert ref[e].is_exact and ref[e].is_zero()
+    # a square folds its pairs: the same bits as the product with a copy
+    copy = PuiseuxSeries(A.lead, A.step, A.coeffs, complete=A.complete)
+    _same_coefficients(A * A, A * copy)
+
+
+def test_rounded_zero_off_the_stride_is_not_skipped():
+    exact = [Scalar.exact(1), Scalar.exact(0), Scalar.exact(3)]
+    rounded = [exact[0], Scalar.from_real(0, 64), exact[2]]
+    a, b, c = (PuiseuxSeries(-2, 1, u, complete=True)
+               for u in (exact, rounded, exact))
+    for p, odd_exact in ((a * b, False), (a * c, True), (a * a, True)):
+        # the rounded zero enters the odd slots 1*0.0 and 3*0.0; at slot 2
+        # its partner is an exact zero, so 0*0.0 is skipped
+        assert [c.is_exact for c in p.coeffs] == [True, odd_exact] * 2 + [True]
+        assert [c == v for c, v in zip(p.coeffs, (1, 0, 6, 0, 9))] == [True] * 5
+
+
+def test_zeros_between_strided_slots_carry_the_working_precision():
+    # the exact zeros a dense product would sum have the default precision
+    # of the moment, not that of import time
+    set_default_precision(128)
+    p = S(-2, [1, 0, 3], complete=True) * S(0, [2, 0, 5], complete=True)
+    assert [c.precision for c in p.coeffs] == [128] * 5
+    assert [c.fraction() for c in p.coeffs] == [2, 0, 11, 0, 15]
 
 @given(zero_rich_coeffs, zero_rich_coeffs, kinds, kinds)
 def test_cauchy_is_dot_over_the_pairs_present(a, b, kind_a, kind_b):
