@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPATIBILITY = 3
 EXIT_CERTIFICATION = 4
+MAX_GRID_POINTS = 10_000
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -187,12 +189,11 @@ def _parse_grid(text: str):
         raise ContractViolation(f"bad grid {text!r}: {exc}")
     if step <= 0:
         raise ContractViolation("grid step must be positive")
-    vals = []
-    v = start
-    while v <= end:
-        vals.append(v)
-        v += step
-    return vals
+    count = math.floor((end - start) / step) + 1
+    if count > MAX_GRID_POINTS:
+        raise ContractViolation(
+            f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
+    return [start + i * step for i in range(count)]
 
 
 def cmd_sweep(args) -> int:
@@ -332,15 +333,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ContractViolation, UnsupportedParameter, InsufficientPrefix,
-            FileNotFoundError) as exc:
+            SingularityApproach, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except CompatibilityViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COMPATIBILITY
-    except SingularityApproach as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
     finally:
         set_default_precision(previous)
 

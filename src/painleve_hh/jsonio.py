@@ -18,7 +18,7 @@ from .errors import ContractViolation
 from .laurent import BranchSpec, SeriesSolution
 from .model import PhaseState
 from .painleve import ClassificationVerdict, DominantBalance, ResonanceSet
-from .scalars import Scalar, default_precision
+from .scalars import Scalar, _checked_precision, default_precision
 from .series import PuiseuxSeries
 from .subequation import FitResult, SubequationAnsatz
 
@@ -73,7 +73,8 @@ def decode_scalar(obj) -> Scalar:
             obj, "den", "scalar", lambda den: Fraction(1, int(den))))
     for key in ("re", "im"):
         _field(obj, key, "scalar", _finite)
-    bits = _field(obj, "bits", "scalar", int) if "bits" in obj else default_precision()
+    bits = _field(obj, "bits", "scalar", _checked_precision) if "bits" in obj \
+        else default_precision()
     return Scalar.from_complex(obj["re"], obj["im"], bits)
 
 

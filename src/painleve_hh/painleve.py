@@ -32,7 +32,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import UnsupportedParameter
-from .scalars import Scalar, as_scalar, half_precision_tol, nth_root
+from .scalars import Scalar, as_scalar, cauchy, half_precision_tol, nth_root
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,7 @@ def find_dominant_balances(C) -> list[DominantBalance]:
 
 
 def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
+    return [cauchy(p, q, n) for n in range(len(p) + len(q) - 1)]
 
 
 def _kowalevski_rows(balance: DominantBalance, C: Scalar):
@@ -199,9 +195,9 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
     if rounded:
         # in Case 2 the terms alpha*(alpha - 1) and 2b, of size 12/|C|, cancel;
         # the sizes are the same determinant over term magnitudes
-        size = _determinant(*([[t.mag() for t in e] for e in row]
-                              for row in (row_x, row_y)), -coupling.mag())
-        allowance = [half_precision_tol(min(rounded)) * (1 + v) for v in size]
+        size = _determinant(*([[t.magnitude() for t in e] for e in row]
+                              for row in (row_x, row_y)), -coupling.magnitude())
+        allowance = [half_precision_tol(min(rounded)) * (1 + v.mag()) for v in size]
     for power, (got, want) in enumerate(zip(product, quartic)):
         off = (got - want).mag()
         if off > allowance[power]:

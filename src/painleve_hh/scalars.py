@@ -5,8 +5,9 @@ Every coefficient, parameter and matrix entry in this package is a
 
 * an *exact* real rational, stored as a ``fractions.Fraction`` in lowest
   terms with positive denominator, or
-* a *rounded* complex big-float, stored as an ``mpmath.mpc`` together with
-  the working precision in bits at which it was produced.
+* a *rounded* complex big-float, stored as the raw ``mpmath.libmp`` mpc
+  tuple ``(re_mpf, im_mpf)`` together with the working precision in bits
+  at which it was produced.  :meth:`Scalar.mpc` wraps it for mpmath.
 
 Arithmetic between two exact values stays exact.  As soon as a rounded
 value enters, or an inexact function is applied (a root of a non-perfect
@@ -94,11 +95,6 @@ def _fraction_to_mpf(q: Fraction, bits: int):
     return from_rational(q.numerator, q.denominator, bits, round_nearest)
 
 
-def _rounded(value, bits: int) -> "Scalar":
-    """A rounded Scalar holding the raw mpc tuple value."""
-    return Scalar(None, mp.make_mpc(value), bits)
-
-
 def _int_nth_root(n: int, k: int):
     """Floor k-th root of a nonnegative int, plus an exactness flag."""
     if n < 0:
@@ -127,7 +123,7 @@ class Scalar:
 
     def __init__(self, frac, val, prec):
         self._frac = frac      # Fraction | None
-        self._val = val        # mpmath.mpc | None
+        self._val = val        # raw libmp mpc tuple | None
         self._prec = prec      # int, bits
 
     # -- constructors ------------------------------------------------------
@@ -145,26 +141,21 @@ class Scalar:
         return Scalar(None, self._val, bits)
 
     @staticmethod
-    def from_real(value, bits: int | None = None) -> "Scalar":
-        """Rounded real scalar from an int, float, string or mpf."""
+    def from_complex(re, im, bits: int | None = None) -> "Scalar":
+        """Rounded scalar re + i*im, each part an int, float, string or mpf
+        rounded to nearest at bits."""
         bits = max(bits or _default_precision, MIN_PRECISION)
         with mp.workprec(bits):
-            v = mpmath.mpc(mpmath.mpf(value), 0)
-        return Scalar(None, v, bits)
+            return Scalar(None, (mpmath.mpf(re)._mpf_, mpmath.mpf(im)._mpf_), bits)
 
     @staticmethod
-    def from_complex(re, im, bits: int | None = None) -> "Scalar":
-        bits = max(bits or _default_precision, MIN_PRECISION)
-        with mp.workprec(bits):
-            v = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
-        return Scalar(None, v, bits)
+    def from_real(value, bits: int | None = None) -> "Scalar":
+        """Rounded real scalar from an int, float, string or mpf."""
+        return Scalar.from_complex(value, 0, bits)
 
     @staticmethod
     def from_mpc(value, bits: int) -> "Scalar":
-        bits = max(bits, MIN_PRECISION)
-        # mpmath rounds construction to the ambient context precision
-        with mp.workprec(bits):
-            return Scalar(None, mpmath.mpc(value), bits)
+        return Scalar.from_complex(value.real, value.imag, bits)
 
     # -- basic predicates ---------------------------------------------------
 
@@ -180,10 +171,10 @@ class Scalar:
         """Literal zero test (no tolerance; callers own thresholds)."""
         if self._frac is not None:
             return self._frac == 0
-        return self._val.real == 0 and self._val.imag == 0
+        return self._val == (fzero, fzero)
 
     def is_real(self) -> bool:
-        return self._frac is not None or self._val.imag == 0
+        return self._frac is not None or self._val[1] == fzero
 
     # -- accessors -----------------------------------------------------------
 
@@ -194,48 +185,46 @@ class Scalar:
 
     def mpc(self, bits: int | None = None):
         """Value as an mpmath.mpc.  An exact value is rounded at ``bits``
-        (default: own precision); a rounded value is returned as stored."""
-        if self._frac is not None:
-            return mp.make_mpc(self._raw(bits or self._prec))
-        return self._val
+        (default: own precision); a rounded value wraps the stored tuple."""
+        return mp.make_mpc(self._raw(bits or self._prec))
 
     def _raw(self, bits: int):
         """Value as a raw mpc tuple; only an exact value is rounded, at bits."""
         if self._frac is not None:
             return _fraction_to_mpf(self._frac, bits), fzero
-        return self._val._mpc_
+        return self._val
 
     def real(self) -> "Scalar":
         if self._frac is not None:
             return self
-        re = mpf_pos(self._val._mpc_[0], self._prec, round_nearest)
-        return _rounded((re, fzero), self._prec)
+        return Scalar(None, (mpf_pos(self._val[0], self._prec, round_nearest),
+                             fzero), self._prec)
 
     def imag(self) -> "Scalar":
         if self._frac is not None:
             return Scalar(Fraction(0), None, self._prec)
-        im = mpf_pos(self._val._mpc_[1], self._prec, round_nearest)
-        return _rounded((im, fzero), self._prec)
+        return Scalar(None, (mpf_pos(self._val[1], self._prec, round_nearest),
+                             fzero), self._prec)
 
     def conjugate(self) -> "Scalar":
         if self._frac is not None:
             return self
-        re, im = self._val._mpc_
-        return _rounded((mpf_pos(re, self._prec, round_nearest),
-                         mpf_neg(im, self._prec, round_nearest)), self._prec)
+        re, im = self._val
+        return Scalar(None, (mpf_pos(re, self._prec, round_nearest),
+                             mpf_neg(im, self._prec, round_nearest)), self._prec)
 
     def magnitude(self) -> "Scalar":
         """|self| as a Scalar (exact for exact input)."""
         if self._frac is not None:
             return Scalar(abs(self._frac), None, self._prec)
-        return _rounded((mpc_abs(self._val._mpc_, self._prec, round_nearest),
-                         fzero), self._prec)
+        return Scalar(None, (mpc_abs(self._val, self._prec, round_nearest),
+                             fzero), self._prec)
 
     def mag(self):
         """|self| as an mpf at own precision (for thresholds and sorting)."""
         if self._frac is not None:
             return mp.make_mpf(_fraction_to_mpf(abs(self._frac), self._prec))
-        return mp.make_mpf(mpc_abs(self._val._mpc_, self._prec, round_nearest))
+        return mp.make_mpf(mpc_abs(self._val, self._prec, round_nearest))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -251,8 +240,8 @@ class Scalar:
         bits = self._prec if self._prec > other._prec else other._prec
         if self._frac is not None and other._frac is not None:
             return Scalar(exact_op(self._frac, other._frac), None, bits)
-        return _rounded(rounded_op(self._raw(bits), other._raw(bits), bits,
-                                   round_nearest), bits)
+        return Scalar(None, rounded_op(self._raw(bits), other._raw(bits), bits,
+                                       round_nearest), bits)
 
     def __add__(self, other):
         s = Scalar._coerce(other)
@@ -310,8 +299,8 @@ class Scalar:
     def __neg__(self):
         if self._frac is not None:
             return Scalar(-self._frac, None, self._prec)
-        return _rounded(mpc_neg(self._val._mpc_, self._prec, round_nearest),
-                        self._prec)
+        return Scalar(None, mpc_neg(self._val, self._prec, round_nearest),
+                      self._prec)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -320,8 +309,8 @@ class Scalar:
             if exponent < 0 and self._frac == 0:
                 raise ZeroDivisionError("0 ** negative")
             return Scalar(self._frac ** exponent, None, self._prec)
-        return _rounded(mpc_pow_int(self._val._mpc_, exponent, self._prec,
-                                    round_nearest), self._prec)
+        return Scalar(None, mpc_pow_int(self._val, exponent, self._prec,
+                                        round_nearest), self._prec)
 
     def __abs__(self):
         return self.magnitude()
@@ -331,7 +320,8 @@ class Scalar:
         if s is NotImplemented:
             return NotImplemented
         if self._frac is None and s._frac is None:
-            return self._val == s._val
+            # mpmath's value semantics: nan != nan
+            return mp.make_mpc(self._val) == mp.make_mpc(s._val)
         # an exact scalar equals a rounded one only at the same dyadic value
         return self._rational() == s._rational()
 
@@ -339,22 +329,22 @@ class Scalar:
         """The exact value as a Fraction, or None if it is not a finite real."""
         if self._frac is not None:
             return self._frac
-        re = self._val.real
-        if self._val.imag != 0 or not mpmath.isfinite(re):
+        re, im = self._val
+        if im != fzero or not re[1] and re != fzero:      # complex or non-finite
             return None
-        return Fraction(*to_rational(re._mpf_))
+        return Fraction(*to_rational(re))
 
     def __hash__(self):
         # Python's numeric hash of the exact value (hash(mpc) differs from
         # it, e.g. at -1); non-real values hash their normalised mpf parts
         q = self._rational()
-        return hash(q) if q is not None else hash(self._val._mpc_)
+        return hash(q) if q is not None else hash(self._val)
 
     def __repr__(self):
         if self._frac is not None:
             return f"Scalar({self._frac})"
         with mp.workprec(min(self._prec, 64)):
-            return f"Scalar({mpmath.nstr(self._val, 12)}@{self._prec}b)"
+            return f"Scalar({mpmath.nstr(self.mpc(), 12)}@{self._prec}b)"
 
     # -- roots ---------------------------------------------------------------
 
@@ -407,7 +397,7 @@ def nth_root(x, n: int, branch: int = 0) -> Scalar:
             principal = principal * rot
         if principal.imag == 0 and x.is_real():
             principal = mpmath.mpc(principal.real, 0)
-    return Scalar(None, principal, bits)
+    return Scalar(None, principal._mpc_, bits)
 
 
 def _rounded_sum(terms, bits: int):
@@ -474,7 +464,7 @@ def _dot(groups) -> Scalar:
                 else:
                     rounded = True
                     n, d = q.numerator, q.denominator
-                    for u, terms in zip(y._val._mpc_, (re, im)):
+                    for u, terms in zip(y._val, (re, im)):
                         if u[1]:
                             terms.append((-n * u[1] if u[0] else n * u[1], d,
                                           u[2] + twice))
@@ -482,8 +472,8 @@ def _dot(groups) -> Scalar:
                             raise ContractViolation("dot of a non-finite scalar")
             else:
                 rounded = True
-                xr, xi = x._val._mpc_
-                yr, yi = y._val._mpc_
+                xr, xi = x._val
+                yr, yi = y._val
                 if xi[3] or yi[3]:
                     # (xr + i xi)(yr + i yi); the i*i part enters negated
                     for u, v, terms, neg in ((xr, yr, re, 0), (xi, yi, re, 1),
@@ -509,8 +499,8 @@ def _dot(groups) -> Scalar:
         # bits is still 0 when no term was left
         return Scalar(Fraction(sum(n * (den // d) for n, d, _ in re), den),
                       None, bits or _default_precision)
-    return _rounded((_rounded_sum(re, bits) if re else fzero,
-                     _rounded_sum(im, bits) if im else fzero), bits)
+    return Scalar(None, (_rounded_sum(re, bits) if re else fzero,
+                         _rounded_sum(im, bits) if im else fzero), bits)
 
 
 def cauchy(a, b, n: int) -> Scalar:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ContractViolation
-from .scalars import Scalar, as_scalar, cauchy
+from .scalars import Scalar, as_scalar, cauchy, nth_root
 
 _ZERO = Scalar.exact(0)
 
@@ -144,12 +144,12 @@ class PuiseuxSeries:
     def _on_grid(self, lead: Fraction, step: Fraction) -> list:
         """Coefficients on a finer/compatible grid ``lead + i*step``, exact
         zeros filling the grid points this series does not have."""
+        if not self.coeffs:
+            return []
         n_shift = (self.lead - lead) / step
         ratio = self.step / step
         if n_shift.denominator != 1 or ratio.denominator != 1:
             raise ContractViolation("incompatible exponent grids")
-        if not self.coeffs:
-            return []
         shift, ratio = n_shift.numerator, ratio.numerator
         out = [_ZERO] * (shift + (len(self.coeffs) - 1) * ratio + 1)
         out[shift::ratio] = self.coeffs
@@ -178,6 +178,9 @@ class PuiseuxSeries:
         b += [_ZERO] * (n - len(b))
         if cap is not None:
             n = min(n, max(0, (cap - lead) // step + 1))
+            if n == 0:
+                # an empty window still ends at cap: max_exp == lead - step
+                lead = cap + step
         return PuiseuxSeries(lead, step, [x + y for x, y in zip(a[:n], b[:n])],
                              center=self.center, complete=cap is None)
 
@@ -298,6 +301,5 @@ def nth_root_power(u: Scalar, exponent: Fraction, bits: int) -> Scalar:
     exponent = _frac(exponent)
     if exponent.denominator == 1:
         return u ** exponent.numerator
-    from .scalars import nth_root
     root = nth_root(u, exponent.denominator, 0)
     return root ** exponent.numerator

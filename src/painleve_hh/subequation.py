@@ -310,31 +310,17 @@ def residue_pairing(branches, tol=None) -> list[ResiduePair]:
     if tol is None:
         bits = min((r.precision for _, r in items), default=default_precision())
         tol = half_precision_tol(bits)
-    used = set()
     pairs = []
-    for idx, res in items:
-        if idx in used:
-            continue
+    while items:
+        idx, res = items.pop(0)
         if res.mag() <= tol:
-            pairs.append(ResiduePair(members=(idx,), residues=(res,),
-                                     kind="self-zero"))
-            used.add(idx)
+            pairs.append(ResiduePair((idx,), (res,), "self-zero"))
             continue
-        partner = None
-        for jdx, other in items:
-            if jdx in used or jdx == idx:
-                continue
-            if (res + other).mag() <= tol:
-                partner = (jdx, other)
-                break
-        if partner is None:
-            pairs.append(ResiduePair(members=(idx,), residues=(res,),
-                                     kind="unpaired"))
-            used.add(idx)
+        j = next((j for j, (_, other) in enumerate(items)
+                  if (res + other).mag() <= tol), None)
+        if j is None:
+            pairs.append(ResiduePair((idx,), (res,), "unpaired"))
         else:
-            pairs.append(ResiduePair(members=(idx, partner[0]),
-                                     residues=(res, partner[1]),
-                                     kind="negative-pair"))
-            used.add(idx)
-            used.add(partner[0])
+            jdx, other = items.pop(j)
+            pairs.append(ResiduePair((idx, jdx), (res, other), "negative-pair"))
     return pairs

@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from painleve_hh.cli import main, parse_scalar
+from painleve_hh.cli import MAX_GRID_POINTS, _parse_grid, main, parse_scalar
 from painleve_hh.errors import ContractViolation
 from painleve_hh.scalars import default_precision
 
@@ -163,6 +164,16 @@ def test_fit_bad_series_file_exits_2(capsys, tmp_path, text, named):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bits", [0, -5, 32, 63])
+def test_fit_rejects_scalar_bits_below_the_floor(capsys, tmp_path, bits):
+    path = tmp_path / "low.json"
+    coeff = {"re": "1.0", "im": "0", "bits": bits}
+    path.write_text(json.dumps({"lead": "-2", "step": "1", "coeffs": [coeff]}))
+    code, out, err = run_cli(capsys, "fit", "--series", str(path))
+    assert (code, out) == (2, "")
+    assert "precision must be >= 64 bits" in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "C165",
                            "--lambda", "1/9", "--branch", "plus",
@@ -217,6 +228,25 @@ def test_sweep_lists_each_lambda_once(capsys, monkeypatch, case, steps,
     assert code == 0
     # each spec's closed form is evaluated once per sweep
     assert calls == {"step": steps, "closed_form": closed_forms}
+
+
+def test_parse_grid_counts_points_before_building():
+    assert _parse_grid("0:1:1/4") == [Fraction(i, 4) for i in range(5)]
+    assert _parse_grid("1:0:1/4") == []
+    assert len(_parse_grid("0:1:1/9999")) == MAX_GRID_POINTS
+    for text in ("0:1:1/10000", "0:1:1/100000000"):
+        with pytest.raises(ContractViolation, match="more than 10000"):
+            _parse_grid(text)
+
+
+def test_sweep_rejects_an_oversized_grid(capsys):
+    import time
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--case", "C43",
+                             "--lambda-grid", "0:1:1/100000000")
+    assert (code, out) == (2, "")
+    assert "100000001 points" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_negative_value_after_any_option(capsys):

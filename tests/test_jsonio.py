@@ -2,9 +2,10 @@ import json
 from fractions import Fraction
 
 import mpmath
+import pytest
 
-from painleve_hh import (BranchSpec, PhaseState, Scalar, build_series,
-                         certify, classify, fit, nth_root,
+from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
+                         build_series, certify, classify, fit, nth_root,
                          set_default_precision, weierstrass_p_series)
 from painleve_hh.cli import parse_scalar
 from painleve_hh.jsonio import (decode_scalar, decode_series, encode_branch,
@@ -67,6 +68,13 @@ def test_missing_bits_take_the_working_precision():
     set_default_precision(512)
     scalar = decode_scalar({"re": "0.3", "im": "0"})
     assert scalar.precision == parse_scalar("0.3").precision == 512
+
+
+@pytest.mark.parametrize("bits", [0, -5, 32, 63, "x"])
+def test_bits_below_the_floor_are_rejected(bits):
+    with pytest.raises(ContractViolation, match="'bits'"):
+        decode_scalar({"re": "0.3", "im": "0", "bits": bits})
+    assert decode_scalar({"re": "0.3", "im": "0", "bits": 64}).precision == 64
 
 
 def test_state_and_model_roundtrip():

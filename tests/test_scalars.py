@@ -549,3 +549,48 @@ def test_wide_numerator_is_rounded_once():
     with mpmath.workprec(64):
         twice = (mpmath.mpf(q.numerator) / q.denominator)._mpf_
     assert twice != once
+
+
+# -- the rounding constructors -----------------------------------------------
+
+_real_inputs = st.one_of(
+    st.integers(min_value=-(2 ** 600), max_value=2 ** 600),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda q: f"{q.numerator / q.denominator!r}", rationals),
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-10 ** 30, 10 ** 30),
+              st.integers(-400, 400)))
+
+
+@given(_real_inputs, _real_inputs, _BITS)
+def test_constructors_match_mpmath_in_workprec_bit_for_bit(re, im, bits):
+    # value as mpmath itself held it, built at 2000 bits so from_mpc rounds
+    with mpmath.workprec(2000):
+        wide = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
+    with mpmath.workprec(bits):
+        want_real = mpmath.mpc(mpmath.mpf(re), 0)._mpc_
+        want_complex = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))._mpc_
+        want_mpc = mpmath.mpc(wide)._mpc_
+    for ambient in (53, 2000):
+        with mpmath.workprec(ambient):
+            real = Scalar.from_real(re, bits)
+            assert real.mpc()._mpc_ == want_real
+            assert Scalar.from_complex(re, 0, bits).mpc()._mpc_ == want_real
+            assert Scalar.from_complex(re, im, bits).mpc()._mpc_ == want_complex
+            assert Scalar.from_mpc(wide, bits).mpc()._mpc_ == want_mpc
+        assert real.precision == bits
+        assert real == Scalar.from_complex(re, 0, bits)
+        assert hash(real) == hash(Scalar.from_complex(re, 0, bits))
+        # the same value held exactly is equal and hashes equal
+        exact = Scalar.exact(Fraction(*to_rational(want_real[0])))
+        assert real == exact and hash(real) == hash(exact)
+
+
+def test_rounded_nan_is_unequal_to_itself():
+    for nan in (Scalar.from_real("nan"), Scalar.from_complex(1, "nan"),
+                Scalar.from_mpc(mpmath.mpc(0, mpmath.nan), 64)):
+        assert nan != nan and not nan == nan
+        assert not nan.is_real() or not nan.is_zero()
+        hash(nan)
+    one = Scalar.from_complex(1, 2, 64)
+    assert one == Scalar.from_complex(1, 2, 512)
+    assert hash(one) == hash(Scalar.from_complex(1, 2, 512))

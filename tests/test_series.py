@@ -149,6 +149,19 @@ def test_sum_keeps_no_coefficient_when_a_window_ends_below_the_lead():
     assert s.coeffs == () and not s.complete
 
 
+def test_an_empty_sum_claims_only_the_window_it_knows():
+    empty = PuiseuxSeries(0, 1, ())
+    s = empty + PuiseuxSeries(0, Fraction(1, 2), [1, 2])
+    assert s.max_exp == -1
+    assert s.coefficient(Fraction(-1, 2)) is None
+    c = s.coefficient(-1)
+    assert c.is_exact and c.is_zero()
+    # the empty sum adds onto any grid, and still caps what follows
+    t = s + S(-3, [1, 2, 3, 4])
+    assert (t.lead, t.max_exp) == (-3, -1) and t.coefficient(0) is None
+    assert [t.coefficient(e).fraction() for e in (-3, -2, -1)] == [1, 2, 3]
+
+
 def test_normalized_drops_exact_leading_zeros():
     s = S(-2, [0, 0, 5, 1])
     n = s.normalized()

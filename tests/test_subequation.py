@@ -11,6 +11,7 @@ from painleve_hh import (BranchSpec, ContractViolation, PuiseuxSeries,
                          fit, mobius_squared_series, residue_pairing,
                          set_default_precision, transform_quartic,
                          weierstrass_p_series)
+from painleve_hh.scalars import half_precision_tol
 from painleve_hh.subequation import (SubequationAnsatz, _series_divide,
                                      ansatz_indices)
 
@@ -450,6 +451,48 @@ def test_residue_pairing_c165_reports_values():
             expected = built[s_idx][0]
             assert (r - (build_series(expected, 8).c1 ** 2 / 10)).mag() \
                 < mpmath.mpf("1e-60")
+
+
+def _reference_pairing(residues, tol):
+    """The pairing as a plain loop over indices with a set of used ones."""
+    used, out = set(), []
+    for i, r in enumerate(residues):
+        if i in used:
+            continue
+        used.add(i)
+        if r.mag() <= tol:
+            out.append(((i,), "self-zero"))
+            continue
+        j = next((j for j in range(i + 1, len(residues))
+                  if j not in used and (r + residues[j]).mag() <= tol), None)
+        if j is None:
+            out.append(((i,), "unpaired"))
+        else:
+            used.add(j)
+            out.append(((i, j), "negative-pair"))
+    return out
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+                max_size=9),
+       st.sampled_from([None, 0, 2 ** -3, 2 ** -1]))
+def test_residue_pairing_is_a_partition_matching_a_reference_loop(values, tol):
+    residues = [Scalar.exact(q) for q in values]
+    pairs = residue_pairing([(None, PuiseuxSeries(-1, 1, [r])) for r in residues],
+                            tol=tol)
+    members = [i for p in pairs for i in p.members]
+    assert sorted(members) == list(range(len(residues)))
+    bound = half_precision_tol(256) if tol is None else tol
+    for p in pairs:
+        assert p.residues == tuple(residues[i] for i in p.members)
+        if p.kind == "self-zero":
+            assert p.residues[0].mag() <= bound
+        elif p.kind == "negative-pair":
+            assert (p.residues[0] + p.residues[1]).mag() <= bound
+        else:
+            assert p.kind == "unpaired" and p.residues[0].mag() > bound
+    assert [(p.members, p.kind) for p in pairs] == \
+        _reference_pairing(residues, bound)
 
 
 def test_residue_pairing_requires_residue_window():
