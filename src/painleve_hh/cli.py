@@ -9,6 +9,7 @@ reachable from the shell.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -298,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)   # one tree for every main call
 _NEGATIVE_VALUE = re.compile(r"^-[0-9][0-9./:eE+-]*$")
 
 
@@ -318,7 +320,7 @@ def _merge_negative_literals(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_negative_literals(argv))
     previous = default_precision()

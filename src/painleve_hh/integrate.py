@@ -7,21 +7,29 @@ product recurrences
     X[m+2] = (-lam*X[m] - 2*sum X[i]*Y[m-i]) / ((m+1)(m+2))
     Y[m+2] = (-Y[m] - sum X[i]*X[m-i] + C*sum Y[i]*Y[m-i]) / ((m+1)(m+2)).
 
-The order is matched to the tolerance: p = max(8, ceil(-ln(tol)/2) + 1)
-unless given.  The step is h = 0.8*(tol/|T_p|)**(1/p), with |T_p| the
-largest last coefficient, halved until the last two terms times h**p and
-h**(p-1) sum below tol.  With this order the step is about rho/e**2 for a
-convergence radius rho (Jorba & Zou, Exp. Math. 14 (2005) 99-117), so the
-number of steps no longer grows like tol**(-1/p) as it does at a fixed
-order.  The squares sum X[i]*X[m-i] and sum Y[i]*Y[m-i] are formed from
-their distinct products; this gives the same bits as the full sums, since
-mpmath.fdot forms every product exactly and rounds the sum once.
-This stepper is deliberately independent of the Laurent-series machinery
-and of scalars.dot: it works on plain coefficient lists around regular
-points and serves as the numeric cross-oracle for series evaluation.
+The order is p = max(8, ceil(-ln(tol)/2) + 1) unless given.  The step is
+h = 0.8*(tol/|T_p|)**(1/p), with |T_p| the largest last coefficient,
+halved until the last two terms times h**p and h**(p-1) sum below tol:
+about rho/e**2 for a convergence radius rho (Jorba & Zou, Exp. Math. 14
+(2005) 99-117).  As they do, a step scales the Taylor variable by sigma =
+2**e, the least power of two >= min(distance left, twice the last step),
+and redoes the block at a larger sigma if the step exceeds it, so
+X[m]*sigma**m stays O(1) and |h/sigma| <= 1.  The real and imaginary
+parts of X[m]*sigma**m and Y[m]*sigma**m are Python ints at 2**-P, with
+P = bits + 20 + 32 guard bits above the step's largest component (x, y,
+xt*sigma, yt*sigma), so a state of size 1e-100 keeps its bits; real data
+carries no imaginary parts.  Each Cauchy sum is exact (a square from its
+distinct products), and the divide by (m+1)(m+2) and the scale is each
+coefficient's only rounding: to nearest, ties to even, so symmetric in
+sign.  The step is chosen from the last two coefficients read as mpf at
+bits + 20, and the end state is rounded to the data's bits.  This stepper
+is deliberately independent of the Laurent-series machinery and of
+scalars.dot: it is the numeric cross-oracle for series evaluation.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 import mpmath
 from mpmath import mp
@@ -32,6 +40,7 @@ from .scalars import Scalar, as_scalar
 
 MIN_ORDER = 8
 MAX_STEPS = 100000   # step budget of one integrate_numeric call
+GUARD_BITS = 32      # fixed-point bits beyond the working bits + 20
 
 
 def check_tolerance(tol) -> Scalar:
@@ -51,48 +60,59 @@ def tolerance_order(tolv) -> int:
     return max(MIN_ORDER, int(mpmath.ceil(-mpmath.log(tolv) / 2)) + 1)
 
 
-def _cauchy_square(X, X2, m):
-    """sum X[i]*X[m-i] over i = 0..m from its floor(m/2)+1 distinct products.
+def _quotient(n, k, s):
+    """n * 2**s / k rounded to the nearest int, ties to even (k > 0)."""
+    n, k = (n << s, k) if s >= 0 else (n, k << -s)
+    q, r = divmod(n, k)
+    return q + 1 if 2 * r > k or (2 * r == k and q & 1) else q
 
-    X2[i] is 2*X[i], the weight of each off-diagonal pair; doubling is
-    exact while X[i] carries no more bits than the working precision.  One
-    fdot rounds the exact sum once, so this equals mp.fdot(X, X[m::-1]).
-    """
+
+def _dot(a, b, m):
+    """sum a[i]*b[m-i] over i = 0..m; a square (a is b) from its
+    floor(m/2)+1 distinct products."""
+    if a is not b:
+        return sum(map(mul, a, b[m::-1]))
     n = (m + 1) // 2            # off-diagonal pairs i < m - i
-    a, b = X2[:n], X[m:m - n:-1]
-    if m % 2 == 0:
-        a.append(X[n])
-        b.append(X[n])
-    return mp.fdot(a, b)
+    s = 2 * sum(map(mul, a[:n], a[m:m - n:-1]))
+    return s + a[n] * a[n] if m % 2 == 0 else s
 
 
-def _taylor_coefficients(lam, C, x0, xt0, y0, yt0, order):
-    """Taylor coefficients X[0..order], Y[0..order] of the local solution."""
-    X = [x0, xt0]
-    Y = [y0, yt0]
-    X2 = [2 * x0, 2 * xt0]
-    Y2 = [2 * y0, 2 * yt0]
+def _cauchy(a, b, m):
+    """Parts of sum a[i]*b[m-i] for lists of parts [re] or [re, im]."""
+    if len(a) == 1:
+        return [_dot(a[0], b[0], m)]
+    (ar, ai), (br, bi) = a, b
+    return [_dot(ar, br, m) - _dot(ai, bi, m), 2 * _dot(ar, ai, m) if a is b
+            else _dot(ar, bi, m) + _dot(ai, br, m)]
+
+
+def _taylor_coefficients(lam, C, x0, xt0, y0, yt0, P, e, order):
+    """Taylor coefficients of the local solution in the variable scaled by
+    2**e: X[p][m] is part p (re, im) of X[m]*2**(e*m), an int at 2**-P.
+    Each argument is a list of parts at 2**-P; xt0 and yt0 come scaled."""
+    X = [[a, b] for a, b in zip(x0, xt0)]
+    Y = [[a, b] for a, b in zip(y0, yt0)]
+    lam, C = [[c] for c in lam], [[c] for c in C]
     for m in range(order - 1):
-        # Y[m::-1] is Y[m], ..., Y[0], the Cauchy partner of X[0], ..., X[m];
-        # fdot stops at the shorter list
-        cx = -lam * X[m] - 2 * mp.fdot(X, Y[m::-1])
-        cy = -Y[m] - _cauchy_square(X, X2, m) + C * _cauchy_square(Y, Y2, m)
-        denom = (m + 1) * (m + 2)
-        X.append(cx / denom)
-        Y.append(cy / denom)
-        X2.append(2 * X[-1])
-        Y2.append(2 * Y[-1])
+        k = (m + 1) * (m + 2)
+        lx = _cauchy(lam, [[p[m]] for p in X], 0)
+        cy = _cauchy(C, [[v] for v in _cauchy(Y, Y, m)], 0)
+        # numerators at 2**-2P and 2**-3P, one rounded quotient each
+        for Xp, Yp, a, b, c, d in zip(X, Y, lx, _cauchy(X, Y, m),
+                                      _cauchy(X, X, m), cy):
+            Xp.append(_quotient(-a - 2 * b, k, 2 * e - P))
+            Yp.append(_quotient((((-Yp[m] << P) - c) << P) + d, k,
+                                2 * e - 2 * P))
     return X, Y
 
 
-def _horner_pair(coeffs, h):
-    """Value and first derivative of sum_m coeffs[m] * h^m at h."""
-    value = mpmath.mpc(0)
-    for m in range(len(coeffs) - 1, -1, -1):
-        value = value * h + coeffs[m]
-    deriv = mpmath.mpc(0)
-    for m in range(len(coeffs) - 1, 0, -1):
-        deriv = deriv * h + m * coeffs[m]
+def _horner(a, U, k):
+    """Value and derivative of sum a[m]*u**m at u = U*2**-k, each product
+    rounded to the scale of a."""
+    value, deriv = a[-1], 0
+    for m in range(len(a) - 1, 0, -1):
+        deriv = _quotient(deriv * U, 1, -k) + m * a[m]
+        value = _quotient(value * U, 1, -k) + a[m - 1]
     return value, deriv
 
 
@@ -114,8 +134,6 @@ def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
         raise ContractViolation(f"integrator order must be >= {MIN_ORDER}")
     bits = max(v.precision for v in (s0.x, s0.xt, s0.y, s0.yt, s0.t, tol))
     with mp.workprec(bits + 20):
-        lam = sys.lam.mpc(bits)
-        C = sys.C.mpc(bits)
         t = s0.t.mpc(bits).real
         te = t_end.mpc(bits).real
         tolv = tol.mag()
@@ -130,33 +148,55 @@ def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
                 f"tol**(1/4)={mpmath.nstr(margin, 8)} of the singularity at "
                 f"t={mpmath.nstr(tc, 8)}"
             )
-        x, xt = s0.x.mpc(bits), s0.xt.mpc(bits)
-        y, yt = s0.y.mpc(bits), s0.yt.mpc(bits)
+        values = (sys.lam, sys.C, s0.x, s0.xt, s0.y, s0.yt)
+        parts = 1 if all(v.is_real() for v in values) else 2
+        raw = [v.mpc(bits)._mpc_[:parts] for v in values]
+        if any(bc < 0 for v in raw for *_, bc in v):     # inf or nan
+            raise ContractViolation("lam, C and the state must be finite")
+        # every number as exact dyadic parts (n, exp), each n * 2**exp
+        lam, C, *state = [[(-man if sign else man, exp)
+                           for sign, man, exp, _ in v] for v in raw]
         direction = 1 if te >= t else -1
-        steps = 0
+        steps, h_prev = 0, None
         while (te - t) * direction > 0:
             if steps >= MAX_STEPS:
                 raise SingularityApproach("step budget exhausted")
             steps += 1
-            X, Y = _taylor_coefficients(lam, C, x, xt, y, yt, order)
-            top = max(abs(X[-1]), abs(Y[-1]), mpmath.mpf(2) ** (-4 * bits))
             h_cap = abs(te - t)
-            h_est = (tolv / top) ** (mpmath.mpf(1) / order)
-            h_abs = min(h_cap, h_est * mpmath.mpf("0.8"))
-            while True:
-                err = (abs(X[-1]) + abs(Y[-1])) * h_abs ** order \
-                    + (abs(X[-2]) + abs(Y[-2])) * h_abs ** (order - 1)
-                if err <= tolv:
-                    break
-                h_abs = h_abs / 2
-                if h_abs < mpmath.mpf(2) ** (-bits) * (1 + abs(t)):
-                    raise SingularityApproach("step size underflow")
-            h = direction * h_abs
-            x, xt = _horner_pair(X, h)
-            y, yt = _horner_pair(Y, h)
-            t = t + h
-        return PhaseState(
-            x=Scalar.from_mpc(x, bits), xt=Scalar.from_mpc(xt, bits),
-            y=Scalar.from_mpc(y, bits), yt=Scalar.from_mpc(yt, bits),
-            t=Scalar.from_mpc(mpmath.mpc(t, 0), bits),
-        )
+            h_abs, sigma = min(h_cap, 2 * (h_prev or h_cap)), 0
+            while h_abs > sigma:
+                frac, e = mpmath.frexp(h_abs)
+                e -= frac == 0.5        # the least 2**e >= h_abs
+                sigma = mpmath.ldexp(1, e)
+                # x, xt*sigma, y, yt*sigma at 2**-P: P against the largest
+                scaled = [[(n, exp + e * (i % 2)) for n, exp in v]
+                          for i, v in enumerate(state)]
+                P = max(bits + 20 + GUARD_BITS - max(
+                    (n.bit_length() + exp for v in scaled for n, exp in v
+                     if n), default=0), 0)
+                X, Y = _taylor_coefficients(*(
+                    [_quotient(n, 1, exp + P) for n, exp in v]
+                    for v in (lam, C, *scaled)), P, e, order)
+                last, prev = ([abs(mpmath.mpc(*(mpmath.ldexp(p[m], -P - e * m)
+                                                for p in Z))) for Z in (X, Y)]
+                              for m in (order, order - 1))
+                top = max(*last, mpmath.mpf(2) ** (-4 * bits))
+                h_est = (tolv / top) ** (mpmath.mpf(1) / order)
+                h_abs = min(h_cap, h_est * mpmath.mpf("0.8"))
+                while sum(last) * h_abs ** order \
+                        + sum(prev) * h_abs ** (order - 1) > tolv:
+                    h_abs = h_abs / 2
+                    if h_abs < mpmath.mpf(2) ** (-bits) * (1 + abs(t)):
+                        raise SingularityApproach("step size underflow")
+            # u = direction * h_abs / sigma = U * 2**-k, |u| <= 1
+            _, man, exp, _ = h_abs._mpf_
+            U, k = direction * man << max(exp - e, 0), max(e - exp, 0)
+            state = [[(v[i], -P - e * i) for v in z] for z in
+                     ([_horner(p, U, k) for p in Z] for Z in (X, Y))
+                     for i in (0, 1)]
+            t = t + direction * h_abs
+            h_prev = h_abs
+        x, xt, y, yt = (Scalar.from_mpc(mpmath.mpc(*(
+            mpmath.ldexp(n, exp) for n, exp in v)), bits) for v in state)
+        return PhaseState(x=x, xt=xt, y=y, yt=yt,
+                          t=Scalar.from_mpc(mpmath.mpc(t, 0), bits))

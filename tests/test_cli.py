@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -474,3 +475,53 @@ def test_every_cli_grid_run_parses():
     for argv in grid:
         args = parser.parse_args(_merge_negative_literals(argv))
         assert callable(args.func)
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    parsers = []
+    original = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run_cli(capsys, "analyze", "--C", "-1")[0] == 0
+    assert run_cli(capsys, "analyze", "--C", "-6")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+def test_help_exits_0_on_every_call(capsys, argv):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: painleve-hh")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze",), "the following arguments are required: --C"),
+    (("series", "--case", "C99"), "invalid choice: 'C99'"),
+    (("analyze", "--C", "-1", "--bogus"), "unrecognized arguments: --bogus"),
+])
+def test_parse_errors_exit_2_on_every_call(capsys, argv, message):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    assert run_cli(capsys, "analyze", "--C", "-1")[0] == 0
+
+
+def test_negative_literals_parse_on_every_call(capsys):
+    first = run_cli(capsys, "analyze", "--C", "-16/5", "--lambda", "-1/9")
+    grid = run_cli(capsys, "sweep", "--case", "C43",
+                   "--lambda-grid", "-1:1:1")
+    again = run_cli(capsys, "analyze", "--C", "-16/5", "--lambda", "-1/9")
+    assert first[0] == grid[0] == again[0] == 0
+    assert first[1] == again[1]
+    config = json.loads(first[1])["provenance"]["config"]
+    assert (config["C"], config["lam"]) == ("-16/5", "-1/9")
+    assert len(json.loads(grid[1])["sweep"]) == 3

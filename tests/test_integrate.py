@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -10,10 +12,9 @@ from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
                          SingularityApproach, build_henon_heiles, build_series,
                          energy, integrate_numeric, state_from_series)
 from painleve_hh import integrate
-from painleve_hh.integrate import (_cauchy_square, _taylor_coefficients,
-                                   tolerance_order)
+from painleve_hh.integrate import _dot, _taylor_coefficients, tolerance_order
 
-BITS = 532      # 512-bit data plus the integrator's 20 guard bits
+P = 564         # 512-bit data plus the integrator's 20 + 32 fixed-point bits
 
 
 def _sys():
@@ -92,6 +93,18 @@ def test_singularity_guard_measures_from_centre():
                           Scalar.from_real("1e-20"), center=Scalar.exact(2, 5))
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_state_is_rejected(value):
+    zero = Scalar.exact(0)
+    bad = Scalar.from_real(value, 64)
+    for s0 in (PhaseState(bad, zero, zero, zero, Scalar.exact(1)),
+               PhaseState(zero, zero, Scalar.from_complex(0, value, 64),
+                          zero, Scalar.exact(1))):
+        with pytest.raises(ContractViolation, match="must be finite"):
+            integrate_numeric(_sys(), s0, Scalar.exact(2),
+                              Scalar.from_real("1e-10"))
+
+
 def test_order_contract():
     zero = Scalar.exact(0)
     s0 = PhaseState(zero, zero, zero, zero, Scalar.exact(1))
@@ -138,30 +151,13 @@ def test_tolerance_order_below_float_range():
     assert tolerance_order(Scalar.from_real("1e-400").mag()) == 462
 
 
-mantissas = st.integers(min_value=-2 ** 512, max_value=2 ** 512)
+mantissas = st.integers(min_value=-2 ** P, max_value=2 ** P)
 
 
-def _mpf(n):
-    return mpmath.mpf(n) / 2 ** 500
-
-
-@st.composite
-def coefficient_lists(draw, complex_values):
-    n = draw(st.integers(min_value=1, max_value=30))
-    re = draw(st.lists(mantissas, min_size=n, max_size=n))
-    if not complex_values:
-        return [_mpf(a) for a in re]
-    im = draw(st.lists(mantissas, min_size=n, max_size=n))
-    return [mpmath.mpc(_mpf(a), _mpf(b)) for a, b in zip(re, im)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.booleans().flatmap(coefficient_lists))
-def test_halved_square_is_bit_identical(X):
-    with mp.workprec(BITS):
-        X2 = [2 * v for v in X]
-        for m in range(len(X)):
-            assert _cauchy_square(X, X2, m) == mp.fdot(X, X[m::-1])
+@given(st.lists(mantissas, min_size=1, max_size=30))
+def test_halved_square_is_exact(a):
+    for m in range(len(a)):
+        assert _dot(a, a, m) == sum(a[i] * a[m - i] for i in range(m + 1))
 
 
 def _full_recurrence(lam, C, x0, xt0, y0, yt0, order):
@@ -175,16 +171,171 @@ def _full_recurrence(lam, C, x0, xt0, y0, yt0, order):
     return X, Y
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(mantissas, min_size=12, max_size=12),
+# every scaled coefficient is within this many units of 2**-P of the exact
+# one: it is rounded once (1/2 unit), and the roundings of the coefficients
+# it reads enter damped by sigma**2/((m+1)(m+2)) <= 1/32
+BLOCK_ULPS = 1
+
+
+@given(st.booleans(), st.lists(mantissas, min_size=12, max_size=12),
+       st.integers(min_value=-8, max_value=-2),
        st.integers(min_value=8, max_value=30))
-def test_complex_run_matches_full_recurrence(data, order):
-    with mp.workprec(BITS):
-        state = [mpmath.mpc(_mpf(a), _mpf(b))
-                 for a, b in zip(data[::2], data[1::2])]
-        got = _taylor_coefficients(*state, order)
-        want = _full_recurrence(*state, order)
-    assert got == want
+def test_scaled_block_matches_full_recurrence(complex_values, data, e, order):
+    # lam, C, x, xt*2**e, y, yt*2**e as ints at 2**-P, values in [-1, 1]
+    parts = [data[2 * i:2 * i + 1 + complex_values] for i in range(6)]
+    X, Y = _taylor_coefficients(*parts, P, e, order)
+    assert all(len(p) == order + 1 for p in X + Y)
+    assert len(X) == len(Y) == 1 + complex_values
+    with mp.workprec(2 * P):
+        values = [mpmath.mpc(*p) * mpmath.mpf(2) ** -P for p in parts]
+        values[3] /= mpmath.mpf(2) ** e
+        values[5] /= mpmath.mpf(2) ** e
+        for got, want in zip((X, Y), _full_recurrence(*values, order)):
+            for m, w in enumerate(want):
+                w *= mpmath.mpf(2) ** (P + e * m)
+                for p, part in enumerate((w.real, w.imag)[:len(got)]):
+                    assert abs(got[p][m] - part) <= BLOCK_ULPS
+
+
+def _mpmath_stepper(sys_, s0, t_end, tol):
+    """The reference stepper: the same steps on mpmath.mpc at bits + 20,
+    each Cauchy sum one fdot rounded once."""
+    bits = max(v.precision for v in (s0.x, s0.xt, s0.y, s0.yt, s0.t, tol))
+    with mp.workprec(bits + 20):
+        lam, C = sys_.lam.mpc(bits), sys_.C.mpc(bits)
+        t, te = s0.t.mpc(bits).real, t_end.mpc(bits).real
+        tolv = tol.mag()
+        order = tolerance_order(tolv)
+        state = [v.mpc(bits) for v in (s0.x, s0.xt, s0.y, s0.yt)]
+        direction = 1 if te >= t else -1
+        while (te - t) * direction > 0:
+            X, Y = _full_recurrence(lam, C, *state, order)
+            top = max(abs(X[-1]), abs(Y[-1]), mpmath.mpf(2) ** (-4 * bits))
+            h_est = (tolv / top) ** (mpmath.mpf(1) / order)
+            h_abs = min(abs(te - t), h_est * mpmath.mpf("0.8"))
+            while (abs(X[-1]) + abs(Y[-1])) * h_abs ** order \
+                    + (abs(X[-2]) + abs(Y[-2])) * h_abs ** (order - 1) > tolv:
+                h_abs = h_abs / 2
+            h = direction * h_abs
+            state = []
+            for Z in (X, Y):
+                state.append(mpmath.polyval(Z[::-1], h))
+                state.append(mpmath.polyval(
+                    [m * z for m, z in enumerate(Z)][:0:-1], h))
+            t = t + h
+        return [Scalar.from_mpc(v, bits) for v in state]
+
+
+def _assert_matches_mpmath_stepper(sys_, s0, t_end, tol):
+    """Every component within 2**-(bits - 16) of the largest one."""
+    end = integrate_numeric(sys_, s0, t_end, tol)
+    got = [end.x, end.xt, end.y, end.yt]
+    want = _mpmath_stepper(sys_, s0, t_end, tol)
+    bits = max(v.precision for v in want)
+    scale = max(w.mag() for w in want)
+    for g, w in zip(got, want):
+        assert g.precision == bits
+        assert (g - w).mag() <= scale * mpmath.mpf(2) ** (16 - bits)
+    return end
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_tiny_state_keeps_its_bits(bits):
+    # a state of size 1e-100 carries its own bits, not those of size 1
+    v = [Scalar.from_real(f"{c}e-100", bits) for c in ("3", "-2", "1.5", "7")]
+    s0 = PhaseState(*v, Scalar.exact(1, 1, bits))
+    end = _assert_matches_mpmath_stepper(
+        _sys(), s0, Scalar.exact(3, 2, bits), Scalar.from_real("1e-20", bits))
+    assert end.y.mag() > mpmath.mpf("1e-101")
+
+
+def test_complex_run_matches_mpmath_stepper():
+    spec = BranchSpec(case="C43", lam=Scalar.exact(2, 1, 512),
+                      root_branch="minus",
+                      free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
+    sol = build_series(spec, 40)
+    s_a = state_from_series(sol.x, sol.y, Scalar.from_real("0.3", 512), 512)
+    _assert_matches_mpmath_stepper(sol.system(), s_a,
+                                   Scalar.from_real("0.4", 512),
+                                   Scalar.from_real("1e-30", 512))
+
+
+def test_step_longer_than_sigma_redoes_the_block():
+    # zeroing the last two coefficients of the second block makes its step
+    # run to the end of the path, far past sigma: the block must be redone
+    # at a sigma that covers the step, from the same state
+    original = integrate._taylor_coefficients
+    calls = []
+
+    def spy(*args):
+        X, Y = original(*args)
+        calls.append(args)
+        if len(calls) == 2:
+            for p in X + Y:
+                p[-2:] = [0, 0]
+        return X, Y
+
+    s0 = PhaseState(Scalar.from_real("0.1", 256), Scalar.from_real("0.2", 256),
+                    Scalar.from_real("0.3", 256),
+                    Scalar.from_real("-0.2", 256), Scalar.exact(1, 1, 256))
+    args = (_sys(), s0, Scalar.exact(3, 1, 256), Scalar.from_real("1e-20"))
+    with mock.patch.object(integrate, "_taylor_coefficients", spy):
+        _assert_matches_mpmath_stepper(*args)
+    (*_, P2, e2, _), (*_, P3, e3, _) = calls[1:3]
+    assert e3 > e2
+    for i in (2, 4):        # x and y: one state, at 2**-P2 and at 2**-P3
+        assert abs(calls[1][i][0] * 2 ** P3 - calls[2][i][0] * 2 ** P2) \
+            <= 2 ** max(P2, P3)
+
+
+dyadics = st.sampled_from([Fraction(1, 2), Fraction(3, 8), Fraction(-1, 4),
+                           Fraction(0), Fraction(5, 16), Fraction(-3, 32)])
+state_values = st.one_of(
+    dyadics.map(Scalar.exact),
+    st.fractions(min_value=-1, max_value=1, max_denominator=50).map(
+        Scalar.exact),
+    st.floats(min_value=-0.5, max_value=0.5).map(
+        lambda v: Scalar.from_real(v, 64)))
+
+
+def _run_or_error(*args):
+    try:
+        return integrate_numeric(*args)
+    except SingularityApproach as exc:
+        return str(exc)
+
+
+@given(st.lists(state_values, min_size=4, max_size=4),
+       st.sampled_from(["1e-8", "1e-12"]))
+@example([Scalar.exact(Fraction(1, 2))] * 4, "1e-8")
+@example([Scalar.exact(Fraction(1, 2)), Scalar.exact(Fraction(3, 8))] * 2,
+         "1e-8")
+def test_mirror_x_gives_exact_mirror(values, tol):
+    x, xt, y, yt = values
+    args = (Scalar.exact(5, 4, 64), Scalar.from_real(tol, 64))
+    original = integrate._taylor_coefficients
+    blocks = []
+
+    def spy(*data):
+        blocks.append(original(*data))
+        return blocks[-1]
+
+    with mock.patch.object(integrate, "_taylor_coefficients", spy):
+        one = _run_or_error(_sys(), PhaseState(x, xt, y, yt, Scalar.exact(1)),
+                            *args)
+        n = len(blocks)
+        two = _run_or_error(_sys(), PhaseState(-x, -xt, y, yt,
+                                               Scalar.exact(1)), *args)
+    # every coefficient is the exact mirror, the rounding ties included
+    assert len(blocks) == 2 * n
+    for (X1, Y1), (X2, Y2) in zip(blocks[:n], blocks[n:]):
+        assert X2 == [[-v for v in p] for p in X1] and Y2 == Y1
+    if isinstance(one, str):
+        assert one == two
+        return
+    assert (two.x.mpc(), two.xt.mpc()) == ((-one.x).mpc(), (-one.xt).mpc())
+    assert (two.y.mpc(), two.yt.mpc(), two.t.mpc()) == \
+        (one.y.mpc(), one.yt.mpc(), one.t.mpc())
 
 
 def test_verify_complex_step_count(monkeypatch):
@@ -212,27 +363,13 @@ def test_verify_complex_step_count(monkeypatch):
     assert diff < mpmath.mpf("1e-30")
 
 
-def test_working_precision_covers_every_state_component(monkeypatch):
+def test_working_precision_covers_every_state_component():
     # y carries 1024 bits, everything else 64: the run must keep all of
-    # them, so the halved squares still equal the full Cauchy sums
+    # them, to 2**-(1024 - 16) of the mpmath stepper
     s0 = PhaseState(Scalar.from_real("0.1", 64), Scalar.from_real("0.2", 64),
                     Scalar.from_complex("0.3", "0.1", 1024),
                     Scalar.from_real("-0.2", 64), Scalar.exact(1, 1, 64))
-    args = (_sys(), s0, Scalar.exact(6, 5, 64), Scalar.from_real("1e-15", 64))
-    original = integrate._taylor_coefficients
-    coefficients = []
-
-    def spy(*data):
-        coefficients.append(original(*data))
-        return coefficients[-1]
-
-    monkeypatch.setattr(integrate, "_taylor_coefficients", spy)
-    halved = integrate_numeric(*args)
-    n = len(coefficients)
-    monkeypatch.setattr(integrate, "_cauchy_square",
-                        lambda X, X2, m: mp.fdot(X, X[m::-1]))
-    full = integrate_numeric(*args)
-    assert coefficients[:n] == coefficients[n:]
+    end = _assert_matches_mpmath_stepper(
+        _sys(), s0, Scalar.exact(6, 5, 64), Scalar.from_real("1e-15", 64))
     for name in ("x", "xt", "y", "yt", "t"):
-        assert getattr(halved, name).precision == 1024
-        assert getattr(halved, name).mpc() == getattr(full, name).mpc()
+        assert getattr(end, name).precision == 1024

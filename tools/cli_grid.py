@@ -115,6 +115,13 @@ def _grid() -> list[list[str]]:
               "--lambda", "1/9", "--N", "40"],
              ["verify", "--case", "C165", "--lambda", "1/9",
               "--t-from", "0"]]
+    # the integrator on complex (C43 minus) and real (C165) data
+    for bits, tol in (("256", "1e-30"), ("1024", "1e-60")):
+        runs += [["--precision-bits", bits, "verify", "--case", "C43",
+                  "--branch", "minus", "--lambda", "2", "--N", "80",
+                  "--tol", tol],
+                 ["--precision-bits", bits, "verify", "--case", "C165",
+                  "--lambda", "1/9", *FREE, "--N", "60", "--tol", tol]]
     for name, _, _, bits in P_FILES:
         for m, fit_bits in product(("2", "3"), (bits,) if bits else P_BITS):
             runs.append(["--precision-bits", fit_bits, "fit", "--m", m,
