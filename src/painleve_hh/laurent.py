@@ -59,8 +59,8 @@ from typing import Callable
 
 from .errors import CompatibilityViolation, ContractViolation
 from .model import build_henon_heiles, energy_series
-from .scalars import (Scalar, as_scalar, cauchy, default_precision,
-                      half_precision_tol, nth_root)
+from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
+                      default_precision, half_precision_tol, nth_root)
 from .series import PuiseuxSeries
 
 CASE_C165 = "C165"
@@ -265,21 +265,30 @@ class _Recurrence:
     """Stateful stepper for one branch; x[i] and y[i] hold index i - 2, so
     the Cauchy sum of total index s is cauchy(., ., s + 4).  lead is x_{-2};
     a "residue" resonance (C43's f_{-1}) adopts residue, which a free
-    lead's recurrence (C165) never reads."""
+    lead's recurrence (C165) never reads.  prior, when given, holds the
+    (x, y) coefficient lists to continue from.  xs and ys convert x and y
+    once, coefficient by coefficient (ScaledInts of one slope); the slope
+    is estimated from x once _SLOPE_AT coefficients are known."""
+
+    _SLOPE_AT = 16
 
     def __init__(self, spec: BranchSpec, bits: int, lead: Scalar,
-                 residue: Scalar | None):
+                 residue: Scalar | None, prior=None):
         self.spec = spec
         self.bits = bits
         self.lam = spec.lam.with_precision(bits)
         self.case = _CASES[spec.case]
-        self.x = [lead]
-        self.y = [Scalar.exact(self.case.y_lead, 1, bits)]
         self.residue = residue
+        self.x, self.y = prior or ([lead], [Scalar.exact(self.case.y_lead, 1, bits)])
+        self._convert()
+
+    def _convert(self):
+        self.xs = ScaledInts(self.x)
+        self.ys = ScaledInts(self.y, self.xs.slope)
 
     def _rhs(self, k: int):
-        x, y = self.x, self.y
-        x2, y2 = (x[k], y[k]) if k >= 0 else (Scalar.exact(0),) * 2
+        x, y = self.xs, self.ys
+        x2, y2 = (self.x[k], self.y[k]) if k >= 0 else (Scalar.exact(0),) * 2
         r1 = -self.lam * x2 - 2 * cauchy(x, y, k + 2)
         r2 = -y2 - cauchy(x, x, k + 3 + self.case.xx_lo) \
             + Scalar.exact(self.case.C) * cauchy(y, y, k + 2)
@@ -299,26 +308,27 @@ class _Recurrence:
         if not det.is_zero():
             # Cramer on the 2x2 step system; exact whenever the inputs are
             d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            xk = (r[0] * m[1][1] - r[1] * m[0][1]) / d
-            yk = (m[0][0] * r[1] - m[1][0] * r[0]) / d
-            self.x.append(xk)
-            self.y.append(yk)
-            return RecurrenceStep(k=k, rhs=r, det=det, resolution="unique",
-                                  solution=(xk, yk))
-        # Fredholm alternative: the free column f takes its value, the bound
-        # column b follows from row b, and the left-null combination of the
-        # rhs is the defect
-        f, source, resolution, freed = self.case.resonances[k]
-        b = 1 - f
-        sol = [None, None]
-        sol[f] = self.residue if source == "residue" \
-            else self.spec.free_params[source]
-        sol[b] = (r[b] - m[b][f] * sol[f]) / m[b][b]
-        defect = m[b][b] * r[f] - m[f][b] * r[b]
-        self.x.append(sol[0])
-        self.y.append(sol[1])
-        return RecurrenceStep(k=k, rhs=r, det=det, resolution=resolution,
-                              solution=tuple(sol), defect=defect, freed=freed)
+            out = RecurrenceStep(k=k, rhs=r, det=det, resolution="unique", solution=(
+                (r[0] * m[1][1] - r[1] * m[0][1]) / d,
+                (m[0][0] * r[1] - m[1][0] * r[0]) / d))
+        else:
+            # Fredholm alternative: the free column f takes its value, the
+            # bound column b follows from row b, and the left-null
+            # combination of the rhs is the defect
+            f, source, resolution, freed = self.case.resonances[k]
+            b = 1 - f
+            sol = [None, None]
+            sol[f] = self.residue if source == "residue" \
+                else self.spec.free_params[source]
+            sol[b] = (r[b] - m[b][f] * sol[f]) / m[b][b]
+            out = RecurrenceStep(k=k, rhs=r, det=det, resolution=resolution,
+                                 solution=tuple(sol), freed=freed,
+                                 defect=m[b][b] * r[f] - m[f][b] * r[b])
+        self.xs.append(out.solution[0])
+        self.ys.append(out.solution[1])
+        if len(self.x) == self._SLOPE_AT:
+            self._convert()
+        return out
 
     def defect_acceptable(self, step: RecurrenceStep) -> bool:
         """Exact defects must vanish; rounded ones must be below
@@ -342,8 +352,8 @@ def step_recurrence(spec: BranchSpec, k: int, prior) -> RecurrenceStep:
             raise ContractViolation(f"prior coefficients missing index {j}")
     # the prior holds the residue from k = 0 on; k = -1 adopts the spec's
     residue = prior[1][-1] if k > -1 else branch_residue(spec)
-    eng = _Recurrence(spec, _branch_bits(spec.lam), prior[0][-2], residue)
-    eng.x, eng.y = ([p[j] for j in range(-2, k)] for p in prior)
+    eng = _Recurrence(spec, _branch_bits(spec.lam), prior[0][-2], residue,
+                      [[p[j] for j in range(-2, k)] for p in prior])
     step = eng.step(k)
     if not eng.defect_acceptable(step):
         raise CompatibilityViolation(k, step.defect)

@@ -197,20 +197,3 @@ def determinant(A: DenseMatrix) -> Scalar:
         det = parity * math.prod(values) if len(pivots) == n else mpmath.mpc(0)
         return Scalar.from_mpc(det, bits)
 
-
-def matmul_vector(A: DenseMatrix, x) -> list:
-    if len(x) != A.cols:
-        raise ContractViolation("vector length does not match matrix columns")
-    out = []
-    for i in range(A.rows):
-        acc = Scalar.exact(0)
-        for j in range(A.cols):
-            acc = acc + A[i, j] * x[j]
-        out.append(acc)
-    return out
-
-
-def residual_inf_norm(A: DenseMatrix, x, b):
-    """max_i |(A x - b)_i| as an mpf."""
-    ax = matmul_vector(A, x)
-    return max((ax[i] - as_scalar(b[i])).mag() for i in range(A.rows))

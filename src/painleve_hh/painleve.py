@@ -32,7 +32,8 @@ import mpmath
 from mpmath import mp
 
 from .errors import UnsupportedParameter
-from .scalars import Scalar, as_scalar, cauchy, half_precision_tol, nth_root
+from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
+                      half_precision_tol, nth_root)
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,9 @@ def find_dominant_balances(C) -> list[DominantBalance]:
 
 
 def _poly_mul(p, q):
-    return [cauchy(p, q, n) for n in range(len(p) + len(q) - 1)]
+    sp = ScaledInts(p)
+    sq = ScaledInts(q, sp.slope)
+    return [cauchy(sp, sq, n) for n in range(len(p) + len(q) - 1)]
 
 
 def _kowalevski_rows(balance: DominantBalance, C: Scalar):

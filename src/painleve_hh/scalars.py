@@ -15,10 +15,19 @@ power, say), the result is rounded at the working precision.  Multiplying
 by an exact zero annihilates to an exact zero, which keeps structurally
 zero matrix entries exact even next to big-float data.
 
-Sums of products go through :func:`dot`, which keeps an all-exact sum
-exact and otherwise rounds the exact sum once; every coefficient of a
-series convolution is one :func:`cauchy` call on top of it, which sums
-each distinct product of a square once.
+Every coefficient of a series convolution is one :func:`cauchy` call.
+Its operands are :class:`ScaledInts`: each coefficient list is converted
+once, by the code that owns it, into ints N_j with value_j = N_j / D *
+2**(e + r*j), where D is the lcm of the exact entries' denominators and
+the whole slope r flattens the geometric growth of a series, so the ints
+stay near the working precision wide.  A product coefficient is then one
+exact C-level int sum, ``sum(map(operator.mul, ...))`` (a square sums each
+distinct pair once), times a power of two over D_a*D_b.  Pairs with an
+exact-zero factor are skipped; an all-exact sum stays an exact Fraction;
+any other sum is rounded once, to nearest, at the highest precision of
+the factors that count, so the bits do not depend on the order or the
+grouping of the terms.  Lists whose exponents spread too far for one
+scale add their terms in groups instead, to the same bits.
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -400,125 +409,213 @@ def nth_root(x, n: int, branch: int = 0) -> Scalar:
     return Scalar(None, principal._mpc_, bits)
 
 
-def _rounded_sum(terms, bits: int):
-    """The (numerator, denominator, exponent) terms' exact sum, rounded
-    once to nearest at bits, as a raw mpf."""
-    den = math.lcm(*{d for _, d, _ in terms})
-    exps = [e for _, _, e in terms]
-    low = min(exps)
-    if max(exps) - low > 4 * bits:      # exact * rounded products reach 2*bits
-        # Sum down the exponents in groups, each starting gap bits under the
-        # nonzero sum of the one before: all after the first group stays
-        # under half an ulp of the result, so only its sign can count.
-        terms = sorted(((e, n * (den // d)) for n, d, e in terms), reverse=True)
-        gap = (bits + den.bit_length() + len(terms).bit_length() + 2
-               + max(m.bit_length() for _, m in terms))
-        first, num = None, 0
-        for e, m in terms:
-            if num and e < low - gap:
-                if first:
-                    break
-                first, num = (num, low), 0
-            num, low = ((num << (low - e)) + m, e) if num else (m, e)
-        if first:
-            num, low = (first[0] << gap) + (num > 0) - (num < 0), first[1] - gap
-    elif den == 1:
-        num = sum(n << (e - low) for n, _, e in terms)
-    else:
-        num = sum(n * (den // d) << (e - low) for n, d, e in terms)
-    return mpf_shift(from_rational(num, den, bits, round_nearest), low)
+def _parts(c: Scalar):
+    """c as (re, im, x, q, rounded): c == (re + i*im) / q * 2**x with ints
+    re and im, an odd q > 0, and x None when c is zero."""
+    if c._frac is not None:
+        n, d = c._frac.numerator, c._frac.denominator
+        s = (d & -d).bit_length() - 1
+        return n, 0, -s if n else None, d >> s, False
+    (rs, rm, rx, rb), (js, jm, jx, jb) = c._val
+    if not rm and rb or not jm and jb:
+        raise ContractViolation("product of a non-finite scalar")
+    x = min(rx if rm else jx, jx if jm else rx)
+    return ((-rm if rs else rm) << rx - x if rm else 0,
+            (-jm if js else jm) << jx - x if jm else 0,
+            x if rm or jm else None, 1, True)
+
+
+class ScaledInts:
+    """A list of Scalars, coeffs, with its scaled-int form.
+
+    Entry j is (re[j] + i*im[j]) / den * 2**(exp + slope*j) exactly, with
+    ints re[j] and im[j] (im is None while every entry is real), den the
+    lcm of the odd parts of the exact entries' denominators, and a whole
+    slope in bits per index that flattens the geometric growth of a
+    series, so that the ints stay near the precision wide.  Where they
+    would spread over more than 4*bits bits, xs holds each entry's own
+    exponent instead of exp + slope*j.  Bit j of nz is set when entry j is
+    not an exact zero, of rd when it is rounded; rnz and rrd hold those
+    bits reversed (bit len - 1 - j).  bits is the highest precision of the
+    entries that are not exact zeros; mixed tells whether theirs differ.
+    """
+
+    __slots__ = ("coeffs", "slope", "den", "exp", "xs", "re", "im", "bits",
+                 "mixed", "nz", "rd", "rnz", "rrd")
+
+    def __init__(self, coeffs=(), slope: int | None = None):
+        parts = [_parts(c) for c in coeffs]
+        lows, tops, precs = [], [], set()
+        den = 1
+        nz = rd = 0
+        for j, (re, im, x, q, rounded) in enumerate(parts):
+            if q != 1:
+                den = math.lcm(den, q)
+            if x is not None:
+                lows.append((j, x))
+                if rounded:
+                    tops.append((j, x + max(re.bit_length(), im.bit_length())))
+            if x is not None or rounded:
+                nz |= 1 << j
+                rd |= rounded << j
+                precs.add(coeffs[j]._prec)
+        if slope is None:
+            # from the first to the last rounded nonzero entry, rounded down
+            slope = ((tops[-1][1] - tops[0][1]) // (tops[-1][0] - tops[0][0])
+                     if len(tops) > 1 else 0)
+        lows = [x - slope * j for j, x in lows]
+        exp, bits = min(lows, default=0), max(precs, default=0)
+        wide = lows and max(lows) - exp > 4 * bits
+        self.xs = [0 if p[2] is None else p[2] for p in parts] if wide else None
+        self.re = [0 if x is None else r * (den // q) << (
+            0 if wide else x - exp - slope * j)
+            for j, (r, _, x, q, _) in enumerate(parts)]
+        self.im = [0 if x is None else i * (den // q) << (
+            0 if wide else x - exp - slope * j)
+            for j, (_, i, x, q, _) in enumerate(parts)] \
+            if any(p[1] for p in parts) else None
+        self.coeffs, self.slope, self.den, self.exp = coeffs, slope, den, exp
+        self.bits, self.mixed, self.nz, self.rd = bits, len(precs) > 1, nz, rd
+        # the same bits reversed: the binary digits of nz read from bit 0
+        self.rnz, self.rrd = (int(bin(m)[:1:-1].ljust(len(parts), "0"), 2)
+                              for m in (nz, rd))
+
+    def append(self, c: Scalar) -> None:
+        """Append c to coeffs, a list, and convert it.  A new denominator,
+        or a value below the base, rescales the ints in place; a value more
+        than 4*bits bits off the base converts coeffs again."""
+        self.coeffs.append(c)
+        re, im, x, q, rounded = _parts(c)
+        j = len(self.re)
+        shift = 0 if x is None or self.xs is not None else \
+            x - self.exp - self.slope * j
+        if abs(shift) > 4 * c._prec:
+            self.__init__(self.coeffs, self.slope)
+            return
+        if shift < 0 or self.den % q:
+            f, lift = q // math.gcd(self.den, q), max(-shift, 0)
+            self.den, self.exp, shift = self.den * f, self.exp - lift, shift + lift
+            self.re = [v * f << lift for v in self.re]
+            self.im = self.im and [v * f << lift for v in self.im]
+        if x is not None:
+            f = self.den // q
+            re, im = re * f << shift, im * f << shift
+        self.re.append(re)
+        if im and self.im is None:
+            self.im = [0] * j
+        if self.im is not None:
+            self.im.append(im)
+        if self.xs is not None:
+            self.xs.append(0 if x is None else x)
+        live = x is not None or rounded
+        self.nz, self.rnz = self.nz | live << j, self.rnz << 1 | live
+        self.rd, self.rrd = self.rd | rounded << j, self.rrd << 1 | rounded
+        if live and c._prec != self.bits:
+            self.mixed |= bool(self.bits)
+            self.bits = max(self.bits, c._prec)
+
+
+def _summed(terms, gap):
+    """(num, low): num * 2**low is the sum of the (e, m) terms m * 2**e.
+
+    With a gap the terms are added down the exponents in groups, each
+    starting gap bits under the nonzero sum of the one before: all after
+    the first group then stays under half an ulp of a sum rounded at the
+    bits the gap was sized for, so only its sign is kept.  That keeps any
+    exponent spread cheap."""
+    first, num, low = None, 0, 0
+    for e, m in sorted(terms, reverse=True):
+        if gap and num and e < low - gap:
+            if first:
+                break
+            first, num = (num, low), 0
+        num, low = ((num << (low - e)) + m, e) if num else (m, e)
+    if first:
+        num, low = (first[0] << gap) + (num > 0) - (num < 0), first[1] - gap
+    return num, low
+
+
+def _folded(v, lo: int, n: int):
+    """sum_j v[j]*v[n - j] over j >= lo, each pair j < n - j summed once
+    and doubled, then the middle term."""
+    half = (n + 1) // 2
+    pairs = 2 * sum(map(operator.mul, v[lo:half], v[n - lo:n - half:-1]))
+    return pairs + v[n // 2] ** 2 if n % 2 == 0 and n // 2 < len(v) else pairs
 
 
 def dot(a, b) -> Scalar:
-    """sum_i a[i]*b[i] over two equal-length sequences of Scalars.
-
-    Terms with an exact-zero factor are skipped, so a sum with no other
-    term is an exact zero.  Every other product is formed exactly, as
-    integers n * 2**e / d.  When every remaining term is exact the result
-    is their exact Fraction sum; otherwise it is the exact sum rounded
-    once, to nearest, at the highest precision of the remaining factors,
-    however far apart the exponents of the terms are.  Imaginary parts are
-    only carried when some factor has a nonzero one.  A non-finite factor
-    raises ContractViolation.
-    """
-    return _dot(((a, b, 0),))
-
-
-def _dot(groups) -> Scalar:
-    """dot of the sum of 2**twice * a[i] * b[i] over the (a, b, twice)
-    groups; a doubled term is formed as one term, not two."""
-    re, im = [], []      # (numerator, denominator, exponent) terms
-    bits, rounded = 0, False
-    for a, b, twice in groups:
-        for x, y in zip(a, b):
-            if x._frac is None and y._frac is not None:
-                x, y = y, x
-            q, r = x._frac, y._frac
-            if q is not None:
-                if not q or r is not None and not r:
-                    continue
-                if r is not None:
-                    # the all-exact sum ignores the exponent: double the numerator
-                    re.append((q.numerator * r.numerator << twice,
-                               q.denominator * r.denominator, 0))
-                else:
-                    rounded = True
-                    n, d = q.numerator, q.denominator
-                    for u, terms in zip(y._val, (re, im)):
-                        if u[1]:
-                            terms.append((-n * u[1] if u[0] else n * u[1], d,
-                                          u[2] + twice))
-                        elif u[3] < 0:
-                            raise ContractViolation("dot of a non-finite scalar")
-            else:
-                rounded = True
-                xr, xi = x._val
-                yr, yi = y._val
-                if xi[3] or yi[3]:
-                    # (xr + i xi)(yr + i yi); the i*i part enters negated
-                    for u, v, terms, neg in ((xr, yr, re, 0), (xi, yi, re, 1),
-                                             (xr, yi, im, 0), (xi, yr, im, 0)):
-                        m = u[1] * v[1]
-                        if m:
-                            terms.append((-m if u[0] ^ v[0] ^ neg else m, 1,
-                                          u[2] + v[2] + twice))
-                        elif u[3] < 0 or v[3] < 0:
-                            raise ContractViolation("dot of a non-finite scalar")
-                else:
-                    m = xr[1] * yr[1]
-                    if m:
-                        re.append((-m if xr[0] ^ yr[0] else m, 1,
-                                   xr[2] + yr[2] + twice))
-                    elif xr[3] < 0 or yr[3] < 0:
-                        raise ContractViolation("dot of a non-finite scalar")
-            p = x._prec if x._prec > y._prec else y._prec
-            if p > bits:
-                bits = p
-    if not rounded:
-        den = math.lcm(*{d for _, d, _ in re})
-        # bits is still 0 when no term was left
-        return Scalar(Fraction(sum(n * (den // d) for n, d, _ in re), den),
-                      None, bits or _default_precision)
-    return Scalar(None, (_rounded_sum(re, bits) if re else fzero,
-                         _rounded_sum(im, bits) if im else fzero), bits)
+    """sum_i a[i]*b[i] over two equal-length lists of Scalars: coefficient
+    len - 1 of the product of a and b reversed."""
+    return cauchy(a, b[::-1], len(a) - 1)
 
 
 def cauchy(a, b, n: int) -> Scalar:
-    """Coefficient n of the product of the coefficient lists a and b: the
-    dot of a[j] and b[n - j] over every j where both exist, an exact zero
-    when there is none.  A square (a is b) takes each pair j < n - j once
-    and doubles its term inside the sum, then adds the middle term.  dot
-    rounds the exact sum once, so the bits depend neither on the order of
-    the terms nor on the folding."""
-    lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
-    if hi < lo:
+    """Coefficient n of the product of the coefficient lists a and b.
+
+    a and b are ScaledInts of one slope; lists of Scalars are converted
+    here, for one call.  Pairs (j, n - j) with an exact-zero factor are
+    skipped, so with no other pair the result is an exact zero.  The sum
+    over the rest is one exact int sum, sum(map(operator.mul, ...)), times
+    2**(exp_a + exp_b + slope*n) / (den_a*den_b); a square (a is b) sums
+    each pair j < n - j once and doubles it.  When no remaining factor is
+    rounded the result is that exact Fraction, else it is rounded once, to
+    nearest, at the highest precision of the remaining factors, so its
+    bits depend neither on the order of the terms nor on the folding.
+    Lists with per-entry exponents add their products in groups instead
+    (_summed), to the same bits.
+    """
+    if not isinstance(a, ScaledInts):
+        square = a is b
+        a = ScaledInts(a)
+        b = a if square else ScaledInts(b, a.slope)
+    if a.slope != b.slope:
+        raise ContractViolation("cauchy of lists with different slopes")
+    la, lb = len(a.re), len(b.re)
+    s = lb - 1 - n
+    pairs = a.nz & (b.rnz >> s if s >= 0 else b.rnz << -s)
+    if not pairs:
         return Scalar.exact(0)
-    if a is not b:
-        return dot(a[lo:hi + 1], reversed(b[n - hi:n - lo + 1]))
-    half = (n + 1) // 2
-    mid = a[half:n - half + 1]      # a[n // 2] when n is even, else empty
-    return _dot(((a[lo:half], reversed(a[n - half + 1:n - lo + 1]), 1),
-                 (mid, mid, 0)))
+    lo, hi = n - lb + 1 if n >= lb else 0, n if n < la else la - 1
+    rounded = a.rd & pairs or a.nz & (b.rrd >> s if s >= 0 else b.rrd << -s)
+    if a.mixed or b.mixed:
+        bits = max(max(a.coeffs[j]._prec, b.coeffs[n - j]._prec)
+                   for j in range(lo, hi + 1) if pairs >> j & 1)
+    else:
+        bits = a.bits if a.bits > b.bits else b.bits
+    den = a.den * b.den
+    stop = n - hi - 1 if n > hi else None
+    k = ki = a.exp + b.exp + a.slope * n
+    if a.xs is not None or b.xs is not None:
+        xa, xb = (u.xs or [u.exp + u.slope * j for j in range(len(u.re))]
+                  for u in (a, b))
+        ai, bi = (u.im or [0] * len(u.re) for u in (a, b))
+        terms = ([], [])
+        for j in range(lo, hi + 1):
+            for out, m in zip(terms, (a.re[j] * b.re[n - j] - ai[j] * bi[n - j],
+                                      a.re[j] * bi[n - j] + ai[j] * b.re[n - j])):
+                if m:
+                    out.append((xa[j] + xb[n - j], m))
+        (re, k), (im, ki) = (_summed(t, rounded and bits + den.bit_length()
+                                     + len(t).bit_length() + 2
+                                     + max(m.bit_length() for _, m in t))
+                             if t else (0, 0) for t in terms)
+    elif a is b:
+        re = _folded(a.re, lo, n) - (_folded(a.im, lo, n) if a.im else 0)
+        im = 2 * sum(map(operator.mul, a.re[lo:hi + 1],
+                         a.im[n - lo:stop:-1])) if a.im else 0
+    else:
+        ar, ai = a.re[lo:hi + 1], a.im and a.im[lo:hi + 1]
+        br, bi = b.re[n - lo:stop:-1], b.im and b.im[n - lo:stop:-1]
+        re = sum(map(operator.mul, ar, br)) - (
+            sum(map(operator.mul, ai, bi)) if ai and bi else 0)
+        im = (sum(map(operator.mul, ar, bi)) if bi else 0) + (
+            sum(map(operator.mul, ai, br)) if ai else 0)
+    if not rounded:
+        return Scalar(Fraction(re << k, den) if k >= 0
+                      else Fraction(re, den << -k), None, bits)
+    return Scalar(None, tuple(
+        mpf_shift(from_rational(v, den, bits, round_nearest), e) if v else fzero
+        for v, e in ((re, k), (im, ki))), bits)
 
 
 def half_precision_tol(bits: int) -> "mpmath.mpf":

@@ -13,10 +13,10 @@ what lets residual checks state exactly which orders they verified.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ContractViolation
-from .scalars import Scalar, as_scalar, cauchy, nth_root
+from .scalars import Scalar, ScaledInts, as_scalar, cauchy, nth_root
 
 _ZERO = Scalar.exact(0)
 
@@ -95,8 +95,15 @@ class PuiseuxSeries:
         return self.complete and all(c.is_exact and c.is_zero()
                                      for c in self.coeffs)
 
+    def _exponent_numerators(self):
+        """(numerators, d): exponent i is numerators[i] / d, on ints."""
+        d = lcm(self.lead.denominator, self.step.denominator)
+        lead, step = int(self.lead * d), int(self.step * d)
+        return range(lead, lead + len(self.coeffs) * step, step), d
+
     def exponents(self):
-        return [self.lead + i * self.step for i in range(len(self.coeffs))]
+        nums, d = self._exponent_numerators()
+        return [Fraction(n, d) for n in nums]
 
     def coefficient(self, exponent) -> Scalar | None:
         """Coefficient at an exponent; exact 0 off the grid inside the
@@ -130,10 +137,9 @@ class PuiseuxSeries:
                              complete=self.complete)
 
     def truncate(self, max_exponent) -> "PuiseuxSeries":
-        me = _frac(max_exponent)
-        keep = [c for e, c in zip(self.exponents(), self.coeffs) if e <= me]
-        return PuiseuxSeries(self.lead, self.step, keep, center=self.center,
-                             complete=False)
+        keep = max(0, (_frac(max_exponent) - self.lead) // self.step + 1)
+        return PuiseuxSeries(self.lead, self.step, self.coeffs[:keep],
+                             center=self.center, complete=False)
 
     # -- grid plumbing ----------------------------------------------------------
 
@@ -239,10 +245,10 @@ class PuiseuxSeries:
         # multiples of g, so does the product: convolve every g-th slot
         g = gcd(*(i for c in (a, b) for i, x in enumerate(c)
                   if not (x.is_exact and x.is_zero()))) or 1
-        if g > 1:
-            a, b = (a[::g],) * 2 if b is a else (a[::g], b[::g])
+        sa = ScaledInts(a[::g])
+        sb = sa if b is a else ScaledInts(b[::g], sa.slope)
         coeffs = [Scalar.exact(0)] * (n + 1)
-        coeffs[::g] = [cauchy(a, b, i) for i in range(n // g + 1)]
+        coeffs[::g] = [cauchy(sa, sb, i) for i in range(n // g + 1)]
         return PuiseuxSeries(lead, step, coeffs, center=self.center,
                              complete=cap is None)
 
@@ -262,9 +268,10 @@ class PuiseuxSeries:
 
     def differentiate(self) -> "PuiseuxSeries":
         if self._derivative is None:
+            nums, d = self._exponent_numerators()
             self._derivative = PuiseuxSeries(
                 self.lead - 1, self.step,
-                [c * Scalar.exact(e) for e, c in zip(self.exponents(), self.coeffs)],
+                [c * Scalar.exact(n, d) for n, c in zip(nums, self.coeffs)],
                 center=self.center, complete=self.complete)
         return self._derivative
 

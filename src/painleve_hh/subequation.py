@@ -24,8 +24,8 @@ import mpmath
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
 from .model import BivariatePoly, power_product
-from .scalars import (Scalar, as_scalar, cauchy, default_precision,
-                      half_precision_tol)
+from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
+                      default_precision, half_precision_tol)
 from .series import PuiseuxSeries
 
 
@@ -163,12 +163,12 @@ def weierstrass_p_series(g2, g3, n_terms: int, bits: int | None = None) -> Puise
     g3 = as_scalar(g3).with_precision(bits)
     if n_terms < 3:
         raise ContractViolation("need at least 3 terms")
-    c = [g2 / 20, g3 / 28]           # c[i] = c_{i+2}
+    c = ScaledInts([g2 / 20, g3 / 28])    # c.coeffs[i] = c_{i+2}
     for k in range(4, n_terms + 2):
         c.append(cauchy(c, c, k - 4) * Scalar.exact(3, (2 * k + 1) * (k - 3)))
     # t**-2, then c_k at t**(2k-2) with exact zeros between
     coeffs = [Scalar.exact(1)] + [Scalar.exact(0)] * (2 * n_terms + 2)
-    coeffs[4::2] = c
+    coeffs[4::2] = c.coeffs
     return PuiseuxSeries(-2, 1, coeffs)
 
 
@@ -209,10 +209,11 @@ def _series_divide(num: PuiseuxSeries, den: PuiseuxSeries,
     if not den.complete:
         top = min(top, len(d) - 1)
     a += [Scalar.exact(0)] * (top + 1 - len(a))
-    q = []
+    sd = ScaledInts(d)
+    q = ScaledInts([], sd.slope)
     for n in range(top + 1):
-        q.append((a[n] - cauchy(q, d, n)) / d[0])
-    return PuiseuxSeries(lead, den.step, q, center=num.center)
+        q.append((a[n] - cauchy(q, sd, n)) / d[0])
+    return PuiseuxSeries(lead, den.step, q.coeffs, center=num.center)
 
 
 # -- the rho-quartic transform ----------------------------------------------------

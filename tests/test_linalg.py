@@ -6,9 +6,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from painleve_hh import (ContractViolation, DenseMatrix, Scalar, determinant,
-                         nth_root, solve_linear)
-from painleve_hh.linalg import matmul_vector, residual_inf_norm
+from painleve_hh import (ContractViolation, DenseMatrix, Scalar, as_scalar,
+                         determinant, nth_root, solve_linear)
+
+
+def matmul_vector(A: DenseMatrix, x) -> list:
+    """A x by an entry-by-entry fold: the reference the residuals use."""
+    if len(x) != A.cols:
+        raise ContractViolation("vector length does not match matrix columns")
+    out = []
+    for i in range(A.rows):
+        acc = Scalar.exact(0)
+        for j in range(A.cols):
+            acc = acc + A[i, j] * x[j]
+        out.append(acc)
+    return out
+
+
+def residual_inf_norm(A: DenseMatrix, x, b):
+    """max_i |(A x - b)_i| as an mpf."""
+    ax = matmul_vector(A, x)
+    return max((ax[i] - as_scalar(b[i])).mag() for i in range(A.rows))
 
 
 def M(rows):

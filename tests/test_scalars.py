@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
-from painleve_hh.scalars import cauchy, dot, half_precision_tol
+from painleve_hh.scalars import ScaledInts, cauchy, dot, half_precision_tol
 
 rationals = st.builds(
     Fraction,
@@ -343,6 +343,159 @@ def test_exact_square_doubles_the_numerator():
     b = a + [Scalar.from_real("0.5")]
     # is 1/3 + 4/25 rounded once
     _same_bits(cauchy(b, b, 2), dot(a, [Scalar.from_real("1.0"), a[1]]))
+
+
+# -- the scaled-int kernel against exact sums -------------------------------------
+
+
+def _kept_pairs(a, b, n):
+    return [(a[j], b[n - j]) for j in range(len(a)) if 0 <= n - j < len(b)
+            and not (a[j].is_exact and a[j].is_zero())
+            and not (b[n - j].is_exact and b[n - j].is_zero())]
+
+
+def _assert_exact_sum(got, a, b, n):
+    """got is coefficient n of a*b: the exact Fraction sum over the pairs
+    with no exact-zero factor, or that sum rounded once by mpmath at the
+    highest precision of their factors; an exact zero with none."""
+    kept = _kept_pairs(a, b, n)
+    if not kept:
+        assert got.is_exact and got.is_zero()
+        assert got.precision == sc(0).precision
+        return
+    re = im = Fraction(0)
+    for x, y in kept:
+        (xr, xi), (yr, yi) = _exact_value(x), _exact_value(y)
+        re += xr * yr - xi * yi
+        im += xr * yi + xi * yr
+    bits = max(max(x.precision, y.precision) for x, y in kept)
+    assert got.precision == bits
+    if all(x.is_exact and y.is_exact for x, y in kept):
+        assert got.is_exact and got.fraction() == re
+        return
+    assert not got.is_exact
+    assert got.mpc()._mpc_ == tuple(
+        from_rational(q.numerator, q.denominator, bits, round_nearest)
+        for q in (re, im))
+
+
+@st.composite
+def phased_lists(draw):
+    """Purely real and purely imaginary entries in turn, as in the C43
+    minus y-series, with an exact zero or a rounded zero now and then."""
+    start = draw(st.integers(0, 1))
+    out = []
+    for j, v in enumerate(draw(st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            max_size=9))):
+        kind = draw(st.sampled_from(["phase", "phase", "zero", "rounded-zero"]))
+        if kind == "zero":
+            out.append(sc(0))
+        elif kind == "rounded-zero":
+            out.append(Scalar.from_real(0))
+        else:
+            parts = (v, 0) if (j + start) % 2 else (0, v)
+            out.append(Scalar.from_complex(*parts) / 3)
+    return out
+
+
+kernel_lists = st.one_of(
+    st.lists(st.tuples(st.one_of(kernel_scalars(), wide_scalars()),
+                       st.sampled_from([64, 256, 512])).map(
+        lambda pair: pair[0].with_precision(pair[1])), max_size=9),
+    phased_lists())
+
+
+@given(kernel_lists, kernel_lists)
+def test_cauchy_is_the_exact_sum_rounded_once(a, b):
+    # plain lists, fresh conversions on one slope, and a conversion grown
+    # entry by entry, which rescales as it goes
+    sa = ScaledInts(a)
+    sb = ScaledInts(b, sa.slope)
+    grown = ScaledInts([], sa.slope)
+    for c in b:
+        grown.append(c)
+    for n in range(-1, len(a) + len(b)):
+        for got in (cauchy(a, b, n), cauchy(sa, sb, n), cauchy(sa, grown, n)):
+            _assert_exact_sum(got, a, b, n)
+        for got in (cauchy(a, a, n), cauchy(sa, sa, n)):
+            _assert_exact_sum(got, a, a, n)
+
+
+def _entries(s):
+    """The exact (re, im) of each entry of a ScaledInts."""
+    return [tuple(Fraction(v, s.den) * Fraction(2) ** (
+        s.xs[j] if s.xs is not None else s.exp + s.slope * j) for v in parts)
+        for j, parts in enumerate(zip(s.re, s.im or [0] * len(s.re)))]
+
+
+@given(kernel_lists)
+def test_a_grown_conversion_matches_a_fresh_one(a):
+    fresh = ScaledInts(a)
+    grown = ScaledInts([], fresh.slope)
+    for c in a:
+        grown.append(c)
+    assert grown.coeffs == a
+    assert _entries(grown) == _entries(fresh) == [_exact_value(c) for c in a]
+    for n in range(2 * len(a)):
+        _same_bits(cauchy(grown, grown, n), cauchy(fresh, fresh, n))
+
+
+def test_a_grown_conversion_rebases_in_place():
+    # slope 0 from a first entry at 2**0: 0.5 falls below the base, 1/3
+    # brings a denominator, 2**-300 falls 300 bits below; 2**-3000 is more
+    # than 4*bits off and makes the list keep per-entry exponents
+    a = [Scalar.from_real(1), Scalar.from_real("0.5"), sc(Fraction(1, 3)),
+         Scalar.from_real(mpmath.mpf(2) ** -300),
+         Scalar.from_real(mpmath.mpf(2) ** -3000)]
+    grown = ScaledInts(a[:1], 0)
+    seen = []
+    for c in a[1:]:
+        grown.append(c)
+        seen.append((grown.exp, grown.den, grown.xs is None))
+    assert seen[:3] == [(-1, 1, True), (-1, 3, True), (-300, 3, True)]
+    assert grown.xs is not None
+    assert _entries(grown) == [_exact_value(c) for c in a]
+    fresh = ScaledInts(a, 0)
+    for n in range(2 * len(a)):
+        _same_bits(cauchy(grown, grown, n), cauchy(fresh, fresh, n))
+        _assert_exact_sum(cauchy(grown, grown, n), a, a, n)
+
+
+def test_result_precision_is_the_highest_of_the_kept_factors():
+    # a 512-bit entry whose only partner is an exact zero does not count;
+    # exact zeros held at 64 bits do not lower the precision either
+    zero = Scalar.exact(0, 1, 64)
+    a = [Scalar.from_real("0.3", 512), Scalar.from_real("0.7", 256), zero]
+    b = [Scalar.from_real("1.1", 256), zero, Scalar.from_real("1.3", 512)]
+    assert cauchy(a, b, 1).precision == 256
+    assert cauchy(a, b, 0).precision == 512
+    assert cauchy(a, b, 3).precision == 512
+    assert cauchy(a, b, 4).is_exact and cauchy(a, b, 4).precision == 256
+    for n in range(5):
+        _assert_exact_sum(cauchy(a, b, n), a, b, n)
+        _assert_exact_sum(cauchy(a, a, n), a, a, n)
+
+
+def test_an_exact_window_stays_a_fraction_before_rounded_entries():
+    a = [sc(Fraction(1, 3)), sc(Fraction(2, 5)), Scalar.from_real("0.1")]
+    b = [sc(Fraction(1, 7)), sc(3), Scalar.from_complex("0.2", "0.5")]
+    sa = ScaledInts(a)
+    sb = ScaledInts(b, sa.slope)
+    for got in (cauchy(sa, sb, 0), cauchy(a, b, 0)):
+        assert got.is_exact and got.fraction() == Fraction(1, 21)
+    got = cauchy(sa, sb, 1)
+    assert got.is_exact and got.fraction() == Fraction(1) + Fraction(2, 35)
+    assert cauchy(sa, sa, 1).fraction() == Fraction(4, 15)
+    assert not cauchy(sa, sb, 2).is_exact
+    for n in range(5):
+        _assert_exact_sum(cauchy(sa, sb, n), a, b, n)
+
+
+def test_cauchy_rejects_lists_of_two_slopes():
+    a = [Scalar.from_real(1), Scalar.from_real("0.001")]
+    with pytest.raises(ContractViolation, match="slopes"):
+        cauchy(ScaledInts(a, 0), ScaledInts(a, -10), 1)
 
 
 # -- equality and hashing by exact value ----------------------------------------

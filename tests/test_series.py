@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from painleve_hh import (ContractViolation, PuiseuxSeries, Scalar,
                          set_default_precision)
@@ -206,9 +207,32 @@ def _same_coefficients(a, b):
         _same_scalar(x, y)
 
 
+def _exact_dot(us, vs):
+    """sum u*v over the terms with no exact-zero factor: the exact Fraction
+    sum, or that sum rounded once by mpmath at their highest precision."""
+    kept = [(u, v) for u, v in zip(us, vs) if not (
+        u.is_exact and u.is_zero() or v.is_exact and v.is_zero())]
+    if not kept:
+        return Scalar.exact(0)
+    bits = max(max(u.precision, v.precision) for u, v in kept)
+    if all(u.is_exact and v.is_exact for u, v in kept):
+        return Scalar.exact(sum(u.fraction() * v.fraction() for u, v in kept),
+                            1, bits)
+    total = [Fraction(0), Fraction(0)]
+    for u, v in kept:
+        (ur, ui), (vr, vi) = ((w.fraction(), 0) if w.is_exact else
+                              [Fraction(*to_rational(p)) for p in w.mpc()._mpc_]
+                              for w in (u, v))
+        total[0] += ur * vr - ui * vi
+        total[1] += ur * vi + ui * vr
+    return Scalar.from_complex(*(mpmath.mp.make_mpf(from_rational(
+        q.numerator, q.denominator, bits, round_nearest)) for q in total), bits)
+
+
 def _pairwise_product(a, b):
     """(exponent -> coefficient, known window cap or None) of a*b by the
-    double loop: dot over the explicit pairs adding up to each exponent."""
+    double loop: the exact sum over the explicit pairs adding up to each
+    exponent, rounded once."""
     caps = [s.max_exp + o.lead for s, o in ((a, b), (b, a))
             if s.max_exp is not None]
     cap = min(caps) if caps else None
@@ -220,7 +244,7 @@ def _pairwise_product(a, b):
                 us, vs = pairs.setdefault(e, ([], []))
                 us.append(ca)
                 vs.append(cb)
-    return {e: dot(us, vs) for e, (us, vs) in pairs.items()}, cap
+    return {e: _exact_dot(us, vs) for e, (us, vs) in pairs.items()}, cap
 
 
 zero_rich_coeffs = st.lists(
@@ -375,3 +399,13 @@ def test_high_power_builds_without_recursion():
     assert p.lead == 1500 and p.complete
     assert [c.fraction() for c in p.coeffs] == [1]
     assert s.pow_int(1499).lead == 1499
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_a_non_finite_coefficient_is_rejected_by_the_product(value):
+    bad = PuiseuxSeries(-2, 1, [Scalar.from_real(1), Scalar.exact(0),
+                                Scalar.from_complex(2, value)])
+    good = S(-2, [1, 2, 3])
+    for p, q in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(ContractViolation, match="non-finite"):
+            p * q
