@@ -3,7 +3,8 @@
 Everything here targets the tiny systems of the series recurrences and the
 subequation fitter: a few rows to a few dozen rows.  Two code paths share
 one interface; matrices whose entries are all exact rationals are solved
-exactly with Fraction arithmetic, anything else is solved in complex
+exactly by Gauss-Jordan on Python ints (each row scaled to ints once, one
+Fraction per entry of the result), anything else is solved in complex
 big-floats with a relative pivot threshold of 2**(-precision/2).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -88,61 +90,88 @@ class LinearSolution:
         return len(self.nullspace)
 
 
-def _rref(a, b, thresh):
-    """Row-reduce [a | b] in place over Fractions or mpc values.
-
-    Each column pivots on its largest magnitude above thresh (0 for
-    Fractions and for determinants).  Returns the pivot columns, the pivot values before
-    normalisation and the parity (+1/-1) of the row swaps, so that a full
-    rank square a has determinant parity * prod(pivot values).
-    """
-    nrows, ncols = len(a), len(a[0])
-    pivots, values, parity = [], [], 1
-    r = 0
+def _int_rref(rows, ncols):
+    """_rref for exact Scalar rows, on ints: each row is scaled by the lcm
+    of its denominators, any nonzero entry p pivots, and each other row
+    with an entry f in p's column becomes (p*row - f*pivot_row)/g, p and f
+    over their gcd, g the gcd of the new row.  Returns the rows, the pivot
+    columns and (num, den), which undo the factor of those steps (lcms, p,
+    g, swaps) on the determinant: a full rank square matrix has determinant
+    prod(pivot entries) * num / den."""
+    num, den, out = 1, 1, []
+    for row in rows:
+        row = [e.fraction() for e in row]
+        m = math.lcm(*(q.denominator for q in row))
+        out.append([q.numerator * (m // q.denominator) for q in row])
+        den *= m
+    pivots = []
     for c in range(ncols):
-        pr, best = None, thresh
-        for i in range(r, nrows):
-            m = abs(a[i][c])
-            if m > best:
-                pr, best = i, m
+        r = len(pivots)
+        pr = next((i for i in range(r, len(out)) if out[i][c]), None)
         if pr is None:
             continue
         if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            b[r], b[pr] = b[pr], b[r]
-            parity = -parity
-        pivot = a[r][c]
+            out[r], out[pr], num = out[pr], out[r], -num
+        top = out[r]
+        for i, row in enumerate(out):
+            if i != r and row[c]:
+                g = math.gcd(top[c], row[c])
+                p, f = top[c] // g, row[c] // g
+                row = [p * v - f * w for v, w in zip(row, top)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [v // g for v in row]
+                    num *= g
+                out[i], den = row, den * p
+        pivots.append(c)
+    return out, pivots, (num, den)
+
+
+def _rref(rows, ncols, thresh):
+    """Row-reduce rows of mpc values in place (exact systems take
+    _int_rref); the first ncols columns are the matrix, the rest ride along.
+
+    Each column pivots on its largest magnitude above thresh (0 for
+    determinants).  Returns the pivot columns, the pivot values before
+    normalisation and the parity (+1/-1) of the row swaps, so that a full
+    rank square matrix has determinant parity * prod(pivot values).
+    """
+    pivots, values, parity = [], [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]))
+        if not abs(rows[pr][c]) > thresh:
+            continue
+        if pr != r:
+            rows[r], rows[pr], parity = rows[pr], rows[r], -parity
+        pivot = rows[r][c]
         inv = 1 / pivot
-        a[r] = [v * inv for v in a[r]]
-        b[r] = b[r] * inv
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-                b[i] = b[i] - f * b[r]
+        top = rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [v - row[c] * w for v, w in zip(row, top)]
         pivots.append(c)
         values.append(pivot)
-        r += 1
-        if r == nrows:
-            break
     return pivots, values, parity
 
 
-def _assemble(pivots, a, b, ncols, thresh, to_scalar) -> LinearSolution:
-    """Particular solution and nullspace basis, as Scalars, from an RREF;
-    a leftover rhs entry above thresh makes the system inconsistent."""
+def _assemble(pivots, rows, ncols, thresh, to_scalar) -> LinearSolution:
+    """Particular solution and nullspace basis, as Scalars, from the RREF
+    of [A | b]; a leftover rhs entry above thresh makes it inconsistent."""
     rank = len(pivots)
-    if any(abs(v) > thresh for v in b[rank:]):
+    if any(abs(row[ncols]) > thresh for row in rows[rank:]):
         return LinearSolution(kind="inconsistent", rank=rank)
     particular = [0] * ncols
     for r, c in enumerate(pivots):
-        particular[c] = b[r]
+        particular[c] = rows[r][ncols]
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
         for r, c in enumerate(pivots):
-            vec[c] = -a[r][fc]
+            vec[c] = -rows[r][fc]
         basis.append([to_scalar(v) for v in vec])
     return LinearSolution(kind="parametrized" if basis else "unique",
                           solution=[to_scalar(v) for v in particular],
@@ -162,21 +191,24 @@ def solve_linear(A: DenseMatrix, b) -> LinearSolution:
             f"rhs length {len(b)} does not match {A.rows} rows"
         )
     if A.is_exact() and all(v.is_exact for v in b):
-        rows = [[e.fraction() for e in A.row(i)] for i in range(A.rows)]
-        rhs = [v.fraction() for v in b]
-        pivots, _, _ = _rref(rows, rhs, 0)
-        return _assemble(pivots, rows, rhs, A.cols, 0, Scalar.exact)
+        rows, pivots, _ = _int_rref(
+            [A.row(i) + [v] for i, v in enumerate(b)], A.cols)
+        # one Fraction per entry _assemble reads: the rhs and free columns
+        free = [j for j in range(A.cols + 1) if j not in pivots]
+        for row, c in zip(rows, pivots):
+            for j in free:
+                row[j] = Fraction(row[j], row[c])
+        return _assemble(pivots, rows, A.cols, 0, Scalar.exact)
 
     bits = max(A.precision(), max((v.precision for v in b), default=64))
     with mp.workprec(bits + 20):
-        rows = [[e.mpc(bits) for e in A.row(i)] for i in range(A.rows)]
-        scale = max([abs(e) for r in rows for e in r] + [mpmath.mpf(1)])
-        rhs = [v.mpc(bits) for v in b]
-        bscale = max([abs(v) for v in rhs] + [scale])
+        rows = [[e.mpc(bits) for e in A.row(i) + [v]] for i, v in enumerate(b)]
+        scale = max([abs(e) for r in rows for e in r[:-1]] + [mpmath.mpf(1)])
+        bscale = max([abs(r[-1]) for r in rows] + [scale])
         thresh = half_precision_tol(bits) * scale
         bthresh = half_precision_tol(bits) * bscale
-        pivots, _, _ = _rref(rows, rhs, thresh)
-        return _assemble(pivots, rows, rhs, A.cols, bthresh,
+        pivots, _, _ = _rref(rows, A.cols, thresh)
+        return _assemble(pivots, rows, A.cols, bthresh,
                          lambda v: Scalar.from_mpc(v, bits))
 
 
@@ -186,14 +218,16 @@ def determinant(A: DenseMatrix) -> Scalar:
         raise ContractViolation("determinant of a non-square matrix")
     n = A.rows
     if A.is_exact():
-        rows = [[e.fraction() for e in A.row(i)] for i in range(n)]
-        pivots, values, parity = _rref(rows, [0] * n, 0)
-        return Scalar.exact(parity * math.prod(values) if len(pivots) == n else 0)
+        rows, pivots, (num, den) = _int_rref([A.row(i) for i in range(n)], n)
+        if len(pivots) < n:
+            return Scalar.exact(0)
+        diagonal = math.prod(row[i] for i, row in enumerate(rows))
+        return Scalar.exact(diagonal * num, den)
     bits = A.precision()
     with mp.workprec(bits + 20):
         rows = [[e.mpc(bits) for e in A.row(i)] for i in range(n)]
         # any nonzero pivot counts: a determinant has no rank decision to make
-        pivots, values, parity = _rref(rows, [mpmath.mpc(0)] * n, 0)
+        pivots, values, parity = _rref(rows, n, 0)
         det = parity * math.prod(values) if len(pivots) == n else mpmath.mpc(0)
         return Scalar.from_mpc(det, bits)
 

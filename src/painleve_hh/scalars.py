@@ -239,6 +239,8 @@ class Scalar:
 
     @staticmethod
     def _coerce(other):
+        if type(other) is Scalar:
+            return other
         if isinstance(other, (Scalar, int, Fraction, float)):
             return as_scalar(other)
         return NotImplemented

@@ -29,12 +29,6 @@ def _frac(x) -> Fraction:
     raise ContractViolation(f"exponent must be rational, got {type(x).__name__}")
 
 
-def _last_nonzero(coeffs) -> int:
-    """Index of the last coefficient that is not an exact zero."""
-    return max(i for i, c in enumerate(coeffs)
-               if not (c.is_exact and c.is_zero()))
-
-
 def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
     num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
     den = a.denominator * b.denominator
@@ -236,17 +230,18 @@ class PuiseuxSeries:
         cap = min(caps) if caps else None
         a = self._on_grid(self.lead, step)
         b = a if other is self else other._on_grid(other.lead, step)
-        if cap is None:
-            # complete product: through the last term with no exact-zero factor
-            n = _last_nonzero(a) + _last_nonzero(b)
-        else:
-            n = int((cap - lead) / step)
         # when both hold their terms that are not exact zeros only at
         # multiples of g, so does the product: convolve every g-th slot
         g = gcd(*(i for c in (a, b) for i, x in enumerate(c)
                   if not (x.is_exact and x.is_zero()))) or 1
         sa = ScaledInts(a[::g])
         sb = sa if b is a else ScaledInts(b[::g], sa.slope)
+        if cap is None:
+            # complete product: through the last term with no exact-zero
+            # factor, the top set bits of the masks
+            n = g * (sa.nz.bit_length() + sb.nz.bit_length() - 2)
+        else:
+            n = int((cap - lead) / step)
         coeffs = [Scalar.exact(0)] * (n + 1)
         coeffs[::g] = [cauchy(sa, sb, i) for i in range(n // g + 1)]
         return PuiseuxSeries(lead, step, coeffs, center=self.center,
@@ -269,9 +264,14 @@ class PuiseuxSeries:
     def differentiate(self) -> "PuiseuxSeries":
         if self._derivative is None:
             nums, d = self._exponent_numerators()
+            # an exact zero is carried over at the precision that
+            # 0 * Scalar.exact(n, d) gives: the wider of its own and zero's
+            zero = Scalar.exact(0)
             self._derivative = PuiseuxSeries(
                 self.lead - 1, self.step,
-                [c * Scalar.exact(n, d) for n, c in zip(nums, self.coeffs)],
+                [c * Scalar.exact(n, d) if not (c.is_exact and c.is_zero())
+                 else c if c.precision > zero.precision else zero
+                 for n, c in zip(nums, self.coeffs)],
                 center=self.center, complete=self.complete)
         return self._derivative
 

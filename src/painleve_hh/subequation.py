@@ -26,7 +26,7 @@ from .linalg import DenseMatrix, solve_linear
 from .model import BivariatePoly, power_product
 from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
                       default_precision, half_precision_tol)
-from .series import PuiseuxSeries
+from .series import _ZERO, PuiseuxSeries
 
 
 def ansatz_indices(m: int) -> list[tuple[int, int]]:
@@ -107,22 +107,31 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
         raise ContractViolation(
             f"series too short: ansatz terms known only through t^{window_cap}, "
             f"match_order {match_order} requested")
-    exponents = [lead + i for i in range(math.floor(match_order - lead) + 1)]
-    if len(exponents) < unknowns + 2:
+    n = max(math.floor(match_order - lead) + 1, 0)   # t^lead .. t^match_order
+    if n < unknowns + 2:
         raise ContractViolation(
-            f"match_order {match_order} gives {len(exponents)} equations for "
+            f"match_order {match_order} gives {n} equations for "
             f"{unknowns} unknowns; need at least {unknowns + 2}")
-    # the window check above leaves no unknown coefficient in these rows
-    rows = [[terms[jk].coefficient(e) for jk in indices] for e in exponents]
+    # coefficient(lead + i) of every column, read off its list: the window
+    # check above leaves no unknown one, and off the grid it is exact zero
+    cols = []
+    for t in (terms[jk] for jk in indices):
+        on_grid = t._on_grid(lead, 1) if (t.lead - lead).denominator == 1 else []
+        cols.append((on_grid + [_ZERO] * n)[:n])
+    rows = list(zip(*cols))
     system = DenseMatrix.from_rows(rows)
-    sol = solve_linear(system, [Scalar.exact(0)] * len(exponents))
+    sol = solve_linear(system, [Scalar.exact(0)] * n)
     if sol.kind == "unique":
         return FitResult(nullspace_dim=0, basis=(), residual_orders=())
     bits = max((c.precision for r in rows for c in r), default=default_precision())
     if tol is None:
         tol = half_precision_tol(bits)
-    scale = 1 + max((c.mag() for t in terms.values() for c in t.coeffs),
-                    default=mpmath.mpf(0))
+    coeffs = [c for t in terms.values() for c in t.coeffs]
+    if all(c.is_exact and c.precision == bits for c in coeffs):
+        # rounding to nearest is monotone: round the largest magnitude once
+        coeffs = [Scalar.exact(max((abs(c.fraction()) for c in coeffs),
+                                   default=0), bits=bits)]
+    scale = 1 + max((c.mag() for c in coeffs), default=mpmath.mpf(0))
     basis, orders = [], []
     for vec in sol.nullspace:
         ans = SubequationAnsatz(m=m, h=dict(zip(indices, vec))).normalized()

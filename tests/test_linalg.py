@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -261,3 +263,122 @@ def test_bigfloat_determinant_of_badly_scaled_nonsingular_matrix(rows, bits):
                              for r in rows]))
     assert not rounded.is_zero()
     assert (rounded - exact).mag() <= mpmath.mpf(2) ** -(bits - 8) * exact.mag()
+
+
+# -- exact systems on ints against a plain Fraction Gauss-Jordan --------------
+
+small_rationals = st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+                            st.integers(min_value=1, max_value=12))
+# entries near 2**200 and 2**-200 next to small ones
+rationals = st.one_of(small_rationals, small_rationals, st.builds(
+    lambda q, e: q * Fraction(2) ** e, small_rationals,
+    st.sampled_from([-201, -200, 199, 200])))
+# zeros at pivot positions make the elimination swap rows
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def rational_matrices(draw, nrows, ncols):
+    """nrows x ncols Fractions of rank at most a drawn r: r drawn rows and
+    small integer mixes of them, in a drawn order, some rows then zeroed."""
+    full = min(nrows, ncols)
+    r = draw(st.one_of(st.just(full), st.integers(min_value=0, max_value=full)))
+    basis = draw(st.lists(st.lists(sparse_rationals, min_size=ncols,
+                                   max_size=ncols), min_size=r, max_size=r))
+    mixes = draw(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                                   min_size=r, max_size=r),
+                          min_size=nrows - r, max_size=nrows - r))
+    rows = basis + [[sum((m * row[j] for m, row in zip(mix, basis)), Fraction(0))
+                     for j in range(ncols)] for mix in mixes]
+    rows = draw(st.permutations(rows))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=nrows - 1),
+                             max_size=nrows // 2))
+    return [[Fraction(0)] * ncols if i in zero_rows else row
+            for i, row in enumerate(rows)]
+
+
+@st.composite
+def rational_systems(draw):
+    """Tall, wide and square systems, often rank deficient; b lies in the
+    image of A or is drawn freely (then often inconsistent)."""
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    a = draw(rational_matrices(nrows, ncols))
+    if draw(st.booleans()):
+        x = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+        b = [sum((u * v for u, v in zip(row, x)), Fraction(0)) for row in a]
+    else:
+        b = draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+    return a, b
+
+
+def _fraction_gauss_jordan(a, b):
+    """(kind, rank, particular solution, nullspace basis) of a x = b by
+    Gauss-Jordan on Fractions: free unknowns 0 in the particular solution,
+    one basis vector per free column, 1 there."""
+    ncols = len(a[0])
+    rows = [list(r) + [v] for r, v in zip(a, b)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    rank = len(pivots)
+    if any(row[-1] != 0 for row in rows[rank:]):
+        return "inconsistent", rank, None, []
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][fc]
+        basis.append(v)
+    return "parametrized" if basis else "unique", rank, x, basis
+
+
+def _times(a, x):
+    return [sum((u * v for u, v in zip(row, x)), Fraction(0)) for row in a]
+
+
+@given(rational_systems())
+def test_exact_solve_matches_fraction_gauss_jordan(system):
+    a, b = system
+    sol = solve_linear(M(a), [Scalar.exact(v) for v in b])
+    kind, rank, x, basis = _fraction_gauss_jordan(a, b)
+    assert (sol.kind, sol.rank) == (kind, rank)
+    assert _fractions(sol.solution) == x
+    assert [_fractions(v) for v in sol.nullspace] == basis
+    if kind != "inconsistent":
+        assert all(v.is_exact for v in sol.solution)
+        assert _times(a, _fractions(sol.solution)) == b
+        for v in sol.nullspace:
+            assert _times(a, _fractions(v)) == [0] * len(a)
+
+
+def _leibniz(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: rational_matrices(n, n)))
+def test_exact_determinant_matches_leibniz(a):
+    det = determinant(M(a))
+    assert det.is_exact
+    assert det.fraction() == _leibniz(a)

@@ -10,6 +10,7 @@ from painleve_hh import (Scalar, UnsupportedParameter, candidate_C_values,
                          set_default_precision)
 from painleve_hh import painleve
 from painleve_hh.painleve import kowalevski_polynomial
+from painleve_hh.scalars import cauchy
 
 
 def _balances_by_case(C):
@@ -305,3 +306,81 @@ def test_exactly_nudged_table_resonance_rejected(monkeypatch, bits):
     with pytest.raises(RuntimeError, match="not matched by Kowalevski root"
                                            ".*r\\^0 coefficient"):
         resonances(balance, C)
+
+
+def _convolved_root_product(values):
+    """prod(r - v) by one convolution per factor: the product the linear
+    factors replaced (painleve's polynomial product over cauchy)."""
+    product = [Scalar.exact(1)]
+    for v in values:
+        factor = [-v, Scalar.exact(1)]
+        product = [cauchy(product, factor, n) for n in range(len(product) + 1)]
+    return product
+
+
+# the exact C of the CLI grid (tools/cli_grid.py) except C = 0
+GRID_EXACT_C = [Fraction(-16, 5), Fraction(-4, 3), Fraction(-1), Fraction(-6),
+                Fraction(-16), Fraction(-2), Fraction(-13, 4), Fraction(7, 9),
+                Fraction(-23, 24), Fraction(48)]
+
+
+@pytest.mark.parametrize("c", GRID_EXACT_C, ids=str)
+@pytest.mark.parametrize("bits", [64, 256])
+def test_root_product_matches_the_convolution_exactly(c, bits):
+    set_default_precision(bits)
+    C = Scalar.exact(c)
+    exact_tables = 0
+    for balance in find_dominant_balances(C):
+        table = painleve._table_resonances(balance, C)
+        if not all(v.is_exact for v in table):
+            continue
+        exact_tables += 1
+        got = painleve._root_product(table)
+        want = _convolved_root_product(table)
+        assert all(g.is_exact for g in got)
+        assert [g.fraction() for g in got] == [w.fraction() for w in want]
+    # every grid C but -13/4 and 7/9 has a balance with an all-exact table
+    assert exact_tables or c in (Fraction(-13, 4), Fraction(7, 9))
+
+
+@pytest.mark.parametrize("c", ["-3.2", "0.7", "-16/5", "7/9", "48", "1e-30"])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_root_product_on_rounded_tables_within_an_ulp_of_the_term_sizes(c, bits):
+    # each linear factor rounds twice where the convolution rounds once; the
+    # two differ by less than 2**(1 - bits) * S_n, S_n the coefficient of
+    # prod(r + |r_i|) (between one and two units in the last place of S_n)
+    set_default_precision(bits)
+    C = Scalar.exact(Fraction(c)) if "/" in c or c == "48" \
+        else Scalar.from_real(c, bits)
+    rounded_tables = 0
+    for balance in find_dominant_balances(C):
+        table = painleve._table_resonances(balance, C)
+        if all(v.is_exact for v in table):
+            continue
+        rounded_tables += 1
+        sizes = _convolved_root_product([-v.magnitude() for v in table])
+        for got, want, size in zip(painleve._root_product(table),
+                                   _convolved_root_product(table), sizes):
+            assert (got - want).mag() <= mpmath.mpf(2) ** (1 - bits) * size.mag()
+    assert rounded_tables
+
+
+@pytest.mark.parametrize("c", ["-3.2", "0.7", "-16/5"])
+@pytest.mark.parametrize("index", range(4))
+def test_table_value_nudged_by_2_to_the_minus_100_rejected(monkeypatch, c, index):
+    # at 256 bits the allowance is about 2**-128 * (1 + S), far below 2**-100
+    C = Scalar.exact(Fraction(c)) if "/" in c else Scalar.from_real(c)
+    table = painleve._table_resonances
+    nudge = Scalar.from_real(mpmath.mpf(2) ** -100)
+
+    def perturbed(b, c):
+        values = table(b, c)
+        return values[:index] + [values[index] + nudge] + values[index + 1:]
+
+    balances = find_dominant_balances(C)
+    for balance in balances:
+        resonances(balance, C)
+    monkeypatch.setattr(painleve, "_table_resonances", perturbed)
+    for balance in balances:
+        with pytest.raises(RuntimeError, match="not matched by Kowalevski root"):
+            resonances(balance, C)

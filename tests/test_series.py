@@ -88,6 +88,20 @@ def test_differentiate_keeps_exactness_at_zero_exponent():
     assert c.is_exact and c.is_zero()
 
 
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_differentiate_carries_exact_zeros_at_the_precision_of_the_product(bits):
+    # an exact zero is carried over, not multiplied, at the precision
+    # 0 * Scalar.exact(n, d) gives it: the wider of its own and the default
+    set_default_precision(bits)
+    coeffs = [Scalar.exact(0, 1, 64), Scalar.exact(3), Scalar.exact(0),
+              Scalar.exact(0, 1, 512), Scalar.from_real(0, 128),
+              Scalar.exact(0, 1, 2048), Scalar.from_real("0.25", 64)]
+    s = PuiseuxSeries(Fraction(-3, 2), Fraction(1, 2), coeffs)
+    set_default_precision(256)
+    for e, c, got in zip(s.exponents(), coeffs, s.differentiate().coeffs):
+        _same_scalar(got, c * Scalar.exact(e))
+
+
 def test_evaluate_against_direct_sum():
     s = S(-2, [Fraction(1), Fraction(-3, 2), Fraction(2, 7)])
     t = Scalar.exact(1, 3)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from painleve_hh import (BranchSpec, ContractViolation, PuiseuxSeries,
                          fit, mobius_squared_series, residue_pairing,
                          set_default_precision, transform_quartic,
                          weierstrass_p_series)
+from painleve_hh import subequation
 from painleve_hh.scalars import half_precision_tol
 from painleve_hh.subequation import (SubequationAnsatz, _series_divide,
                                      ansatz_indices)
@@ -107,6 +109,44 @@ def test_fit_expands_each_column_once(monkeypatch, m, match_order, products):
     monkeypatch.setattr(SubequationAnsatz, "residual_series", None)
     assert fit(p, m, match_order).nullspace_dim >= 1
     assert len(count) == products
+
+
+@pytest.mark.parametrize("y, m, match_order", [
+    (weierstrass_p_series(Scalar.exact(1, 3), Scalar.exact(-2, 5), 30), 3, 35),
+    # rounded at 64 bits, with exact zeros between its terms
+    (weierstrass_p_series(Scalar.from_real("0.3", 64),
+                          Scalar.from_real("-0.7", 64), 30, 64), 2, 25),
+    # a half-integer lead on the integer grid: odd powers lie off the rows'
+    # grid, and coefficient() reads exact zeros there
+    (PuiseuxSeries(Fraction(-1, 2), 1,
+                   [Scalar.exact(k + 1, 7) for k in range(30)]), 2, 12),
+], ids=["exact", "rounded-64", "off-grid"])
+def test_fit_rows_hold_the_coefficients_of_each_column(monkeypatch, y, m,
+                                                       match_order):
+    # the rows must be the very Scalars coefficient() returns, exact zeros
+    # included, since fit's default tolerance reads their precisions
+    columns, systems = [], []
+    power_product, solve_linear = subequation.power_product, \
+        subequation.solve_linear
+
+    def recorded(*args):
+        columns.append(power_product(*args))
+        return columns[-1]
+
+    def captured(system, b):
+        systems.append(system)
+        return solve_linear(system, b)
+
+    monkeypatch.setattr(subequation, "power_product", recorded)
+    monkeypatch.setattr(subequation, "solve_linear", captured)
+    fit(y, m, match_order)
+    (system,) = systems
+    lead = min(t.lead for t in columns)
+    assert system.cols == len(columns)
+    assert system.rows == math.floor(match_order - lead) + 1
+    for i in range(system.rows):
+        for j, column in enumerate(columns):
+            assert system[i, j] is column.coefficient(lead + i)
 
 
 def test_fit_scale_normalization():
