@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
-from mpmath import mp
+from mpmath.libmp import finf, fnan, to_str
 
 from .errors import ContractViolation, InsufficientPrefix
 from .laurent import SeriesSolution, _case
@@ -111,7 +110,8 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     M must dominate every computed coefficient magnitude from index -1 on
     (and |c1| for C165, which the second bound absorbs under |c1| <= M), and the
     induction threshold must lie inside the computed prefix; otherwise
-    InsufficientPrefix reports how many coefficients are needed.
+    InsufficientPrefix reports how many coefficients are needed.  A NaN or
+    infinite coefficient is a ContractViolation.
     """
     epsilon, limit = as_scalar(epsilon), as_scalar(m_search_limit)
     if solution.trunc_order < 10:
@@ -127,16 +127,18 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     lead_free = _case(case).lead_free
     lam = solution.spec.lam
     # from index -1 on; the x slots between C165's exponents are exact zeros
-    max_coeff = max(v.mag() for v in solution.x.coeffs[1:]
-                    + solution.y.coeffs[1:])
+    mags = [v.mag() for v in solution.x.coeffs[1:] + solution.y.coeffs[1:]]
     c1_abs = solution.c1.magnitude() if lead_free else Scalar.exact(0)
-    floor = max(max_coeff, c1_abs.mag())
-    with mp.workprec(bits):
-        exponent = max(0, int(mpmath.ceil(mpmath.log(floor, 2)))) if floor > 1 \
-            else 0
+    covered = mags + [c1_abs.mag()]
+    # max skips a NaN, so each magnitude is tested
+    if any(m._mpf_ in (finf, fnan) for m in covered):
+        raise ContractViolation("the series prefix holds a non-finite coefficient")
+    # M = 2**exponent, the least exponent >= 0 with M >= max(covered) = man * 2**exp
+    _, man, exp, _ = max(covered)._mpf_
+    exponent = max(0, (man - 1).bit_length() + exp) if man else 0
     limit = limit.mag()
     audit = {
-        "max_prefix_coefficient": Scalar.from_mpc(mpmath.mpc(max_coeff), bits),
+        "max_prefix_coefficient": Scalar.from_real(max(mags), bits),
         "c1_abs": c1_abs,
         "prefix_bound_indices": "[-1, %d]" % solution.trunc_order,
         "c43_derived_constants": None if lead_free else {
@@ -164,7 +166,8 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     audit_entry = {
         **audit,
         "bound_factors_at_N": tuple(
-            str(b.mag()) for b in bound_step(n_ind, M, lam, c1_abs, case)),
+            to_str(b.mag()._mpf_, 15)
+            for b in bound_step(n_ind, M, lam, c1_abs, case)),
     }
     return ConvergenceCertificate(
         M=M, N=n_ind, epsilon=epsilon, checked_prefix=solution.trunc_order,

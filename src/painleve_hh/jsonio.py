@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath.libmp import to_str
 
 from .convergence import ConvergenceCertificate
 from .errors import ContractViolation
@@ -23,23 +23,15 @@ from .series import PuiseuxSeries
 from .subequation import FitResult, SubequationAnsatz
 
 
-def _roundtrip_digits(bits: int) -> int:
-    return int(math.ceil(bits * math.log10(2))) + 3
-
-
 def encode_scalar(s: Scalar) -> dict:
     if s.is_exact:
         q = s.fraction()
         return {"num": str(q.numerator), "den": str(q.denominator)}
     bits = s.precision
-    digits = _roundtrip_digits(bits)
-    v = s.mpc()
-    with mp.workprec(bits + 8):
-        return {
-            "re": mpmath.nstr(v.real, digits, strip_zeros=False),
-            "im": mpmath.nstr(v.imag, digits, strip_zeros=False),
-            "bits": bits,
-        }
+    digits = math.ceil(bits * math.log10(2)) + 3     # round-trips at bits
+    re, im = s._raw(bits)
+    return {"re": to_str(re, digits, strip_zeros=False),
+            "im": to_str(im, digits, strip_zeros=False), "bits": bits}
 
 
 def _field(obj, key: str, what: str, convert):

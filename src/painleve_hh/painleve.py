@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 
 from .errors import UnsupportedParameter
 from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
@@ -169,14 +168,14 @@ def _root_product(values) -> list:
 
 
 def _is_integer(v: Scalar) -> bool:
+    """An exact integer, or a rounded real within 2**-(p//2)*max(1, |v|) of one."""
     if v.is_exact:
         return v.fraction().denominator == 1
-    z = v.mpc()
-    if z.imag != 0:
-        return False
-    with mp.workprec(max(v.precision, 128)):
-        return abs(z.real - mpmath.nint(z.real)) \
-            <= half_precision_tol(v.precision) * max(1, abs(z.real))
+    if v.is_real() and v._raw(v.precision)[0][2] >= 0:
+        return True        # man * 2**exp, whole: no 2**exp-wide Fraction of it
+    q = v._rational()      # None unless v is a finite real
+    return q is not None and \
+        abs(q - round(q)) * 2 ** (v.precision // 2) <= max(1, abs(q))
 
 
 def resonances(balance: DominantBalance, C) -> ResonanceSet:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
 from .model import BivariatePoly, power_product
@@ -57,7 +55,7 @@ class SubequationAnsatz:
 
     def normalized(self) -> "SubequationAnsatz":
         """Scale so the largest-magnitude coefficient equals 1."""
-        best_jk, best_mag = None, mpmath.mpf(0)
+        best_jk, best_mag = None, 0
         for jk, c in self.h.items():
             mag = c.mag()
             if mag > best_mag:
@@ -126,12 +124,10 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
     bits = max((c.precision for r in rows for c in r), default=default_precision())
     if tol is None:
         tol = half_precision_tol(bits)
-    coeffs = [c for t in terms.values() for c in t.coeffs]
-    if all(c.is_exact and c.precision == bits for c in coeffs):
-        # rounding to nearest is monotone: round the largest magnitude once
-        coeffs = [Scalar.exact(max((abs(c.fraction()) for c in coeffs),
-                                   default=0), bits=bits)]
-    scale = 1 + max((c.mag() for c in coeffs), default=mpmath.mpf(0))
+    # exact rows have an exact nullspace: each matched residual coefficient
+    # is then an exact zero
+    bound = 0 if system.is_exact() else tol * (1 + max(
+        (c.mag() for t in terms.values() for c in t.coeffs), default=0))
     basis, orders = [], []
     for vec in sol.nullspace:
         ans = SubequationAnsatz(m=m, h=dict(zip(indices, vec))).normalized()
@@ -143,7 +139,7 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
         for e, c in zip(resid.exponents(), resid.coeffs):
             if e > match_order:
                 break
-            if c.mag() > tol * scale:
+            if c.mag() > bound:
                 ok = False
                 break
             verified = e

@@ -1,16 +1,31 @@
+import json
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from painleve_hh import (BranchSpec, ContractViolation, InsufficientPrefix,
                          Scalar, bound_step, build_series, certify)
 from painleve_hh.convergence import geometric_tail_bound
+from painleve_hh.jsonio import encode_certificate
 from painleve_hh.laurent import SeriesSolution
 
 LAM9 = Scalar.exact(1, 9)
+
+
+def _with_y_coefficient(sol: SeriesSolution, index: int, value: Scalar):
+    """sol with y's coefficient list entry `index` replaced by value."""
+    ycoeffs = list(sol.y.coeffs)
+    ycoeffs[index] = value
+    return SeriesSolution(
+        spec=sol.spec, x=sol.x,
+        y=type(sol.y)(sol.y.lead, sol.y.step, ycoeffs, center=sol.y.center),
+        H=sol.H, steps=sol.steps, trunc_order=sol.trunc_order,
+        precision=sol.precision)
 
 
 def test_bound_step_reference_values():
@@ -124,16 +139,51 @@ def test_certificate_monotone_in_epsilon():
 
 def test_injected_large_coefficient_not_certified():
     spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
-    sol = build_series(spec, 40)
-    ycoeffs = list(sol.y.coeffs)
-    ycoeffs[32] = Scalar.from_real("1e6")   # recurrence index 30
-    tampered = SeriesSolution(
-        spec=sol.spec, x=sol.x,
-        y=type(sol.y)(sol.y.lead, sol.y.step, ycoeffs, center=sol.y.center),
-        H=sol.H, steps=sol.steps, trunc_order=sol.trunc_order,
-        precision=sol.precision)
+    # recurrence index 30
+    tampered = _with_y_coefficient(build_series(spec, 40), 32,
+                                   Scalar.from_real("1e6"))
     cert = certify(tampered, Scalar.from_real("0.1"), m_search_limit=2 ** 12)
     assert not cert.certified
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_prefix_coefficient_rejected(value):
+    # max() over the magnitudes skips a NaN, and inf has no exponent
+    spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
+    tampered = _with_y_coefficient(build_series(spec, 40), 32,
+                                   Scalar.from_real(value))
+    with pytest.raises(ContractViolation, match="non-finite"):
+        certify(tampered, Scalar.from_real("0.1"))
+
+
+def test_prefix_maximum_one_ulp_above_a_power_of_two_takes_the_next_one():
+    # 2**10 + 2**-245 is one ulp above 2**10 at 256 bits; its log2 rounded
+    # at 256 bits reads exactly 10, and M = 2**10 would not dominate it
+    spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
+    big = Scalar.from_real(mp.make_mpf(from_man_exp(2 ** 255 + 1, -245)), 256)
+    assert big.mag() > 2 ** 10
+    tampered = _with_y_coefficient(build_series(spec, 40), 32, big)
+    cert = certify(tampered, Scalar.from_real("0.1"), m_search_limit=2 ** 10)
+    assert cert.M.fraction() == 2 ** 11 and cert.M.mag() >= big.mag()
+    assert not cert.certified
+    assert cert.audit["reason"] == "required M exceeds the search limit"
+
+
+@pytest.mark.parametrize("case", ["C165", "C43"])
+def test_certificate_report_reads_no_ambient_precision(case):
+    sol = build_series(BranchSpec(case=case, lam=LAM9, root_branch="plus"), 40)
+    epsilon = Scalar.from_real("0.1")
+    reports = []
+    for ambient in (mp.workprec(53), mp.workprec(300), mp.workdps(50)):
+        with ambient:
+            cert = certify(sol, epsilon)
+            reports.append(json.dumps(encode_certificate(cert)))
+    assert reports[0] == reports[1] == reports[2]
+    # the audit holds the largest magnitude from index -1 on, every bit of it
+    audit = cert.audit["max_prefix_coefficient"]
+    assert audit.precision == sol.precision
+    assert audit.mpc()._mpc_[0] == max(
+        c.mag() for c in sol.x.coeffs[1:] + sol.y.coeffs[1:])._mpf_
 
 
 def test_insufficient_prefix_error():

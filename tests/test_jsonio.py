@@ -1,8 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
                          build_series, certify, classify, fit, nth_root,
@@ -37,6 +42,36 @@ def test_scalar_complex_roundtrip():
     s = nth_root(Scalar.exact(-7, 3), 2, 0)
     out = _roundtrip(s, encode_scalar, decode_scalar)
     assert (out - s).mag() <= mpmath.mpf(2) ** (-250)
+
+
+@st.composite
+def rounded_scalars(draw):
+    """A rounded Scalar at 64-1,024 bits whose parts are zero or a signed
+    mantissa of at most that many bits times 2**exp, tiny to huge."""
+    bits = draw(st.integers(64, 1024))
+    part = st.one_of(
+        st.just(mpmath.mpf(0)),
+        st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+                  st.integers(-(2 ** bits) + 1, 2 ** bits - 1),
+                  st.integers(-4000, 4000)))
+    return Scalar.from_complex(draw(part), draw(part), bits)
+
+
+@given(rounded_scalars(), st.sampled_from([53, 2000]))
+def test_encode_scalar_matches_nstr_and_decodes_bit_for_bit(s, ambient):
+    # the reference: mpmath.nstr of each part under workprec(bits + 8)
+    bits = s.precision
+    digits = math.ceil(bits * math.log10(2)) + 3
+    with mp.workprec(bits + 8):
+        v = s.mpc()
+        want = {"re": mpmath.nstr(v.real, digits, strip_zeros=False),
+                "im": mpmath.nstr(v.imag, digits, strip_zeros=False),
+                "bits": bits}
+    with mp.workprec(ambient):
+        payload = encode_scalar(s)
+        back = decode_scalar(json.loads(json.dumps(payload)))
+    assert payload == want
+    assert back.precision == bits and back.mpc()._mpc_ == s.mpc()._mpc_
 
 
 def test_series_roundtrip():

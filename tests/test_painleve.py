@@ -4,6 +4,8 @@ import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from painleve_hh import (Scalar, UnsupportedParameter, candidate_C_values,
                          classify, find_dominant_balances, resonances,
@@ -384,3 +386,45 @@ def test_table_value_nudged_by_2_to_the_minus_100_rejected(monkeypatch, c, index
     for balance in balances:
         with pytest.raises(RuntimeError, match="not matched by Kowalevski root"):
             resonances(balance, C)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("n", [0, 3, -7, 2 ** 20])
+def test_is_integer_at_the_edge_of_its_tolerance(bits, n):
+    # three ulps either side of n +- 2**-(p//2) * max(1, |n|), against the
+    # test written out in mpmath at a precision that makes it exact
+    half = bits // 2
+    outcomes = set()
+    for sign in (1, -1):
+        edge = n + sign * Fraction(max(1, abs(n)), 2 ** half)
+        _, man, exp, bc = from_rational(edge.numerator, edge.denominator, bits,
+                                        round_nearest)
+        ulp = Fraction(2) ** (exp + bc - bits)
+        for j in range(-3, 4):
+            q = edge + j * ulp
+            v = Scalar.from_real(mp.make_mpf(from_rational(
+                q.numerator, q.denominator, bits, round_nearest)), bits)
+            with mp.workprec(4 * bits):
+                x = v.mpc().real
+                want = abs(x - mpmath.nint(x)) \
+                    <= mpmath.ldexp(1, -half) * max(1, abs(x))
+            assert painleve._is_integer(v) == want, (q, bits)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_is_integer_on_exact_complex_and_non_finite_values():
+    assert painleve._is_integer(Scalar.exact(6))
+    assert not painleve._is_integer(Scalar.exact(13, 2))
+    assert painleve._is_integer(Scalar.from_real(6, 256))
+    assert not painleve._is_integer(Scalar.from_complex(6, "1e-60", 256))
+    for value in ("nan", "inf", "-inf"):
+        assert not painleve._is_integer(Scalar.from_real(value, 256))
+
+
+def test_is_integer_reads_a_wide_whole_value_from_its_exponent(monkeypatch):
+    # 1e30000000 at 256 bits is man * 2**exp with exp near 10**8, whole; a
+    # Fraction of it would be a 12 MB int
+    wide = Scalar.from_real("1e30000000", 256)
+    monkeypatch.setattr(Scalar, "_rational", None)
+    assert painleve._is_integer(wide) and painleve._is_integer(-wide)
