@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import finf, fnan, to_str
+from mpmath.libmp import to_str
 
 from .errors import ContractViolation, InsufficientPrefix
 from .laurent import SeriesSolution, _case
@@ -105,22 +105,23 @@ def _induction_threshold(M: Scalar, lam: Scalar, c1_abs: Scalar,
 
 
 def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> ConvergenceCertificate:
-    """Search the smallest power-of-two bound M certifying convergence.
-
-    M must dominate every computed coefficient magnitude from index -1 on
-    (and |c1| for C165, which the second bound absorbs under |c1| <= M), and the
-    induction threshold must lie inside the computed prefix; otherwise
-    InsufficientPrefix reports how many coefficients are needed.  A NaN or
-    infinite coefficient is a ContractViolation.
+    """Certify convergence with M the least power of two >= 1 covering every
+    computed coefficient magnitude from index -1 on (and |c1| for C165,
+    which the second bound absorbs under |c1| <= M); an M over the search
+    limit is not certified.  The induction threshold must lie inside the
+    computed prefix; otherwise InsufficientPrefix reports how many
+    coefficients are needed.
     """
     epsilon, limit = as_scalar(epsilon), as_scalar(m_search_limit)
     if solution.trunc_order < 10:
         raise ContractViolation("certification needs a series built with N >= 10")
-    # _rational() is None unless the value is a finite real
-    eps_q, limit_q = epsilon._rational(), limit._rational()
-    if eps_q is None or not 0 < eps_q < 1:
+    # an exact value as its Fraction, a rounded one as its stored mpf: a
+    # Fraction of a rounded 1e-300000000 has a billion-bit denominator
+    eps, lim = (v.fraction() if v.is_exact else v.mpc().real
+                for v in (epsilon, limit))
+    if not epsilon.is_real() or not 0 < eps < 1:
         raise ContractViolation("epsilon must be a real number in (0, 1)")
-    if limit_q is None or limit_q <= 0:
+    if not limit.is_real() or not lim > 0:
         raise ContractViolation("the M search limit must be a positive real")
     bits = solution.precision
     case = solution.spec.case
@@ -129,12 +130,8 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     # from index -1 on; the x slots between C165's exponents are exact zeros
     mags = [v.mag() for v in solution.x.coeffs[1:] + solution.y.coeffs[1:]]
     c1_abs = solution.c1.magnitude() if lead_free else Scalar.exact(0)
-    covered = mags + [c1_abs.mag()]
-    # max skips a NaN, so each magnitude is tested
-    if any(m._mpf_ in (finf, fnan) for m in covered):
-        raise ContractViolation("the series prefix holds a non-finite coefficient")
-    # M = 2**exponent, the least exponent >= 0 with M >= max(covered) = man * 2**exp
-    _, man, exp, _ = max(covered)._mpf_
+    # M = 2**exponent, the least exponent >= 0 with M >= the largest, man * 2**exp
+    _, man, exp, _ = max(mags + [c1_abs.mag()])._mpf_
     exponent = max(0, (man - 1).bit_length() + exp) if man else 0
     limit = limit.mag()
     audit = {

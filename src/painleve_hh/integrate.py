@@ -44,10 +44,9 @@ GUARD_BITS = 32      # fixed-point bits beyond the working bits + 20
 
 
 def check_tolerance(tol) -> Scalar:
-    """tol as a Scalar; ContractViolation unless it is a finite real > 0."""
+    """tol as a Scalar; ContractViolation unless it is a real > 0."""
     tol = as_scalar(tol)
-    value = tol.mpc().real
-    if not tol.is_real() or not 0 < value < mpmath.inf:
+    if not tol.is_real() or not tol.mpc().real > 0:
         raise ContractViolation(
             f"tolerance must be a positive real number, got {tol!r}")
     return tol
@@ -150,12 +149,10 @@ def integrate_numeric(sys: PolynomialODESystem, s0: PhaseState, t_end,
             )
         values = (sys.lam, sys.C, s0.x, s0.xt, s0.y, s0.yt)
         parts = 1 if all(v.is_real() for v in values) else 2
-        raw = [v.mpc(bits)._mpc_[:parts] for v in values]
-        if any(bc < 0 for v in raw for *_, bc in v):     # inf or nan
-            raise ContractViolation("lam, C and the state must be finite")
         # every number as exact dyadic parts (n, exp), each n * 2**exp
         lam, C, *state = [[(-man if sign else man, exp)
-                           for sign, man, exp, _ in v] for v in raw]
+                           for sign, man, exp, _ in v.mpc(bits)._mpc_[:parts]]
+                          for v in values]
         direction = 1 if te >= t else -1
         steps, h_prev = 0, None
         while (te - t) * direction > 0:

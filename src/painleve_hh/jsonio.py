@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
 from mpmath.libmp import to_str
 
 from .convergence import ConvergenceCertificate
@@ -46,13 +45,6 @@ def _field(obj, key: str, what: str, convert):
         raise ContractViolation(f"bad {what} field {key!r}: {exc}") from None
 
 
-def _finite(value):
-    number = mpmath.mpf(value)
-    if not mpmath.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
-
-
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -63,11 +55,12 @@ def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict) and "num" in obj:
         return Scalar.exact(_field(obj, "num", "scalar", int) * _field(
             obj, "den", "scalar", lambda den: Fraction(1, int(den))))
-    for key in ("re", "im"):
-        _field(obj, key, "scalar", _finite)
-    bits = _field(obj, "bits", "scalar", _checked_precision) if "bits" in obj \
-        else default_precision()
-    return Scalar.from_complex(obj["re"], obj["im"], bits)
+    bits = _field(obj, "bits", "scalar", _checked_precision) \
+        if isinstance(obj, dict) and "bits" in obj else default_precision()
+    # each part parsed once, at bits; from_real rejects inf and nan
+    re, im = (_field(obj, key, "scalar", lambda part: Scalar.from_real(
+        part, bits)._val[0]) for key in ("re", "im"))
+    return Scalar(None, (re, im), bits)
 
 
 def encode_series(s: PuiseuxSeries) -> dict:

@@ -173,7 +173,7 @@ def _is_integer(v: Scalar) -> bool:
         return v.fraction().denominator == 1
     if v.is_real() and v._raw(v.precision)[0][2] >= 0:
         return True        # man * 2**exp, whole: no 2**exp-wide Fraction of it
-    q = v._rational()      # None unless v is a finite real
+    q = v._rational()      # None unless v is real
     return q is not None and \
         abs(q - round(q)) * 2 ** (v.precision // 2) <= max(1, abs(q))
 
@@ -184,10 +184,11 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
     The table is checked against the Kowalevski determinant as the identity
     prod(r - r_i) = quartic (Case 1: (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
     Case 2: r(r + 2*alpha - 1)(r^2 - 5r - 6)).  Exact coefficients must be
-    equal; otherwise each may differ by half_precision_tol(p) * (1 + S), p
-    the lowest precision among the rounded table values and quartic
+    equal; otherwise each may differ by half_precision_tol(p) * (1 + S + R),
+    p the lowest precision among the rounded table values and quartic
     coefficients, S the summed magnitudes of the terms forming the quartic
-    coefficient.  A mismatch raises RuntimeError.
+    coefficient and R the same coefficient of prod(r + |r_i|), the size at
+    which the product is rounded.  A mismatch raises RuntimeError.
 
     The product is formed one linear factor at a time (_root_product): on
     rounded data that rounds each coefficient twice per factor (v*p[n],
@@ -208,7 +209,10 @@ def resonances(balance: DominantBalance, C) -> ResonanceSet:
         # the sizes are the same determinant over term magnitudes
         size = _determinant(*([[t.magnitude() for t in e] for e in row]
                               for row in (row_x, row_y)), -coupling.magnitude())
-        allowance = [half_precision_tol(min(rounded)) * (1 + v.mag()) for v in size]
+        # the linear-factor product rounds at the size of prod(r + |r_i|)
+        spread = _root_product([-v.magnitude() for v in table])
+        allowance = [half_precision_tol(min(rounded)) * (1 + v.mag() + w.mag())
+                     for v, w in zip(size, spread)]
     for power, (got, want) in enumerate(zip(product, quartic)):
         if got.is_exact and want.is_exact and got == want:
             continue

@@ -152,10 +152,15 @@ class Scalar:
     @staticmethod
     def from_complex(re, im, bits: int | None = None) -> "Scalar":
         """Rounded scalar re + i*im, each part an int, float, string or mpf
-        rounded to nearest at bits."""
+        rounded to nearest at bits; ContractViolation for inf, -inf or nan.
+        Every rounded Scalar is made here or by libmp on finite tuples."""
         bits = max(bits or _default_precision, MIN_PRECISION)
         with mp.workprec(bits):
-            return Scalar(None, (mpmath.mpf(re)._mpf_, mpmath.mpf(im)._mpf_), bits)
+            val = mpmath.mpf(re)._mpf_, mpmath.mpf(im)._mpf_
+        for part, (_, man, _, bc) in zip((re, im), val):
+            if not man and bc:          # the special values inf, -inf, nan
+                raise ContractViolation(f"{part!r} is not a finite number")
+        return Scalar(None, val, bits)
 
     @staticmethod
     def from_real(value, bits: int | None = None) -> "Scalar":
@@ -331,19 +336,16 @@ class Scalar:
         if s is NotImplemented:
             return NotImplemented
         if self._frac is None and s._frac is None:
-            # mpmath's value semantics: nan != nan
-            return mp.make_mpc(self._val) == mp.make_mpc(s._val)
+            return self._val == s._val          # normalised tuples
         # an exact scalar equals a rounded one only at the same dyadic value
         return self._rational() == s._rational()
 
     def _rational(self):
-        """The exact value as a Fraction, or None if it is not a finite real."""
+        """The exact value as a Fraction, or None if it is complex."""
         if self._frac is not None:
             return self._frac
         re, im = self._val
-        if im != fzero or not re[1] and re != fzero:      # complex or non-finite
-            return None
-        return Fraction(*to_rational(re))
+        return None if im != fzero else Fraction(*to_rational(re))
 
     def __hash__(self):
         # Python's numeric hash of the exact value (hash(mpc) differs from
@@ -418,9 +420,7 @@ def _parts(c: Scalar):
         n, d = c._frac.numerator, c._frac.denominator
         s = (d & -d).bit_length() - 1
         return n, 0, -s if n else None, d >> s, False
-    (rs, rm, rx, rb), (js, jm, jx, jb) = c._val
-    if not rm and rb or not jm and jb:
-        raise ContractViolation("product of a non-finite scalar")
+    (rs, rm, rx, _), (js, jm, jx, _) = c._val
     x = min(rx if rm else jx, jx if jm else rx)
     return ((-rm if rs else rm) << rx - x if rm else 0,
             (-jm if js else jm) << jx - x if jm else 0,
@@ -484,21 +484,16 @@ class ScaledInts:
 
     def append(self, c: Scalar) -> None:
         """Append c to coeffs, a list, and convert it.  A new denominator,
-        or a value below the base, rescales the ints in place; a value more
-        than 4*bits bits off the base converts coeffs again."""
+        a value below the base or one more than 4*bits bits above it
+        converts coeffs again."""
         self.coeffs.append(c)
         re, im, x, q, rounded = _parts(c)
         j = len(self.re)
         shift = 0 if x is None or self.xs is not None else \
             x - self.exp - self.slope * j
-        if abs(shift) > 4 * c._prec:
+        if not 0 <= shift <= 4 * c._prec or self.den % q:
             self.__init__(self.coeffs, self.slope)
             return
-        if shift < 0 or self.den % q:
-            f, lift = q // math.gcd(self.den, q), max(-shift, 0)
-            self.den, self.exp, shift = self.den * f, self.exp - lift, shift + lift
-            self.re = [v * f << lift for v in self.re]
-            self.im = self.im and [v * f << lift for v in self.im]
         if x is not None:
             f = self.den // q
             re, im = re * f << shift, im * f << shift

@@ -148,12 +148,40 @@ def test_injected_large_coefficient_not_certified():
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_prefix_coefficient_rejected(value):
-    # max() over the magnitudes skips a NaN, and inf has no exponent
+    # the coefficient is rejected where it is made, before a prefix holds it;
+    # so is a non-finite epsilon or search limit
     spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
-    tampered = _with_y_coefficient(build_series(spec, 40), 32,
-                                   Scalar.from_real(value))
-    with pytest.raises(ContractViolation, match="non-finite"):
-        certify(tampered, Scalar.from_real("0.1"))
+    sol = build_series(spec, 40)
+    with pytest.raises(ContractViolation,
+                       match=f"'{value}' is not a finite number"):
+        certify(_with_y_coefficient(sol, 32, Scalar.from_real(value)),
+                Scalar.from_real("0.1"))
+    for eps, limit in ((float(value), 2 ** 20), ("0.1", float(value))):
+        with pytest.raises(ContractViolation, match="is not a finite number"):
+            certify(sol, eps, limit)
+
+
+def test_range_checks_build_no_fraction_of_a_rounded_value(monkeypatch):
+    # a Fraction of a rounded 1e-300000000 has a billion-bit denominator
+    sol = build_series(BranchSpec(case="C165", lam=LAM9, root_branch="plus"), 40)
+    rational = Scalar._rational
+
+    def exact_only(self):
+        if not self.is_exact:
+            raise AssertionError(f"a Fraction of the rounded {self!r}")
+        return rational(self)
+
+    monkeypatch.setattr(Scalar, "_rational", exact_only)
+    assert certify(sol, "1e-300000000").certified
+    assert certify(sol, Fraction(1, 10), "1e300000000").certified
+    assert not certify(sol, "0.1", "1e-300000000").certified
+    for eps, limit in (("1", 2 ** 20), ("-1e-300000000", 2 ** 20),
+                       (Scalar.from_complex("0.1", "1e-300000000"), 2 ** 20),
+                       (Fraction(1, 10), "-1e300000000"),
+                       ("0.1", Scalar.from_complex(2 ** 20, 1)),
+                       (Fraction(11, 10), 2 ** 20), ("0.1", 0)):
+        with pytest.raises(ContractViolation):
+            certify(sol, eps, limit)
 
 
 def test_prefix_maximum_one_ulp_above_a_power_of_two_takes_the_next_one():

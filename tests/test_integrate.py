@@ -95,14 +95,19 @@ def test_singularity_guard_measures_from_centre():
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_state_is_rejected(value):
+    # the state is rejected where its scalar is made, and so is a tolerance
     zero = Scalar.exact(0)
-    bad = Scalar.from_real(value, 64)
-    for s0 in (PhaseState(bad, zero, zero, zero, Scalar.exact(1)),
-               PhaseState(zero, zero, Scalar.from_complex(0, value, 64),
-                          zero, Scalar.exact(1))):
-        with pytest.raises(ContractViolation, match="must be finite"):
-            integrate_numeric(_sys(), s0, Scalar.exact(2),
+    for s0 in (lambda: PhaseState(Scalar.from_real(value, 64), zero, zero,
+                                  zero, Scalar.exact(1)),
+               lambda: PhaseState(zero, zero, Scalar.from_complex(0, value, 64),
+                                  zero, Scalar.exact(1))):
+        with pytest.raises(ContractViolation,
+                           match=f"'{value}' is not a finite number"):
+            integrate_numeric(_sys(), s0(), Scalar.exact(2),
                               Scalar.from_real("1e-10"))
+    s0 = PhaseState(zero, zero, zero, zero, Scalar.exact(1))
+    with pytest.raises(ContractViolation, match="is not a finite number"):
+        integrate_numeric(_sys(), s0, Scalar.exact(2), float(value))
 
 
 def test_order_contract():

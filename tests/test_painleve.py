@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest
 
-from painleve_hh import (Scalar, UnsupportedParameter, candidate_C_values,
-                         classify, find_dominant_balances, resonances,
-                         set_default_precision)
+from painleve_hh import (ContractViolation, Scalar, UnsupportedParameter,
+                         candidate_C_values, classify, find_dominant_balances,
+                         resonances, set_default_precision)
 from painleve_hh import painleve
 from painleve_hh.painleve import kowalevski_polynomial
 from painleve_hh.scalars import cauchy
@@ -389,6 +389,18 @@ def test_table_value_nudged_by_2_to_the_minus_100_rejected(monkeypatch, c, index
 
 
 @pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("c", ["-1e200", "-1e1000"])
+def test_large_negative_C_table_matched_within_the_product_rounding(c, bits):
+    # the Case-1 values 5/2 +- d/2, d near sqrt(24*|C|), cancel in
+    # prod(r - r_i): its coefficients round at the size of prod(r + |r_i|),
+    # where the Kowalevski terms forming the r^3 coefficient stay near 10
+    C = Scalar.from_real(c, bits)
+    for balance in find_dominant_balances(C):
+        assert len(resonances(balance, C).values) == 4
+    assert classify(C, Scalar.exact(1)).label == "generic"
+
+
+@pytest.mark.parametrize("bits", [64, 256])
 @pytest.mark.parametrize("n", [0, 3, -7, 2 ** 20])
 def test_is_integer_at_the_edge_of_its_tolerance(bits, n):
     # three ulps either side of n +- 2**-(p//2) * max(1, |n|), against the
@@ -419,7 +431,9 @@ def test_is_integer_on_exact_complex_and_non_finite_values():
     assert painleve._is_integer(Scalar.from_real(6, 256))
     assert not painleve._is_integer(Scalar.from_complex(6, "1e-60", 256))
     for value in ("nan", "inf", "-inf"):
-        assert not painleve._is_integer(Scalar.from_real(value, 256))
+        # a non-finite resonance cannot be made to test
+        with pytest.raises(ContractViolation, match="is not a finite number"):
+            painleve._is_integer(Scalar.from_real(value, 256))
 
 
 def test_is_integer_reads_a_wide_whole_value_from_its_exponent(monkeypatch):

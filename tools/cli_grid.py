@@ -54,7 +54,9 @@ def _grid() -> list[list[str]]:
              ["--precision-bits", "64", "analyze", "--C", "1e-30"],
              ["--precision-bits", "64", "analyze", "--C", "-1e-30"],
              ["analyze", "--C", "-23/24"],
-             ["analyze", "--C", "48"]]
+             ["analyze", "--C", "48"],
+             # Case-1 resonances 5/2 +- 2.45e100 cancel in their product
+             ["analyze", "--C", "-1e200", "--lambda", "1"]]
     for case in ("C165", "C43"):
         runs += [["sweep", "--case", case, "--lambda-grid", "0:2:1/4"],
                  ["--precision-bits", "64", "sweep", "--case", case,
@@ -103,6 +105,8 @@ def _grid() -> list[list[str]]:
               "--p2", "1e-1000", "--N", "40"],
              ["certify", "--case", "C165", "--lambda", "1/9", "--N", "40",
               "--m-limit", "1"],
+             ["certify", "--case", "C165", "--lambda", "1/9", "--N", "40",
+              "--epsilon", "1e-30000000"],
              ["certify", "--case", "C165", "--lambda", "1/9",
               "--epsilon", "-1/10"],
              ["certify", "--case", "C165", "--lambda", "1/9",
