@@ -11,12 +11,17 @@ y ~ b*(t-t0)^beta of the model come in two flavors:
   resonance.
 
 The resonances are the roots of the linearized (Kowalevski) 2x2
-determinant, a quartic in r.  The closed forms are checked against it as a
-polynomial identity, coefficient by coefficient:
+determinant, a quartic in r (kowalevski_polynomial):
 
 * Case 1: the quartic is (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
 * Case 2: it is r(r + 2*alpha - 1)(r^2 - 5r - 6), because
   alpha*(alpha - 1) = -12/C.
+
+The table is that root set for every C, not only for the C of a call:
+prod(r - r_i) and the quartic are polynomials of degree <= 2 in
+d = sqrt(1 - 24*(1 + C)) (Case 1) or s = sqrt(1 - 48/C) (Case 2), and the
+test suite proves their identity from exact values at more than three
+rational d and s.  resonances therefore reads the table alone.
 
 ``_CANDIDATES`` holds the six candidate C values once, in report order,
 each with its case tag, ``--candidates`` note, the lambda its label needs
@@ -27,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from .errors import UnsupportedParameter
 from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
@@ -158,15 +161,6 @@ def _table_resonances(balance: DominantBalance, C: Scalar) -> list[Scalar]:
     return [minus_one, Scalar.exact(0), six, r4]
 
 
-def _root_product(values) -> list:
-    """prod(r - v) over values, ascending in r: coefficient n of
-    p(r) * (r - v) is p[n-1] - v*p[n]."""
-    zero, product = Scalar.exact(0), [Scalar.exact(1)]
-    for v in values:
-        product = [a - v * b for a, b in zip([zero] + product, product + [zero])]
-    return product
-
-
 def _is_integer(v: Scalar) -> bool:
     """An exact integer, or a rounded real within 2**-(p//2)*max(1, |v|) of one."""
     if v.is_exact:
@@ -179,49 +173,12 @@ def _is_integer(v: Scalar) -> bool:
 
 
 def resonances(balance: DominantBalance, C) -> ResonanceSet:
-    """Resonance exponents of a balance, from the closed-form table.
-
-    The table is checked against the Kowalevski determinant as the identity
-    prod(r - r_i) = quartic (Case 1: (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
-    Case 2: r(r + 2*alpha - 1)(r^2 - 5r - 6)).  Exact coefficients must be
-    equal; otherwise each may differ by half_precision_tol(p) * (1 + S + R),
-    p the lowest precision among the rounded table values and quartic
-    coefficients, S the summed magnitudes of the terms forming the quartic
-    coefficient and R the same coefficient of prod(r + |r_i|), the size at
-    which the product is rounded.  A mismatch raises RuntimeError.
-
-    The product is formed one linear factor at a time (_root_product): on
-    rounded data that rounds each coefficient twice per factor (v*p[n],
-    then the difference) where a convolution would round it once.  The
-    product is only compared within the allowance above, about 2**-128 at
-    256 bits, and no report carries it.
-    """
+    """Resonance exponents of a balance, from the closed-form table (the
+    roots of kowalevski_polynomial for every C; see the module docstring),
+    with whether all are integers and whether more than one is negative."""
     C = as_scalar(C)
     _require_nonzero_C(C)
-    table = _table_resonances(balance, C)
-    row_x, row_y, coupling = _kowalevski_rows(balance, C)
-    quartic = _determinant(row_x, row_y, coupling)
-    product = _root_product(table)
-    rounded = [s.precision for s in table + quartic if not s.is_exact]
-    allowance = [0] * len(quartic)
-    if rounded:
-        # in Case 2 the terms alpha*(alpha - 1) and 2b, of size 12/|C|, cancel;
-        # the sizes are the same determinant over term magnitudes
-        size = _determinant(*([[t.magnitude() for t in e] for e in row]
-                              for row in (row_x, row_y)), -coupling.magnitude())
-        # the linear-factor product rounds at the size of prod(r + |r_i|)
-        spread = _root_product([-v.magnitude() for v in table])
-        allowance = [half_precision_tol(min(rounded)) * (1 + v.mag() + w.mag())
-                     for v, w in zip(size, spread)]
-    for power, (got, want) in enumerate(zip(product, quartic)):
-        if got.is_exact and want.is_exact and got == want:
-            continue
-        off = (got - want).mag()
-        if off > allowance[power]:
-            raise RuntimeError(
-                f"table resonances {table!r} not matched by Kowalevski root "
-                f"polynomial: r^{power} coefficient off by {mpmath.nstr(off, 5)}")
-    values = tuple(table)
+    values = tuple(_table_resonances(balance, C))
     all_integer = all(_is_integer(v) for v in values)
     negatives = 0
     for v in values:

@@ -440,12 +440,14 @@ class ScaledInts:
     not an exact zero, of rd when it is rounded; rnz and rrd hold those
     bits reversed (bit len - 1 - j).  bits is the highest precision of the
     entries that are not exact zeros; mixed tells whether theirs differ.
+    exp is the lower of floor and the least x - slope*j of an entry.
     """
 
     __slots__ = ("coeffs", "slope", "den", "exp", "xs", "re", "im", "bits",
                  "mixed", "nz", "rd", "rnz", "rrd")
 
-    def __init__(self, coeffs=(), slope: int | None = None):
+    def __init__(self, coeffs=(), slope: int | None = None,
+                 floor: int | None = None):
         parts = [_parts(c) for c in coeffs]
         lows, tops, precs = [], [], set()
         den = 1
@@ -468,6 +470,8 @@ class ScaledInts:
         lows = [x - slope * j for j, x in lows]
         exp, bits = min(lows, default=0), max(precs, default=0)
         wide = lows and max(lows) - exp > 4 * bits
+        if floor is not None:
+            exp = min(exp, floor)
         self.xs = [0 if p[2] is None else p[2] for p in parts] if wide else None
         self.re = [0 if x is None else r * (den // q) << (
             0 if wide else x - exp - slope * j)
@@ -485,14 +489,19 @@ class ScaledInts:
     def append(self, c: Scalar) -> None:
         """Append c to coeffs, a list, and convert it.  A new denominator,
         a value below the base or one more than 4*bits bits above it
-        converts coeffs again."""
+        converts coeffs again.  On a list without a slope, where nothing
+        yet carries the fall of a series, a rounded value below the base
+        leaves as many bits of room under it as its mantissa has, less one,
+        so that the smaller roundings a recurrence appends next fit."""
         self.coeffs.append(c)
         re, im, x, q, rounded = _parts(c)
         j = len(self.re)
         shift = 0 if x is None or self.xs is not None else \
             x - self.exp - self.slope * j
         if not 0 <= shift <= 4 * c._prec or self.den % q:
-            self.__init__(self.coeffs, self.slope)
+            room = max(re.bit_length(), im.bit_length()) - 1
+            self.__init__(self.coeffs, self.slope, x - room
+                          if shift < 0 and rounded and not self.slope else None)
             return
         if x is not None:
             f = self.den // q

@@ -58,8 +58,8 @@ def _balance(C, case, alpha=None):
 
 def test_criterion_1_resonance_table():
     start = time.perf_counter()
-    # integer resonances matched exactly; Kowalevski cross-check (1e-20)
-    # runs inside resonances()
+    # integer resonances matched exactly; the table's Kowalevski identity
+    # is proven for every C in tests/test_painleve.py
     C = Scalar.exact(-1)
     assert _exact_sorted(resonances(_balance(C, "Case1"), C)) == [-1, 2, 3, 6]
     C = Scalar.exact(-4, 3)

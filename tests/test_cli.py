@@ -67,7 +67,7 @@ def test_analyze_double_resonance(capsys, C, bits):
 
 
 def test_analyze_large_negative_C(capsys):
-    # the Case-1 resonances 5/2 +- 2.45e100 cancel in their root product
+    # the Case-1 resonances 5/2 +- 2.45e100 once crashed a run-time check
     code, out, err = run_cli(capsys, "analyze", "--C", "-1e200", "--lambda", "1")
     assert code == 0, err
     assert json.loads(out)["classification"]["label"] == "generic"

@@ -484,6 +484,57 @@ def test_a_grown_conversion_rebases_in_place():
         _assert_exact_sum(cauchy(grown, grown, n), a, a, n)
 
 
+@pytest.mark.parametrize("lead", [Scalar.from_real(mpmath.sqrt(6), 256), sc(-3)],
+                         ids=["rounded-lead", "exact-lead"])
+def test_a_rounding_below_the_base_leaves_room_for_the_next(monkeypatch, lead):
+    # the first coefficients of a recurrence on a slope-0 list: roundings
+    # of falling size at the lead's precision; the first below the base
+    # converts the list again, with room for the rest under it
+    rest = [sc(0)] + [Scalar.from_real(mpmath.sqrt(k) / 2 ** k, 256)
+                      for k in (2, 3, 5, 7)]
+    grown = ScaledInts([lead], 0)
+    conversions = []
+    init = ScaledInts.__init__
+
+    def counted(self, *args):
+        conversions.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(ScaledInts, "__init__", counted)
+    for c in rest:
+        grown.append(c)
+    monkeypatch.undo()
+    assert conversions == [3]
+    a = [lead] + rest
+    fresh = ScaledInts(a, 0)
+    # a fresh conversion keeps its base at the lowest entry exponent
+    assert fresh.exp == min(_lowest_exponent(c) for c in a if not c.is_zero())
+    assert grown.exp < fresh.exp
+    assert _entries(grown) == _entries(fresh) == [_exact_value(c) for c in a]
+    for n in range(2 * len(a)):
+        _same_bits(cauchy(grown, grown, n), cauchy(fresh, fresh, n))
+
+
+def test_a_list_with_a_slope_takes_no_room():
+    # its slope carries the fall: a rounding below the base converts the
+    # list again onto the lowest exponent, as narrow as a fresh conversion
+    a = [Scalar.from_real(mpmath.sqrt(6), 256),
+         Scalar.from_real(mpmath.sqrt(2) / 8, 256)]
+    grown = ScaledInts(a[:1], -1)
+    grown.append(a[1])
+    fresh = ScaledInts(a, -1)
+    assert _lowest_exponent(a[1]) + 1 < _lowest_exponent(a[0])
+    assert (grown.exp, grown.re) == (fresh.exp, fresh.re)
+    assert grown.exp == _lowest_exponent(a[1]) + 1
+
+
+def _lowest_exponent(c):
+    """x with c == odd / odd * 2**x, for a nonzero real c."""
+    q = _exact_value(c)[0]
+    return (q.numerator & -q.numerator).bit_length() \
+        - (q.denominator & -q.denominator).bit_length()
+
+
 def test_result_precision_is_the_highest_of_the_kept_factors():
     # a 512-bit entry whose only partner is an exact zero does not count;
     # exact zeros held at 64 bits do not lower the precision either

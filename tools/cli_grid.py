@@ -55,8 +55,15 @@ def _grid() -> list[list[str]]:
              ["--precision-bits", "64", "analyze", "--C", "-1e-30"],
              ["analyze", "--C", "-23/24"],
              ["analyze", "--C", "48"],
-             # Case-1 resonances 5/2 +- 2.45e100 cancel in their product
-             ["analyze", "--C", "-1e200", "--lambda", "1"]]
+             # Case-1 resonances 5/2 +- 2.45e100
+             ["analyze", "--C", "-1e200", "--lambda", "1"],
+             # the table at the precision extremes: a rounded Case-1 pair at
+             # 1024 bits, a rounded Case-2 pair near s = 0 at 64 bits and a
+             # complex Case-1 pair at 64 bits
+             ["--precision-bits", "1024", "analyze", "--C", "-13/4"],
+             ["--precision-bits", "64", "analyze", "--C", "47.9"],
+             ["--precision-bits", "64", "analyze", "--C", "7/9",
+              "--lambda", "1"]]
     for case in ("C165", "C43"):
         runs += [["sweep", "--case", case, "--lambda-grid", "0:2:1/4"],
                  ["--precision-bits", "64", "sweep", "--case", case,
