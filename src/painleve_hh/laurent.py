@@ -59,8 +59,9 @@ from typing import Callable
 
 from .errors import CompatibilityViolation, ContractViolation
 from .model import build_henon_heiles, energy_series
-from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
-                      default_precision, half_precision_tol, nth_root)
+from .scalars import (Scalar, ScaledInts, as_scalar, cauchy_sum,
+                      default_precision, exact_combination, exact_product,
+                      exact_value, half_precision_tol, nth_root, rounded_sum)
 from .series import PuiseuxSeries
 
 CASE_C165 = "C165"
@@ -268,7 +269,9 @@ class _Recurrence:
     lead's recurrence (C165) never reads.  prior, when given, holds the
     (x, y) coefficient lists to continue from.  xs and ys convert x and y
     once, coefficient by coefficient (ScaledInts of one slope); the slope
-    is estimated from x once _SLOPE_AT coefficients are known."""
+    is estimated from x once _SLOPE_AT coefficients are known.  A lone
+    lead is converted with room under it for roundings down to 2**bits
+    below it, so that the coefficients before _SLOPE_AT fit."""
 
     _SLOPE_AT = 16
 
@@ -276,59 +279,83 @@ class _Recurrence:
                  residue: Scalar | None, prior=None):
         self.spec = spec
         self.bits = bits
-        self.lam = spec.lam.with_precision(bits)
+        self._lam = exact_value(spec.lam.with_precision(bits))
         self.case = _CASES[spec.case]
         self.residue = residue
         self.x, self.y = prior or ([lead], [Scalar.exact(self.case.y_lead, 1, bits)])
-        self._convert()
+        self._lead = exact_value(self.x[0])
+        self._convert(0 if prior else 2 * bits)
 
-    def _convert(self):
-        self.xs = ScaledInts(self.x)
-        self.ys = ScaledInts(self.y, self.xs.slope)
+    def _convert(self, room: int = 0):
+        """Convert x and y; with room, each list's base sits room bits
+        under the top of its first entry."""
+        floors = [None, None]
+        for i, c in enumerate((self.x[0], self.y[0]) if room else ()):
+            lead = exact_value(c)
+            if lead and lead[0]:
+                ((e, re, im),) = lead[0]
+                floors[i] = e + max(re.bit_length(), im.bit_length()) - room
+        self.xs = ScaledInts(self.x, None, floors[0])
+        self.ys = ScaledInts(self.y, self.xs.slope, floors[1])
 
-    def _rhs(self, k: int):
-        x, y = self.xs, self.ys
-        x2, y2 = (self.x[k], self.y[k]) if k >= 0 else (Scalar.exact(0),) * 2
-        r1 = -self.lam * x2 - 2 * cauchy(x, y, k + 2)
-        r2 = -y2 - cauchy(x, x, k + 3 + self.case.xx_lo) \
-            + Scalar.exact(self.case.C) * cauchy(y, y, k + 2)
-        return r1, r2
-
-    def _matrix(self, k: int) -> tuple:
-        off = 2 * self.x[0]
-        return ((Scalar.exact(self.case.x_diag(k)), off),
-                (Scalar.exact(0) if self.case.lead_free else off,
-                 Scalar.exact(self.case.y_diag(k))))
+    def _times(self, i: int, j: int, k: int, u, sign: int = 1):
+        """(c, v): c*v is sign times the step matrix entry (i, j) at k
+        times the exact sum u."""
+        if i == j:
+            return sign * (self.case.x_diag(k) if i == 0
+                           else self.case.y_diag(k)), u
+        if i and self.case.lead_free:
+            return 0, None
+        return 2 * sign, exact_product(self._lead, u)
 
     def step(self, k: int) -> RecurrenceStep:
-        """Solve (or resolve) the step at index k and record it."""
-        r = self._rhs(k)
-        m = self._matrix(k)
-        det = Scalar.exact(self.case.det(k))
-        if not det.is_zero():
-            # Cramer on the 2x2 step system; exact whenever the inputs are
-            d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            out = RecurrenceStep(k=k, rhs=r, det=det, resolution="unique", solution=(
-                (r[0] * m[1][1] - r[1] * m[0][1]) / d,
-                (m[0][0] * r[1] - m[1][0] * r[0]) / d))
+        """Solve (or resolve) the step at index k and record it.  The
+        right-hand side, the solution and the defect are each formed
+        exactly from cauchy's sums and the stored coefficients and
+        rounded once; exact inputs give exact values."""
+        case, xs, ys, m = self.case, self.xs, self.ys, self._times
+        x2, y2 = (exact_value(self.x[k]), exact_value(self.y[k])) \
+            if k >= 0 else (None, None)
+        r = (exact_combination(((-1, exact_product(self._lam, x2)),
+                                (-2, cauchy_sum(xs, ys, k + 2)))),
+             exact_combination(((-1, y2),
+                                (-1, cauchy_sum(xs, xs, k + 3 + case.xx_lo)),
+                                (case.C, cauchy_sum(ys, ys, k + 2)))))
+        det = case.det(k)
+        if det:
+            # Cramer on the 2x2 step system, over the closed-form det
+            rows = ((m(1, 1, k, r[0]), m(0, 1, k, r[1], -1)),
+                    (m(0, 0, k, r[1]), m(1, 0, k, r[0], -1)))
+            solution = [self._rounded(exact_combination(p, det)) for p in rows]
+            resolution = freed = defect = None
         else:
             # Fredholm alternative: the free column f takes its value, the
             # bound column b follows from row b, and the left-null
             # combination of the rhs is the defect
-            f, source, resolution, freed = self.case.resonances[k]
+            f, source, resolution, freed = case.resonances[k]
             b = 1 - f
-            sol = [None, None]
-            sol[f] = self.residue if source == "residue" \
+            solution = [None, None]
+            solution[f] = self.residue if source == "residue" \
                 else self.spec.free_params[source]
-            sol[b] = (r[b] - m[b][f] * sol[f]) / m[b][b]
-            out = RecurrenceStep(k=k, rhs=r, det=det, resolution=resolution,
-                                 solution=tuple(sol), freed=freed,
-                                 defect=m[b][b] * r[f] - m[f][b] * r[b])
+            solution[b] = self._rounded(exact_combination(
+                ((1, r[b]), m(b, f, k, exact_value(solution[f]), -1)),
+                m(b, b, k, None)[0]))
+            defect = self._rounded(exact_combination(
+                (m(b, b, k, r[f]), m(f, b, k, r[b], -1))))
+        out = RecurrenceStep(k=k, rhs=tuple(map(self._rounded, r)),
+                             det=Scalar.exact(det),
+                             resolution=resolution or "unique",
+                             solution=tuple(solution), defect=defect,
+                             freed=freed)
         self.xs.append(out.solution[0])
         self.ys.append(out.solution[1])
         if len(self.x) == self._SLOPE_AT:
             self._convert()
         return out
+
+    def _rounded(self, s) -> Scalar:
+        """The exact sum s rounded once; an exact zero when s is None."""
+        return Scalar.exact(0, 1, self.bits) if s is None else rounded_sum(s)
 
     def defect_acceptable(self, step: RecurrenceStep) -> bool:
         """Exact defects must vanish; rounded ones must be below

@@ -27,7 +27,10 @@ exact-zero factor are skipped; an all-exact sum stays an exact Fraction;
 any other sum is rounded once, to nearest, at the highest precision of
 the factors that count, so the bits do not depend on the order or the
 grouping of the terms.  Lists whose exponents spread too far for one
-scale add their terms in groups instead, to the same bits.
+scale add their terms in groups instead, to the same bits.  A caller
+that combines several sums (the Laurent recurrence step) takes them
+before the rounding (cauchy_sum), combines them exactly and rounds the
+result once, as cauchy does (rounded_sum).
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -49,7 +52,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (fzero, from_rational, mpc_abs, mpc_add, mpc_div,
                           mpc_mul, mpc_neg, mpc_pow_int, mpf_neg, mpf_pos,
-                          mpf_shift, round_nearest, to_rational)
+                          normalize, round_nearest, to_rational)
 
 from .errors import ContractViolation
 
@@ -490,9 +493,10 @@ class ScaledInts:
         """Append c to coeffs, a list, and convert it.  A new denominator,
         a value below the base or one more than 4*bits bits above it
         converts coeffs again.  On a list without a slope, where nothing
-        yet carries the fall of a series, a rounded value below the base
-        leaves as many bits of room under it as its mantissa has, less one,
-        so that the smaller roundings a recurrence appends next fit."""
+        yet carries the fall of a series, that keeps the base, and a
+        rounded value below it leaves as many bits of room under it as its
+        mantissa has, less one, so that the smaller roundings a recurrence
+        appends next fit."""
         self.coeffs.append(c)
         re, im, x, q, rounded = _parts(c)
         j = len(self.re)
@@ -500,8 +504,8 @@ class ScaledInts:
             x - self.exp - self.slope * j
         if not 0 <= shift <= 4 * c._prec or self.den % q:
             room = max(re.bit_length(), im.bit_length()) - 1
-            self.__init__(self.coeffs, self.slope, x - room
-                          if shift < 0 and rounded and not self.slope else None)
+            self.__init__(self.coeffs, self.slope, None if self.slope else
+                          x - room if shift < 0 and rounded else self.exp)
             return
         if x is not None:
             f = self.den // q
@@ -570,6 +574,14 @@ def cauchy(a, b, n: int) -> Scalar:
     Lists with per-entry exponents add their products in groups instead
     (_summed), to the same bits.
     """
+    s = cauchy_sum(a, b, n)
+    return Scalar.exact(0) if s is None else rounded_sum(s)
+
+
+def cauchy_sum(a, b, n: int):
+    """cauchy's sum before its rounding, as an exact sum: one term, or
+    on the per-entry exponent path one per nonzero product part; None
+    when every pair has an exact-zero factor."""
     if not isinstance(a, ScaledInts):
         square = a is b
         a = ScaledInts(a)
@@ -580,7 +592,7 @@ def cauchy(a, b, n: int) -> Scalar:
     s = lb - 1 - n
     pairs = a.nz & (b.rnz >> s if s >= 0 else b.rnz << -s)
     if not pairs:
-        return Scalar.exact(0)
+        return None
     lo, hi = n - lb + 1 if n >= lb else 0, n if n < la else la - 1
     rounded = a.rd & pairs or a.nz & (b.rrd >> s if s >= 0 else b.rrd << -s)
     if a.mixed or b.mixed:
@@ -590,22 +602,21 @@ def cauchy(a, b, n: int) -> Scalar:
         bits = a.bits if a.bits > b.bits else b.bits
     den = a.den * b.den
     stop = n - hi - 1 if n > hi else None
-    k = ki = a.exp + b.exp + a.slope * n
     if a.xs is not None or b.xs is not None:
         xa, xb = (u.xs or [u.exp + u.slope * j for j in range(len(u.re))]
                   for u in (a, b))
         ai, bi = (u.im or [0] * len(u.re) for u in (a, b))
-        terms = ([], [])
+        terms = []
         for j in range(lo, hi + 1):
-            for out, m in zip(terms, (a.re[j] * b.re[n - j] - ai[j] * bi[n - j],
-                                      a.re[j] * bi[n - j] + ai[j] * b.re[n - j])):
-                if m:
-                    out.append((xa[j] + xb[n - j], m))
-        (re, k), (im, ki) = (_summed(t, rounded and bits + den.bit_length()
-                                     + len(t).bit_length() + 2
-                                     + max(m.bit_length() for _, m in t))
-                             if t else (0, 0) for t in terms)
-    elif a is b:
+            e = xa[j] + xb[n - j]
+            re = a.re[j] * b.re[n - j] - ai[j] * bi[n - j]
+            im = a.re[j] * bi[n - j] + ai[j] * b.re[n - j]
+            if re:
+                terms.append((e, re, 0))
+            if im:
+                terms.append((e, 0, im))
+        return terms, den, bits, rounded
+    if a is b:
         re = _folded(a.re, lo, n) - (_folded(a.im, lo, n) if a.im else 0)
         im = 2 * sum(map(operator.mul, a.re[lo:hi + 1],
                          a.im[n - lo:stop:-1])) if a.im else 0
@@ -616,12 +627,95 @@ def cauchy(a, b, n: int) -> Scalar:
             sum(map(operator.mul, ai, bi)) if ai and bi else 0)
         im = (sum(map(operator.mul, ar, bi)) if bi else 0) + (
             sum(map(operator.mul, ai, br)) if ai else 0)
+    return [(a.exp + b.exp + a.slope * n, re, im)], den, bits, rounded
+
+
+# An exact sum is (terms, den, bits, rounded): the sum of (re + i*im)*2**e
+# over its (e, re, im) terms, over den, with bits the highest precision of
+# the inputs that entered it and rounded whether one of them is rounded.
+# None stands for a sum no input entered, an exact zero.
+
+
+def exact_value(c: Scalar):
+    """c as an exact sum; None for an exact zero."""
+    re, im, x, q, rounded = _parts(c)
+    if x is None and not rounded:
+        return None
+    return [(x, re, im)] if x is not None else [], q, c._prec, rounded
+
+
+def exact_product(u, v):
+    """The exact sum u*v; None when either is None."""
+    if u is None or v is None:
+        return None
+    return ([(e + f, a * c - b * d, a * d + b * c)
+             for e, a, b in u[0] for f, c, d in v[0]],
+            u[1] * v[1], max(u[2], v[2]), u[3] or v[3])
+
+
+def exact_combination(pairs, div=1):
+    """The exact sum of c*u over the (c, u) pairs, divided by div, with c
+    and div ints or Fractions and div nonzero; pairs with c == 0 or u None
+    do not enter.  None when no pair enters.  Terms within 4*bits bits of
+    each other are added into one."""
+    live = [(c, u) for c, u in pairs if c and u is not None]
+    if not live:
+        return None
+    den = 1
+    for c, u in live:
+        den = math.lcm(den, c.denominator * u[1])
+    sign = -div.denominator if div < 0 else div.denominator
+    terms = []
+    for c, (t, d, _, _) in live:
+        f = sign * c.numerator * (den // (c.denominator * d))
+        terms += [(e, a * f, b * f) for e, a, b in t]
+    bits = max(u[2] for _, u in live)
+    if len(terms) > 1:
+        lo = min(e for e, _, _ in terms)
+        if max(e for e, _, _ in terms) - lo <= 4 * bits:
+            terms = [(lo, sum(a << e - lo for e, a, _ in terms),
+                      sum(b << e - lo for e, _, b in terms))]
+    return (terms, den * abs(div.numerator), bits,
+            any(u[3] for _, u in live))
+
+
+def rounded_sum(s) -> Scalar:
+    """The exact sum s as a Scalar: an exact Fraction when no input is
+    rounded, else rounded once, to nearest, at its bits.  Several terms
+    are added in groups (_summed), with a gap that keeps the bits."""
+    terms, den, bits, rounded = s
+    if len(terms) == 1:
+        (k, re, im), ki = terms[0], terms[0][0]
+    else:
+        (re, k), (im, ki) = (
+            _summed(t, rounded and bits + den.bit_length()
+                    + len(t).bit_length() + 2
+                    + max(m.bit_length() for _, m in t))
+            if t else (0, 0)
+            for t in ([(e, a) for e, a, _ in terms if a],
+                      [(e, b) for e, _, b in terms if b]))
     if not rounded:
         return Scalar(Fraction(re << k, den) if k >= 0
                       else Fraction(re, den << -k), None, bits)
-    return Scalar(None, tuple(
-        mpf_shift(from_rational(v, den, bits, round_nearest), e) if v else fzero
-        for v, e in ((re, k), (im, ki))), bits)
+    return Scalar(None, (_rounded_mpf(re, den, k, bits),
+                         _rounded_mpf(im, den, ki, bits)), bits)
+
+
+def _rounded_mpf(num: int, den: int, e: int, bits: int):
+    """num/den * 2**e as a raw mpf rounded once, to nearest, at bits: the
+    tuple from_rational(num, den, bits) shifted by e gives, formed as
+    libmp's mpf_div forms it (a quotient with a sticky bit), from ints."""
+    if not num:
+        return fzero
+    man = -num if num < 0 else num
+    if den != 1:
+        extra = max(bits - man.bit_length() + den.bit_length() + 5, 5)
+        man, rem = divmod(man << extra, den)
+        e -= extra
+        if rem:
+            man, e = man << 1 | 1, e - 1
+    return normalize(int(num < 0), man, e, man.bit_length(), bits,
+                     round_nearest)
 
 
 def half_precision_tol(bits: int) -> "mpmath.mpf":

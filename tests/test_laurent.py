@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
                          Scalar, branch_residue, build_series, c1_fourth_power,
@@ -12,7 +15,8 @@ from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
                          recurrence_determinant, residual_of_series,
                          energy_series, set_default_precision,
                          singular_step_indices, step_recurrence)
-from painleve_hh.laurent import _CASES, _Recurrence
+from painleve_hh.laurent import _CASES, _lead_and_residue, _Recurrence
+from painleve_hh.scalars import ScaledInts, cauchy
 
 LAM9 = Scalar.exact(1, 9)
 TINY = mpmath.mpf("1e-70")
@@ -95,6 +99,278 @@ def test_exact_prefix_with_rational_trial_c1():
     assert eng.y[1].fraction() == Fraction(1, 10)   # c1^2/10
     step2 = eng.step(2)
     assert step2.defect.is_exact and not step2.defect.is_zero()
+
+
+def _exact(c):
+    """(re, im) of a Scalar as exact Fractions."""
+    if c.is_exact:
+        return c.fraction(), Fraction(0)
+    return tuple(Fraction(*to_rational(v)) for v in c.mpc()._mpc_)
+
+
+def _evaluated(terms):
+    """The Fraction evaluation of sum(coef * prod(factors)) over the
+    (coef, factors) terms: (re, im, bits, rounded) over the terms that
+    enter (coef != 0, no exact-zero factor), or None when none does."""
+    live = [(q, fs) for q, fs in terms
+            if q and not any(f.is_exact and f.is_zero() for f in fs)]
+    if not live:
+        return None
+    re = im = Fraction(0)
+    for q, fs in live:
+        v = (Fraction(q), 0)
+        for f in fs:
+            a, b = _exact(f)
+            v = (v[0] * a - v[1] * b, v[0] * b + v[1] * a) if b or v[1] \
+                else (v[0] * a, 0)
+        re, im = re + v[0], im + v[1]
+    factors = [f for _, fs in live for f in fs]
+    return (re, im, max(f.precision for f in factors),
+            any(not f.is_exact for f in factors))
+
+
+def _assert_rounded_once(got, terms):
+    """got is the evaluation of terms rounded once, to nearest, at the
+    highest precision of the factors that enter, and exact when none of
+    them is rounded; an exact zero when no term enters."""
+    value = _evaluated(terms)
+    if value is None:
+        assert got.is_exact and got.is_zero()
+        return
+    re, im, bits, rounded = value
+    assert got.precision == bits
+    if not rounded:
+        assert got.is_exact and got.fraction() == re and im == 0
+        return
+    assert not got.is_exact
+    assert got.mpc()._mpc_ == tuple(
+        from_rational(q.numerator, q.denominator, bits, round_nearest)
+        for q in (re, im))
+
+
+def _times(q, factors, terms):
+    """q * prod(factors) * terms."""
+    return [(q * c, (*factors, *fs)) for c, fs in terms]
+
+
+def _step_formulas(eng, k, lam):
+    """The right-hand sides of step k as terms over eng's stored
+    coefficients (x[i], y[i] hold index i - 2) and lam, the recurrence's
+    lambda."""
+    case, x, y = eng.case, eng.x, eng.y
+
+    def conv(a, b, n):
+        # the entries known before the step: indices below k
+        return [(1, (a[j], b[n - j])) for j in range(n + 1)
+                if j < k + 2 and n - j < k + 2]
+
+    r1 = _times(-2, (), conv(x, y, k + 2))
+    r2 = _times(-1, (), conv(x, x, k + 3 + case.xx_lo)) \
+        + _times(case.C, (), conv(y, y, k + 2))
+    if k >= 0:
+        r1.append((-1, (lam, x[k])))
+        r2.append((-1, (y[k],)))
+    return r1, r2
+
+
+def _matrix_terms(eng, k):
+    """The step matrix at k as (coef, factors) entries."""
+    case, lead = eng.case, (eng.x[0],)
+    coupling = (0 if case.lead_free else 2, lead)
+    return (((case.x_diag(k), ()), (2, lead)),
+            (coupling, (case.y_diag(k), ())))
+
+
+def _product(entry, terms, sign=1):
+    """sign * the matrix entry * terms."""
+    return _times(sign * entry[0], entry[1], terms)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def step_inputs(draw, bits):
+    """A value at bits: an exact rational, or one rounded at bits."""
+    q = draw(rationals)
+    if draw(st.booleans()):
+        return Scalar.exact(q.numerator, q.denominator, bits)
+    with mpmath.workprec(bits):
+        return Scalar.from_real(mpmath.mpf(q.numerator) / q.denominator
+                                + mpmath.mpf(2) ** -70, bits)
+
+
+@given(st.sampled_from(["C165", "C43"]), st.sampled_from([1, -1]),
+       st.sampled_from([64, 256, 1024]), st.data())
+@example("C165", 1, 256, None)
+def test_each_step_is_its_formula_rounded_once(case, x_sign, bits, data):
+    # every rhs, solution and defect equals the Fraction evaluation of its
+    # formula on the stored coefficients, rounded once; exact inputs
+    # (a rational trial lead, lambda and free values) stay exact
+    table = _CASES[case]
+    if data is None:
+        lam, lead, residue = (Scalar.exact(v, 1, bits) for v in (1, 1, 2))
+        free = (Scalar.exact(1, 3), Scalar.exact(-2, 5))
+    else:
+        lam, residue = data.draw(step_inputs(bits)), data.draw(step_inputs(bits))
+        free = tuple(data.draw(step_inputs(b)) for b in (bits, 256))
+        lead = data.draw(st.one_of(step_inputs(bits), st.just(None)))
+    spec = BranchSpec(case=case, lam=lam, root_branch="plus", x_sign=x_sign,
+                      free_params=free)
+    if lead is None or lead.is_zero():
+        lead = leading_x_coefficient(spec)
+    else:
+        lead = x_sign * lead
+    eng = _Recurrence(spec, bits, lead, residue)
+    steps = [eng.step(k) for k in range(-1, 9)]
+    for step in steps:
+        k = step.k
+        r = _step_formulas(eng, k, lam.with_precision(bits))
+        m = _matrix_terms(eng, k)
+        for got, terms in zip(step.rhs, r):
+            _assert_rounded_once(got, terms)
+        det = table.det(k)
+        assert step.det.fraction() == det
+        if det:
+            # Cramer over the closed-form det
+            assert step.defect is None
+            for c, got in enumerate(step.solution):
+                o = 1 - c
+                _assert_rounded_once(got, _times(
+                    Fraction(1) / det, (),
+                    _product(m[o][o], r[c]) + _product(m[c][o], r[o], -1)))
+            continue
+        f, source, _, _ = table.resonances[k]
+        b = 1 - f
+        value = residue if source == "residue" else free[source]
+        assert step.solution[f] is value
+        _assert_rounded_once(step.solution[b], _times(
+            Fraction(1) / m[b][b][0], (),
+            r[b] + _product(m[b][f], [(1, (value,))], -1)))
+        _assert_rounded_once(step.defect, _product(m[b][b], r[f])
+                             + _product(m[f][b], r[b], -1))
+    if all(v.is_exact for v in (lam, lead, residue, *free)):
+        assert all(c.is_exact for c in eng.x + eng.y)
+
+
+def _half_ulp(c):
+    """Half an ulp of a real Scalar at its precision; 0 when it is exact
+    or zero."""
+    if c.is_exact or c.is_zero():
+        return Fraction(0)
+    _, man, exp, bc = c.mpc()._mpc_[0]
+    return Fraction(2) ** (exp + bc - c.precision - 1)
+
+
+def _real_sum(terms, scaled, D):
+    """sum(coef * prod(factors)) over real terms of at most two factors,
+    as a Fraction formed on ints: scaled[id(f)] is f * D, an int."""
+    L = math.lcm(*(Fraction(q).denominator for q, _ in terms))
+    total = 0
+    for q, fs in terms:
+        n = Fraction(q).numerator * (L // Fraction(q).denominator)
+        for f in fs:
+            n *= scaled[id(f)]
+        total += n * D ** (2 - len(fs))
+    return Fraction(total, L * D * D)
+
+
+@pytest.mark.parametrize("case", ["C165", "C43"])
+def test_grid_series_rows_hold_to_one_rounding(case):
+    # the real series runs of the CLI grid (N = 40, both roots, with and
+    # without free values, 64/256/1024 bits): each step row, over the
+    # stored coefficients, misses its exact rhs by no more than one
+    # rounding of each unknown, |M_i0|*ulp(x_k)/2 + |M_i1|*ulp(y_k)/2; C43
+    # divides by the closed-form det, whose 4*lead_sq = 24 differs from
+    # the stored (2*x0)**2, which adds |r_i*(24 - (2*x0)**2)/det|
+    table, checked = _CASES[case], 0
+    for lam, root, free, bits in product(("1/9", "0.3", "2"), ("plus", "minus"),
+                                         (False, True), (64, 256, 1024)):
+        set_default_precision(bits)
+        value = Scalar.from_real(lam, bits) if lam == "0.3" \
+            else Scalar.exact(Fraction(lam))
+        params = (Scalar.exact(1, 3), Scalar.exact(-2, 5)) if free \
+            else (Scalar.exact(0), Scalar.exact(0))
+        spec = BranchSpec(case=case, lam=value, root_branch=root,
+                          free_params=params)
+        lead, residue = _lead_and_residue(spec)
+        if not (lead.is_real() and residue.is_real()):
+            continue
+        eng = _Recurrence(spec, bits, lead, residue)
+        steps = [eng.step(k) for k in range(-1, 41)]
+        checked += 1
+        lam_b = value.with_precision(bits)
+        stored = eng.x + eng.y + [lam_b]
+        exact = {id(c): _exact(c)[0] for c in stored}
+        D = math.lcm(*(q.denominator for q in exact.values()))
+        scaled = {i: int(q * D) for i, q in exact.items()}
+        x0 = exact[id(eng.x[0])]
+        m = ((None, 2 * x0), (0 if table.lead_free else 2 * x0, None))
+        for step in steps:
+            k = step.k
+            m = ((table.x_diag(k), m[0][1]), (m[1][0], table.y_diag(k)))
+            r = [_real_sum(terms, scaled, D)
+                 for terms in _step_formulas(eng, k, lam_b)]
+            sol = [exact[id(c)] for c in step.solution]
+            ulp = [_half_ulp(c) for c in step.solution]
+            det = table.det(k)
+            rows = (0, 1) if det else (1 - table.resonances[k][0],)
+            for i in rows:
+                miss = abs(m[i][0] * sol[0] + m[i][1] * sol[1] - r[i])
+                bound = abs(m[i][0]) * ulp[0] + abs(m[i][1]) * ulp[1]
+                if det:
+                    bound += abs(r[i] * (det + m[0][1] * m[1][0]
+                                         - m[0][0] * m[1][1]) / det)
+                assert miss <= bound, (lam, root, free, bits, k, i)
+    # C165 is real on the plus root at lambda 1/9 and 0.3; C43 on both
+    # roots at 1/9 and 2 and on neither at 0.3
+    assert checked == {"C165": 12, "C43": 24}[case]
+
+
+@pytest.mark.parametrize("case", ["C165", "C43"])
+@pytest.mark.parametrize("free, extra", [
+    (("0.3", "-0.7"), []),
+    # an exact free value with a new odd denominator converts its list
+    # once more: C165's a2 sits at x[4] and b4 at y[6], C43's f2 at y[4]
+    # and f4 at y[6]
+    ((Fraction(1, 3), Fraction(-2, 5)), [5, 7])], ids=["rounded", "thirds"])
+def test_a_recurrence_converts_at_start_and_at_the_slope(monkeypatch, case,
+                                                         free, extra):
+    # each lone lead is converted with room for the roundings that follow,
+    # so no append converts again before _SLOPE_AT
+    params = tuple(Scalar.from_real(v) if isinstance(v, str)
+                   else Scalar.exact(v) for v in free)
+    spec = BranchSpec(case=case, lam=LAM9, root_branch="plus",
+                      free_params=params)
+    lead, residue = _lead_and_residue(spec)
+    conversions = []
+    init = ScaledInts.__init__
+
+    def counted(self, coeffs=(), *args):
+        conversions.append(len(coeffs))
+        init(self, coeffs, *args)
+
+    monkeypatch.setattr(ScaledInts, "__init__", counted)
+    eng = _Recurrence(spec, 256, lead, residue)
+    for k in range(-1, 12):
+        eng.step(k)
+    seen = len(conversions)
+    # the room changes no sum: cauchy is bit-identical on fresh lists
+    fx = ScaledInts(eng.x, eng.xs.slope)
+    fy = ScaledInts(eng.y, fx.slope)
+    assert eng.xs.exp < fx.exp and eng.ys.exp < fy.exp
+    for n in range(2 * len(eng.x)):
+        for got, fresh in ((cauchy(eng.xs, eng.ys, n), cauchy(fx, fy, n)),
+                           (cauchy(eng.xs, eng.xs, n), cauchy(fx, fx, n)),
+                           (cauchy(eng.ys, eng.ys, n), cauchy(fy, fy, n))):
+            assert got.precision == fresh.precision
+            assert got.is_exact == fresh.is_exact and got == fresh
+            assert got.is_exact or got.mpc()._mpc_ == fresh.mpc()._mpc_
+    del conversions[seen:]
+    for k in range(12, 16):
+        eng.step(k)
+    monkeypatch.undo()
+    assert conversions == [1, 1] + extra + [16, 16]
 
 
 def test_step_recurrence_unique_and_singular():
