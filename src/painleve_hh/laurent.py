@@ -188,7 +188,7 @@ class RecurrenceStep:
     """Record of one linear step of the recurrence."""
 
     k: int
-    rhs: tuple
+    rhs: tuple | None            # the rounded rhs, only at a step with a defect
     det: Scalar                  # exact closed-form determinant of the step
     resolution: str              # unique | freed-parameter | compatibility-constrained
     solution: tuple              # (x-coefficient, y-coefficient) adopted at k
@@ -326,7 +326,7 @@ class _Recurrence:
             # Cramer on the 2x2 step system, over the closed-form det
             rows = ((m(1, 1, k, r[0]), m(0, 1, k, r[1], -1)),
                     (m(0, 0, k, r[1]), m(1, 0, k, r[0], -1)))
-            solution = [self._rounded(exact_combination(p, det)) for p in rows]
+            solution = [rounded_sum(exact_combination(p, det)) for p in rows]
             resolution = freed = defect = None
         else:
             # Fredholm alternative: the free column f takes its value, the
@@ -337,12 +337,13 @@ class _Recurrence:
             solution = [None, None]
             solution[f] = self.residue if source == "residue" \
                 else self.spec.free_params[source]
-            solution[b] = self._rounded(exact_combination(
+            solution[b] = rounded_sum(exact_combination(
                 ((1, r[b]), m(b, f, k, exact_value(solution[f]), -1)),
                 m(b, b, k, None)[0]))
-            defect = self._rounded(exact_combination(
+            defect = rounded_sum(exact_combination(
                 (m(b, b, k, r[f]), m(f, b, k, r[b], -1))))
-        out = RecurrenceStep(k=k, rhs=tuple(map(self._rounded, r)),
+        out = RecurrenceStep(k=k, rhs=None if defect is None
+                             else tuple(map(rounded_sum, r)),
                              det=Scalar.exact(det),
                              resolution=resolution or "unique",
                              solution=tuple(solution), defect=defect,
@@ -352,10 +353,6 @@ class _Recurrence:
         if len(self.x) == self._SLOPE_AT:
             self._convert()
         return out
-
-    def _rounded(self, s) -> Scalar:
-        """The exact sum s rounded once; an exact zero when s is None."""
-        return Scalar.exact(0, 1, self.bits) if s is None else rounded_sum(s)
 
     def defect_acceptable(self, step: RecurrenceStep) -> bool:
         """Exact defects must vanish; rounded ones must be below

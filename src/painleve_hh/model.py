@@ -23,16 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import Scalar, as_scalar
-from .series import PuiseuxSeries
-
-
-def power_product(xs: PuiseuxSeries, ys: PuiseuxSeries, i, j):
-    """xs^i * ys^j; a pure power is not multiplied by the constant 1."""
-    if i == 0:
-        return ys.pow_int(j)
-    if j == 0:
-        return xs.pow_int(i)
-    return xs.pow_int(i) * ys.pow_int(j)
+from .series import PuiseuxSeries, combine
 
 
 class BivariatePoly:
@@ -54,11 +45,18 @@ class BivariatePoly:
             acc = acc + c * x ** i * y ** j
         return acc
 
-    def evaluate_series(self, xs: PuiseuxSeries, ys: PuiseuxSeries) -> PuiseuxSeries:
-        acc = PuiseuxSeries.zero(xs.center)
-        for (i, j), c in sorted(self.terms.items()):
-            acc = acc + power_product(xs, ys, i, j).scale(c)
-        return acc
+    def series_terms(self, xs: PuiseuxSeries, ys: PuiseuxSeries,
+                     sign: int = 1) -> list:
+        """combine's terms for sign times self at (xs, ys): x^i*y^j as the
+        product of two powers, a lone power p >= 2 of v as v^(p-1)*v, so
+        that one product enters unrounded (and x*x, y*y share their sums)."""
+        out = []
+        for (i, j), c in self.terms.items():
+            p, v = (i, xs) if i else (j, ys)
+            a, b = (xs.pow_int(i), ys.pow_int(j)) if i and j else \
+                (v.pow_int(p - 1), v) if p > 1 else (v.pow_int(p), 0)
+            out.append((c if sign > 0 else -c, a, b))
+        return out
 
     def partial(self, var: str) -> "BivariatePoly":
         out = {}
@@ -161,20 +159,15 @@ class FourthOrderForm:
         return Scalar.exact(-4) * self.H
 
     def residual_of_series(self, ys: PuiseuxSeries) -> PuiseuxSeries:
-        """y_tttt minus the right-hand side, as a truncated series."""
-        y1 = ys.differentiate()
-        y2 = y1.differentiate()
-        y4 = y2.differentiate().differentiate()
-        rhs = (
-            (y2 * ys).scale(self.coeff_ytt_y)
-            + y2.scale(self.coeff_ytt)
-            + y1.pow_int(2).scale(self.coeff_yt2)
-            + ys.pow_int(3).scale(self.coeff_y3)
-            + ys.pow_int(2).scale(self.coeff_y2)
-            + ys.scale(self.coeff_y)
-            + PuiseuxSeries.constant(self.coeff_const, ys.center)
-        )
-        return y4 - rhs
+        """y_tttt minus the right-hand side, as a truncated series: y_tttt
+        and y_tt from y's exponent factors, y_tt*y from y_tt rounded once."""
+        y1, center = ys.differentiate(), ys.center
+        y2 = combine([(1, ys, 2)], center)
+        return combine([
+            (1, ys, 4), (-self.coeff_ytt_y, y2, ys), (-self.coeff_ytt, ys, 2),
+            (-self.coeff_yt2, y1, y1), (-self.coeff_y3, ys.pow_int(2), ys),
+            (-self.coeff_y2, ys, ys), (-self.coeff_y, ys, 0),
+            (-self.coeff_const, PuiseuxSeries.constant(1, center), 0)], center)
 
 
 def reduce_to_fourth_order(sys: PolynomialODESystem, H) -> FourthOrderForm:
@@ -187,10 +180,10 @@ def residual_of_series(sys: PolynomialODESystem, xs: PuiseuxSeries,
 
     The returned series carry the guaranteed windows of the truncated
     arithmetic; a genuine local solution has every known coefficient of
-    both residuals at the rounding floor.
+    both residuals at the rounding floor, each one exact sum rounded once.
     """
-    rx = xs.differentiate().differentiate() - sys.rhs1.evaluate_series(xs, ys)
-    ry = ys.differentiate().differentiate() - sys.rhs2.evaluate_series(xs, ys)
+    rx = combine([(1, xs, 2)] + sys.rhs1.series_terms(xs, ys, -1), xs.center)
+    ry = combine([(1, ys, 2)] + sys.rhs2.series_terms(xs, ys, -1), xs.center)
     return rx, ry
 
 
@@ -199,13 +192,13 @@ def energy_series(sys: PolynomialODESystem, xs: PuiseuxSeries,
     """Formal expansion of H(x(t), y(t)).
 
     For a true solution every nonconstant coefficient vanishes (to the
-    rounding floor) and the constant term is the solution's energy.
+    rounding floor) and the constant term is the solution's energy; each
+    coefficient is one exact sum over x, y, x', y', x**2, y**2, rounded once.
     """
+    xt, yt = xs.differentiate(), ys.differentiate()
     half = Scalar.exact(1, 2)
-    xt = xs.differentiate()
-    yt = ys.differentiate()
-    kinetic = (xt * xt + yt * yt).scale(half)
-    return kinetic + potential(sys).evaluate_series(xs, ys)
+    return combine([(half, xt, xt), (half, yt, yt)]
+                   + potential(sys).series_terms(xs, ys), xs.center)
 
 
 def state_from_series(xs: PuiseuxSeries, ys: PuiseuxSeries, t,

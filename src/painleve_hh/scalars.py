@@ -28,9 +28,9 @@ any other sum is rounded once, to nearest, at the highest precision of
 the factors that count, so the bits do not depend on the order or the
 grouping of the terms.  Lists whose exponents spread too far for one
 scale add their terms in groups instead, to the same bits.  A caller
-that combines several sums (the Laurent recurrence step) takes them
-before the rounding (cauchy_sum), combines them exactly and rounds the
-result once, as cauchy does (rounded_sum).
+that combines several sums (the Laurent recurrence step, series.combine)
+takes them before the rounding (cauchy_sum), combines them exactly and
+rounds the result once, as cauchy does (rounded_sum).
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -50,14 +50,15 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fzero, from_rational, mpc_abs, mpc_add, mpc_div,
-                          mpc_mul, mpc_neg, mpc_pow_int, mpf_neg, mpf_pos,
-                          normalize, round_nearest, to_rational)
+from mpmath.libmp import (fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_neg,
+                          mpc_pow_int, mpf_neg, mpf_pos, normalize,
+                          round_nearest, to_rational)
 
 from .errors import ContractViolation
 
 MIN_PRECISION = 64
 _DEFAULT_PRECISION = 256
+_FRACTION_ZERO = Fraction(0)
 
 
 def _checked_precision(bits) -> int:
@@ -100,11 +101,6 @@ def set_default_precision(bits: int) -> int:
     previous = _default_precision
     _default_precision = _checked_precision(bits)
     return previous
-
-
-def _fraction_to_mpf(q: Fraction, bits: int):
-    """q as a raw mpf, rounded once, to nearest, at bits."""
-    return from_rational(q.numerator, q.denominator, bits, round_nearest)
 
 
 def _int_nth_root(n: int, k: int):
@@ -207,8 +203,9 @@ class Scalar:
 
     def _raw(self, bits: int):
         """Value as a raw mpc tuple; only an exact value is rounded, at bits."""
-        if self._frac is not None:
-            return _fraction_to_mpf(self._frac, bits), fzero
+        q = self._frac
+        if q is not None:
+            return _rounded_mpf(q.numerator, q.denominator, 0, bits), fzero
         return self._val
 
     def real(self) -> "Scalar":
@@ -239,9 +236,7 @@ class Scalar:
 
     def mag(self):
         """|self| as an mpf at own precision (for thresholds and sorting)."""
-        if self._frac is not None:
-            return mp.make_mpf(_fraction_to_mpf(abs(self._frac), self._prec))
-        return mp.make_mpf(mpc_abs(self._val, self._prec, round_nearest))
+        return mp.make_mpf(self.magnitude()._raw(self._prec)[0])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -553,12 +548,6 @@ def _folded(v, lo: int, n: int):
     return pairs + v[n // 2] ** 2 if n % 2 == 0 and n // 2 < len(v) else pairs
 
 
-def dot(a, b) -> Scalar:
-    """sum_i a[i]*b[i] over two equal-length lists of Scalars: coefficient
-    len - 1 of the product of a and b reversed."""
-    return cauchy(a, b[::-1], len(a) - 1)
-
-
 def cauchy(a, b, n: int) -> Scalar:
     """Coefficient n of the product of the coefficient lists a and b.
 
@@ -574,8 +563,7 @@ def cauchy(a, b, n: int) -> Scalar:
     Lists with per-entry exponents add their products in groups instead
     (_summed), to the same bits.
     """
-    s = cauchy_sum(a, b, n)
-    return Scalar.exact(0) if s is None else rounded_sum(s)
+    return rounded_sum(cauchy_sum(a, b, n))
 
 
 def cauchy_sum(a, b, n: int):
@@ -681,8 +669,11 @@ def exact_combination(pairs, div=1):
 
 def rounded_sum(s) -> Scalar:
     """The exact sum s as a Scalar: an exact Fraction when no input is
-    rounded, else rounded once, to nearest, at its bits.  Several terms
-    are added in groups (_summed), with a gap that keeps the bits."""
+    rounded, else rounded once, to nearest, at its bits; an exact zero
+    for None.  Several terms are added in groups (_summed), with a gap
+    that keeps the bits."""
+    if s is None:
+        return Scalar(_FRACTION_ZERO, None, _default_precision)
     terms, den, bits, rounded = s
     if len(terms) == 1:
         (k, re, im), ki = terms[0], terms[0][0]
@@ -703,8 +694,8 @@ def rounded_sum(s) -> Scalar:
 
 def _rounded_mpf(num: int, den: int, e: int, bits: int):
     """num/den * 2**e as a raw mpf rounded once, to nearest, at bits: the
-    tuple from_rational(num, den, bits) shifted by e gives, formed as
-    libmp's mpf_div forms it (a quotient with a sticky bit), from ints."""
+    tuple libmp's from_rational(num, den, bits) shifted by e gives, formed
+    as its mpf_div forms it (a quotient with a sticky bit), from ints."""
     if not num:
         return fzero
     man = -num if num < 0 else num

@@ -13,10 +13,13 @@ what lets residual checks state exactly which orders they verified.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat, zip_longest
+from math import gcd, lcm, prod
 
 from .errors import ContractViolation
-from .scalars import Scalar, ScaledInts, as_scalar, cauchy, nth_root
+from .scalars import (Scalar, ScaledInts, as_scalar, cauchy_sum,
+                      exact_combination, exact_product, exact_value, nth_root,
+                      rounded_sum)
 
 _ZERO = Scalar.exact(0)
 
@@ -29,21 +32,22 @@ def _frac(x) -> Fraction:
     raise ContractViolation(f"exponent must be rational, got {type(x).__name__}")
 
 
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    den = a.denominator * b.denominator
-    return Fraction(num, den)
+def _gcd_frac(*fs: Fraction) -> Fraction:
+    den = lcm(*(f.denominator for f in fs))
+    return Fraction(gcd(*(f.numerator * (den // f.denominator) for f in fs)),
+                    den)
 
 
 class PuiseuxSeries:
     """Immutable truncated series sum_i coeffs[i] * (t - center)**(lead + i*step).
 
     Being immutable, a series keeps the powers and the derivative it forms,
-    so every caller that asks for y**2 or y' again gets the same object.
+    so every caller that asks for y**2 or y' again gets the same object,
+    and the exact sums of its square, which y**2 and combine share.
     """
 
     __slots__ = ("lead", "step", "coeffs", "center", "complete", "_powers",
-                 "_derivative")
+                 "_derivative", "_square")
 
     def __init__(self, lead, step, coeffs, center=None, complete=False):
         self.lead = _frac(lead)
@@ -54,7 +58,7 @@ class PuiseuxSeries:
         self.center = as_scalar(center) if center is not None else _ZERO
         self.complete = bool(complete)
         self._powers = []           # _powers[i] is self**(i + 2)
-        self._derivative = None
+        self._derivative = self._square = None
 
     # -- constructors --------------------------------------------------------
 
@@ -137,97 +141,64 @@ class PuiseuxSeries:
 
     # -- grid plumbing ----------------------------------------------------------
 
-    def _check_center(self, other: "PuiseuxSeries"):
-        if not (self.center - other.center).is_zero():
+    def _check_center(self, center: Scalar):
+        if not (self.center - center).is_zero():
             raise ContractViolation("series have different centers")
 
     def _on_grid(self, lead: Fraction, step: Fraction) -> list:
         """Coefficients on a finer/compatible grid ``lead + i*step``, exact
         zeros filling the grid points this series does not have."""
-        if not self.coeffs:
-            return []
-        n_shift = (self.lead - lead) / step
-        ratio = self.step / step
-        if n_shift.denominator != 1 or ratio.denominator != 1:
-            raise ContractViolation("incompatible exponent grids")
-        shift, ratio = n_shift.numerator, ratio.numerator
-        out = [_ZERO] * (shift + (len(self.coeffs) - 1) * ratio + 1)
-        out[shift::ratio] = self.coeffs
-        return out
+        return _placed(self.coeffs, self.lead, self.step, lead, step, _ZERO)
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         if isinstance(other, (int, Fraction, Scalar)):
             other = PuiseuxSeries.constant(other, self.center)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        self._check_center(other)
-        if self.is_identically_zero():
-            return other
-        if other.is_identically_zero():
-            return self
-        step = _gcd_frac(self.step, other.step)
-        lead = min(self.lead, other.lead)
-        caps = [s.max_exp for s in (self, other) if s.max_exp is not None]
-        cap = min(caps) if caps else None
-        a = self._on_grid(lead, step)
-        b = other._on_grid(lead, step)
-        n = max(len(a), len(b))
-        a += [_ZERO] * (n - len(a))
-        b += [_ZERO] * (n - len(b))
-        if cap is not None:
-            n = min(n, max(0, (cap - lead) // step + 1))
-            if n == 0:
-                # an empty window still ends at cap: max_exp == lead - step
-                lead = cap + step
-        return PuiseuxSeries(lead, step, [x + y for x, y in zip(a[:n], b[:n])],
-                             center=self.center, complete=cap is None)
+        return combine([(1, self, 0), (sign, other, 0)], self.center)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.lead, self.step, tuple(-c for c in self.coeffs),
-                             center=self.center, complete=self.complete)
+        return combine([(-1, self, 0)], self.center)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = PuiseuxSeries.constant(other, self.center)
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, scalar) -> "PuiseuxSeries":
-        s = as_scalar(scalar)
-        if s.is_exact and s.is_zero():
-            return PuiseuxSeries.zero(self.center)
-        return PuiseuxSeries(self.lead, self.step,
-                             tuple(c * s for c in self.coeffs),
-                             center=self.center, complete=self.complete)
+        return combine([(as_scalar(scalar), self, 0)], self.center)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        self._check_center(other)
+        lead, step, sums, complete = self._product(other)
+        return PuiseuxSeries(lead, step, map(rounded_sum, sums),
+                             center=self.center, complete=complete)
+
+    __rmul__ = __mul__
+
+    def _product(self, other: "PuiseuxSeries"):
+        """(lead, step, sums, complete) of self*other: its window and the
+        exact cauchy_sum of each coefficient in it, None for an exact zero."""
+        if other is self and self._square is not None:
+            return self._square
+        self._check_center(other.center)
         if self.is_identically_zero() or other.is_identically_zero():
-            return PuiseuxSeries.zero(self.center)
+            return 0, 1, [], True
+        lead = self.lead + other.lead
         if not self.coeffs or not other.coeffs:
             # a known-empty truncated window: nothing is known of the product
-            lead = self.lead + other.lead
-            return PuiseuxSeries(lead, 1, (), center=self.center, complete=False)
+            return lead, 1, [], False
         step = _gcd_frac(self.step, other.step)
-        lead = self.lead + other.lead
-        caps = []
-        if self.max_exp is not None:
-            caps.append(self.max_exp + other.lead)
-        if other.max_exp is not None:
-            caps.append(other.max_exp + self.lead)
-        cap = min(caps) if caps else None
+        cap = min((s.max_exp + o.lead for s, o in ((self, other), (other, self))
+                   if s.max_exp is not None), default=None)
         a = self._on_grid(self.lead, step)
         b = a if other is self else other._on_grid(other.lead, step)
         # when both hold their terms that are not exact zeros only at
@@ -242,12 +213,11 @@ class PuiseuxSeries:
             n = g * (sa.nz.bit_length() + sb.nz.bit_length() - 2)
         else:
             n = int((cap - lead) / step)
-        coeffs = [Scalar.exact(0)] * (n + 1)
-        coeffs[::g] = [cauchy(sa, sb, i) for i in range(n // g + 1)]
-        return PuiseuxSeries(lead, step, coeffs, center=self.center,
-                             complete=cap is None)
-
-    __rmul__ = __mul__
+        sums = [None] * (n + 1)
+        sums[::g] = [cauchy_sum(sa, sb, i) for i in range(n // g + 1)]
+        if other is self:
+            self._square = lead, step, sums, cap is None
+        return lead, step, sums, cap is None
 
     def pow_int(self, exponent: int) -> "PuiseuxSeries":
         if exponent < 0:
@@ -300,6 +270,70 @@ class PuiseuxSeries:
         tail = "" if len(self.coeffs) <= 6 else " + ..."
         status = "complete" if self.complete else f"O(t^{self.max_exp})"
         return f"PuiseuxSeries({' + '.join(parts) or '0'}{tail}; {status})"
+
+
+def _placed(items, at: Fraction, step: Fraction, lead: Fraction,
+            grid: Fraction, fill) -> list:
+    """items, which sit at at + i*step, on the grid lead + j*grid, fill
+    between them."""
+    if not items:
+        return []
+    shift, ratio = (at - lead) / grid, step / grid
+    if shift.denominator != 1 or ratio.denominator != 1:
+        raise ContractViolation("incompatible exponent grids")
+    shift, ratio = shift.numerator, ratio.numerator
+    out = [fill] * (shift + (len(items) - 1) * ratio + 1)
+    out[shift::ratio] = items
+    return out
+
+
+def combine(terms, center) -> PuiseuxSeries:
+    """The sum of c*a*b over the terms (c, a, b), each coefficient one
+    exact sum (exact_combination) rounded once (rounded_sum).  b is a
+    series, whose product with a enters as its exact cauchy sums, or an
+    int d: c times the d-th derivative of a, exact exponent factors and
+    all.  c is an int, a Fraction or a Scalar; a rounded c is an input,
+    whose precision counts as the series coefficients' do.  The window
+    is the one + and * give."""
+    parts = []
+    for c, a, b in terms:
+        a._check_center(center)
+        v = exact_value(c) if isinstance(c, Scalar) and not c.is_exact else None
+        c = 1 if v else c.fraction() if isinstance(c, Scalar) else c
+        if not c:
+            continue
+        if isinstance(b, PuiseuxSeries):
+            lead, step, sums, complete = a._product(b)
+            weights = repeat(c)
+        else:
+            nums, den = a._exponent_numerators()
+            lead, step, sums, complete = (a.lead - b, a.step,
+                                          map(exact_value, a.coeffs), a.complete)
+            # c/den**b, an int where it is one: int weights are cheaper
+            q = Fraction(c, den ** b)
+            q = q.numerator if q.denominator == 1 else q
+            weights = (q * prod(range(n, n - b * den, -den)) for n in nums) \
+                if b else repeat(q)
+        pairs = [(w, u if v is None else exact_product(v, u))
+                 for w, u in zip(weights, sums)]
+        if complete and not any(w and u is not None for w, u in pairs):
+            continue            # identically zero: no say in the window
+        parts.append((lead, step, pairs, complete))
+    if not parts:
+        return PuiseuxSeries.zero(center)
+    step = _gcd_frac(*(p[1] for p in parts))
+    lead = min(p[0] for p in parts)
+    cols = list(zip_longest(*(_placed(pairs, at, s, lead, step, (0, None))
+                              for at, s, pairs, _ in parts), fillvalue=(0, None)))
+    caps = [at + (len(p) - 1) * s for at, s, p, complete in parts if not complete]
+    if caps:
+        del cols[max(0, (min(caps) - lead) // step + 1):]
+        if not cols:
+            # an empty window still ends at the cap: max_exp == lead - step
+            lead = min(caps) + step
+    return PuiseuxSeries(lead, step,
+                         [rounded_sum(exact_combination(p)) for p in cols],
+                         center=center, complete=not caps)
 
 
 def nth_root_power(u: Scalar, exponent: Fraction, bits: int) -> Scalar:

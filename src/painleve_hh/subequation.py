@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
-from .model import BivariatePoly, power_product
+from .model import BivariatePoly
 from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
                       default_precision, half_precision_tol)
-from .series import _ZERO, PuiseuxSeries
+from .series import _ZERO, PuiseuxSeries, combine
 
 
 def ansatz_indices(m: int) -> list[tuple[int, int]]:
@@ -67,7 +67,8 @@ class SubequationAnsatz:
             m=self.m, h={jk: c / pivot for jk, c in self.h.items()})
 
     def residual_series(self, y: PuiseuxSeries) -> PuiseuxSeries:
-        return BivariatePoly(self.nonzero()).evaluate_series(y, y.differentiate())
+        return combine(BivariatePoly(self.nonzero()).series_terms(
+            y, y.differentiate()), y.center)
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,10 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
     indices = ansatz_indices(m)
     unknowns = len(indices)
     yp = y_series.differentiate()
-    # the columns y^j * y'^k, each formed once
-    terms = {(j, k): power_product(y_series, yp, j, k) for j, k in indices}
+    # the columns y^j * y'^k, each formed once, none times the constant 1
+    terms = {(j, k): y_series.pow_int(j) * yp.pow_int(k) if j and k
+             else y_series.pow_int(j) if j else yp.pow_int(k)
+             for j, k in indices}
     window_cap = min((t.max_exp for t in terms.values() if t.max_exp is not None),
                      default=None)
     lead = min(t.lead for t in terms.values())
@@ -131,9 +134,8 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
     basis, orders = [], []
     for vec in sol.nullspace:
         ans = SubequationAnsatz(m=m, h=dict(zip(indices, vec))).normalized()
-        resid = PuiseuxSeries.zero(y_series.center)
-        for jk, c in sorted(ans.nonzero().items()):
-            resid = resid + terms[jk].scale(c)
+        resid = combine([(c, terms[jk], 0) for jk, c in ans.nonzero().items()],
+                        y_series.center)
         verified = None
         ok = True
         for e, c in zip(resid.exponents(), resid.coeffs):
@@ -200,7 +202,7 @@ def _series_divide(num: PuiseuxSeries, den: PuiseuxSeries,
     """num/den on den's grid through the exponent order_cap, and as far as
     num and den are known: q_n = (num_n - sum_{j<n} q_j den_{n-j}) / den_0.
     num must lie on den's grid."""
-    num._check_center(den)
+    num._check_center(den.center)
     den = den.normalized()
     num = num.normalized()
     if not den.coeffs:

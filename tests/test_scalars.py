@@ -9,7 +9,7 @@ from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
 from painleve_hh.jsonio import decode_scalar
-from painleve_hh.scalars import ScaledInts, cauchy, dot, half_precision_tol
+from painleve_hh.scalars import ScaledInts, cauchy, half_precision_tol
 
 rationals = st.builds(
     Fraction,
@@ -163,6 +163,12 @@ def test_magnitude_and_parts():
 # -- the dot-product kernel ---------------------------------------------------
 
 
+def _dot(a, b):
+    """sum_i a[i]*b[i]: coefficient len(a) - 1 of the product of a and b
+    reversed."""
+    return cauchy(a, b[::-1], len(a) - 1)
+
+
 @st.composite
 def kernel_scalars(draw):
     """Exact (zero included), real-rounded and complex-rounded values."""
@@ -196,7 +202,7 @@ def _naive_dot(pairs):
 def test_dot_matches_naive_fold(pairs):
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
-    got, ref = dot(a, b), _naive_dot(pairs)
+    got, ref = _dot(a, b), _naive_dot(pairs)
     assert got.is_exact == ref.is_exact
     if ref.is_exact:
         assert got.fraction() == ref.fraction()
@@ -241,7 +247,7 @@ def test_dot_rounds_the_exact_sum_once(pairs):
     # the result is the exact sum: a Fraction when every term with no
     # exact-zero factor is exact, else rounded once to nearest at the
     # highest precision of those factors, in each component
-    got = dot([x for x, _ in pairs], [y for _, y in pairs])
+    got = _dot([x for x, _ in pairs], [y for _, y in pairs])
     kept = [(x, y) for x, y in pairs
             if not (x.is_exact and x.is_zero() or y.is_exact and y.is_zero())]
     exact_re = exact_im = Fraction(0)
@@ -264,7 +270,7 @@ def test_dot_keeps_a_term_far_below_a_cancelling_pair(second):
     first = [Scalar.from_real(v, 64) for v in ("1e-300", "1e300", "1e300")]
     factor = (lambda q: Scalar.exact(q, 1, 64)) if second == "exact" else (
         lambda q: Scalar.from_real(q, 64))
-    got = dot(first, [factor(1), factor(1), factor(-1)])
+    got = _dot(first, [factor(1), factor(1), factor(-1)])
     assert got.mpc()._mpc_ == first[0].mpc()._mpc_
 
 
@@ -276,7 +282,7 @@ def test_dot_rounds_an_exact_tie_once():
     other = [Scalar.exact(1, 1, 64), Scalar.exact(1, 1, 64),
              Scalar.from_real(3 * 2.0 ** -100, 64),
              Scalar.from_real(-5 * 2.0 ** -100, 64)]
-    got = dot(exact, other)
+    got = _dot(exact, other)
     assert not got.is_exact and got == 1
 
 
@@ -288,7 +294,7 @@ def test_dot_breaks_a_tie_by_a_term_far_below(sign):
                                                Fraction(1, 2 ** 64),
                                                sign * Fraction(1, 2 ** 5000))]
     rounded = [Scalar.from_real(v, 64) for v in (1, -1, 1, 1, 1)]
-    assert dot(exact, rounded) == (1 + Fraction(1, 2 ** 63) if sign > 0 else 1)
+    assert _dot(exact, rounded) == (1 + Fraction(1, 2 ** 63) if sign > 0 else 1)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -299,7 +305,7 @@ def test_dot_rejects_a_non_finite_factor(value):
         for other in (sc(2), Scalar.from_real(2), Scalar.from_complex(1, 1)):
             with pytest.raises(ContractViolation,
                                match=f"'{value}' is not a finite number"):
-                dot([sc(1), other], [sc(1), bad()])
+                _dot([sc(1), other], [sc(1), bad()])
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -322,11 +328,11 @@ def test_every_way_in_rejects_a_non_finite_number(value):
 
 def test_dot_exact_zero_when_every_term_has_an_exact_zero_factor():
     f = Scalar.from_complex("1.5", "2")
-    out = dot([sc(0), f, sc(3)], [f, sc(0), sc(0)])
+    out = _dot([sc(0), f, sc(3)], [f, sc(0), sc(0)])
     assert out.is_exact and out.is_zero()
-    assert dot([], []).is_exact
+    assert _dot([], []).is_exact
     # a rounded zero factor still makes the sum rounded, as x*y does
-    assert not dot([Scalar.from_real(0)], [sc(2)]).is_exact
+    assert not _dot([Scalar.from_real(0)], [sc(2)]).is_exact
 
 
 # -- squares: each distinct product once, doubled -------------------------------
@@ -363,7 +369,7 @@ def test_exact_square_doubles_the_numerator():
     # an exact term doubled inside a rounded sum: 2*(1/3)*0.5 + (2/5)**2
     b = a + [Scalar.from_real("0.5")]
     # is 1/3 + 4/25 rounded once
-    _same_bits(cauchy(b, b, 2), dot(a, [Scalar.from_real("1.0"), a[1]]))
+    _same_bits(cauchy(b, b, 2), _dot(a, [Scalar.from_real("1.0"), a[1]]))
 
 
 # -- the scaled-int kernel against exact sums -------------------------------------

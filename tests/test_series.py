@@ -8,13 +8,19 @@ from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from painleve_hh import (ContractViolation, PuiseuxSeries, Scalar,
                          set_default_precision)
-from painleve_hh.scalars import cauchy, dot
+from painleve_hh.scalars import cauchy
 
 small_coeffs = st.lists(
     st.builds(Fraction, st.integers(min_value=-9, max_value=9),
               st.integers(min_value=1, max_value=4)),
     min_size=1, max_size=5,
 )
+
+
+def _dot(a, b):
+    """sum_i a[i]*b[i]: coefficient len(a) - 1 of the product of a and b
+    reversed."""
+    return cauchy(a, b[::-1], len(a) - 1)
 
 
 def S(lead, coeffs, step=1, complete=False):
@@ -363,7 +369,7 @@ def test_cauchy_is_dot_over_the_pairs_present(a, b, kind_a, kind_b):
     for n in range(-2, len(a) + len(b) + 1):
         js = [j for j in range(len(a)) if 0 <= n - j < len(b)]
         _same_scalar(cauchy(a, b, n),
-                     dot([a[j] for j in js], [b[n - j] for j in js]))
+                     _dot([a[j] for j in js], [b[n - j] for j in js]))
 
 
 @pytest.mark.parametrize("kind", ["exact", "real", "complex"])
@@ -378,7 +384,7 @@ def test_cauchy_at_the_edges_of_each_list(kind):
     # first of each, last of a, last of b, last of both
     for n, pairs in ((0, [(0, 0)]), (2, [(0, 2), (1, 1), (2, 0)]),
                      (4, [(0, 4), (1, 3), (2, 2)]), (6, [(2, 4)])):
-        expected = dot([a[i] for i, _ in pairs], [b[j] for _, j in pairs])
+        expected = _dot([a[i] for i, _ in pairs], [b[j] for _, j in pairs])
         _same_scalar(cauchy(a, b, n), expected)
         _same_scalar(cauchy(b, a, n), expected)
 

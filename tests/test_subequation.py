@@ -125,30 +125,32 @@ def test_fit_expands_each_column_once(monkeypatch, m, match_order, products):
 ], ids=["exact", "rounded-64", "off-grid"])
 def test_fit_rows_hold_the_coefficients_of_each_column(monkeypatch, y, m,
                                                        match_order):
-    # the rows must be the very Scalars coefficient() returns, exact zeros
-    # included, since fit's default tolerance reads their precisions
-    columns, systems = [], []
-    power_product, solve_linear = subequation.power_product, \
-        subequation.solve_linear
-
-    def recorded(*args):
-        columns.append(power_product(*args))
-        return columns[-1]
+    # the rows must be the Scalars coefficient() returns, exact zeros
+    # included, at their precisions, since fit's default tolerance reads
+    # them: y^j * y'^k, a lone power without a product by the constant 1
+    systems = []
+    solve_linear = subequation.solve_linear
 
     def captured(system, b):
         systems.append(system)
         return solve_linear(system, b)
 
-    monkeypatch.setattr(subequation, "power_product", recorded)
     monkeypatch.setattr(subequation, "solve_linear", captured)
     fit(y, m, match_order)
     (system,) = systems
+    yp = y.differentiate()
+    columns = [y.pow_int(j) * yp.pow_int(k) if j and k else
+               y.pow_int(j) if j else yp.pow_int(k)
+               for j, k in ansatz_indices(m)]
     lead = min(t.lead for t in columns)
     assert system.cols == len(columns)
     assert system.rows == math.floor(match_order - lead) + 1
     for i in range(system.rows):
         for j, column in enumerate(columns):
-            assert system[i, j] is column.coefficient(lead + i)
+            want, got = column.coefficient(lead + i), system[i, j]
+            assert (got.is_exact, got.precision) == (want.is_exact,
+                                                     want.precision)
+            assert got == want
 
 
 def test_fit_scale_normalization():
