@@ -18,9 +18,12 @@ X[m]*sigma**m stays O(1) and |h/sigma| <= 1.  The real and imaginary
 parts of X[m]*sigma**m and Y[m]*sigma**m are Python ints at 2**-P, with
 P = bits + 20 + 32 guard bits above the step's largest component (x, y,
 xt*sigma, yt*sigma), so a state of size 1e-100 keeps its bits; real data
-carries no imaginary parts.  Each Cauchy sum is exact (a square from its
-distinct products), and the divide by (m+1)(m+2) and the scale is each
-coefficient's only rounding: to nearest, ties to even, so symmetric in
+carries no imaginary parts.  Each Cauchy sum is exact, a square from its
+distinct products: 2*X*Y = (X + Y)**2 - X**2 - Y**2 (polarization), and a
+complex square's 2*re*im = (re + im)**2 - re**2 - im**2 (Gauss's
+three-product complex multiplication, Knuth, TAOCP vol. 2, 4.6.4).  The
+divide by (m+1)(m+2) and the scale is each coefficient's only rounding, a
+Horner product's is a shift: to nearest, ties to even, so symmetric in
 sign.  The step is chosen from the last two coefficients read as mpf at
 bits + 20, and the end state is rounded to the data's bits.  This stepper
 is deliberately independent of the Laurent-series machinery (scalars.cauchy
@@ -29,7 +32,7 @@ and series.combine): it is the numeric cross-oracle for series evaluation.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 import mpmath
 from mpmath import mp
@@ -66,43 +69,50 @@ def _quotient(n, k, s):
     return q + 1 if 2 * r > k or (2 * r == k and q & 1) else q
 
 
-def _dot(a, b, m):
-    """sum a[i]*b[m-i] over i = 0..m; a square (a is b) from its
-    floor(m/2)+1 distinct products."""
-    if a is not b:
-        return sum(map(mul, a, b[m::-1]))
+def _shifted(n, k):
+    """_quotient(n, 1, -k) for k >= 0, the divide by 2**k done by shifts."""
+    return (n + (1 << k - 1) - 1 + (n >> k & 1)) >> k if k else n
+
+
+def _squared(z, m):
+    """Parts of sum z[i]*z[m-i] for parts [re] or [re, im, re + im], each
+    square from its floor(m/2)+1 distinct products; the imaginary part
+    2*sum re[i]*im[m-i] is (re + im)**2 - re**2 - im**2."""
     n = (m + 1) // 2            # off-diagonal pairs i < m - i
-    s = 2 * sum(map(mul, a[:n], a[m:m - n:-1]))
-    return s + a[n] * a[n] if m % 2 == 0 else s
+    sq = [(sum(map(mul, p[:n], p[m:m - n:-1])) << 1)
+          + (p[n] * p[n] if m % 2 == 0 else 0) for p in z]
+    return sq if len(sq) == 1 else [sq[0] - sq[1], sq[2] - sq[0] - sq[1]]
 
 
-def _cauchy(a, b, m):
-    """Parts of sum a[i]*b[m-i] for lists of parts [re] or [re, im]."""
+def _times(a, b):
+    """Parts of a*b for numbers given as parts [re] or [re, im]."""
     if len(a) == 1:
-        return [_dot(a[0], b[0], m)]
-    (ar, ai), (br, bi) = a, b
-    return [_dot(ar, br, m) - _dot(ai, bi, m), 2 * _dot(ar, ai, m) if a is b
-            else _dot(ar, bi, m) + _dot(ai, br, m)]
+        return [a[0] * b[0]]
+    return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
 
 
 def _taylor_coefficients(lam, C, x0, xt0, y0, yt0, P, e, order):
     """Taylor coefficients of the local solution in the variable scaled by
     2**e: X[p][m] is part p (re, im) of X[m]*2**(e*m), an int at 2**-P.
     Each argument is a list of parts at 2**-P; xt0 and yt0 come scaled."""
-    X = [[a, b] for a, b in zip(x0, xt0)]
-    Y = [[a, b] for a, b in zip(y0, yt0)]
-    lam, C = [[c] for c in lam], [[c] for c in C]
+    X = [list(p) for p in zip(x0, xt0)]
+    Y = [list(p) for p in zip(y0, yt0)]
+    for Z in (X, Y) if len(X) == 2 else ():     # complex: re + im as well
+        Z.append(list(map(add, *Z)))
+    S = [list(map(add, p, q)) for p, q in zip(X, Y)]           # X + Y
     for m in range(order - 1):
         k = (m + 1) * (m + 2)
-        lx = _cauchy(lam, [[p[m]] for p in X], 0)
-        cy = _cauchy(C, [[v] for v in _cauchy(Y, Y, m)], 0)
-        # numerators at 2**-2P and 2**-3P, one rounded quotient each
-        for Xp, Yp, a, b, c, d in zip(X, Y, lx, _cauchy(X, Y, m),
-                                      _cauchy(X, X, m), cy):
-            Xp.append(_quotient(-a - 2 * b, k, 2 * e - P))
-            Yp.append(_quotient((((-Yp[m] << P) - c) << P) + d, k,
-                                2 * e - 2 * P))
-    return X, Y
+        xx, yy, ss = _squared(X, m), _squared(Y, m), _squared(S, m)
+        # numerators at 2**-2P and 2**-3P, one rounded quotient each; the
+        # x one is -lam*X[m] - 2*X*Y with 2*X*Y = S*S - X*X - Y*Y
+        x = [_quotient(c + d - a - s, k, 2 * e - P) for a, s, c, d
+             in zip(_times(lam, [p[m] for p in X]), ss, xx, yy)]
+        y = [_quotient((((-p[m] << P) - c) << P) + d, k, 2 * e - 2 * P)
+             for p, c, d in zip(Y, xx, _times(C, yy))]
+        for Z, v in ((X, x), (Y, y), (S, list(map(add, x, y)))):
+            for p, c in zip(Z, v + [sum(v)]):   # re + im: complex data only
+                p.append(c)
+    return X[:len(x0)], Y[:len(y0)]
 
 
 def _horner(a, U, k):
@@ -110,8 +120,8 @@ def _horner(a, U, k):
     rounded to the scale of a."""
     value, deriv = a[-1], 0
     for m in range(len(a) - 1, 0, -1):
-        deriv = _quotient(deriv * U, 1, -k) + m * a[m]
-        value = _quotient(value * U, 1, -k) + a[m - 1]
+        deriv = _shifted(deriv * U, k) + m * a[m]
+        value = _shifted(value * U, k) + a[m - 1]
     return value, deriv
 
 

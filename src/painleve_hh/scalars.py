@@ -646,25 +646,30 @@ def exact_combination(pairs, div=1):
     and div ints or Fractions and div nonzero; pairs with c == 0 or u None
     do not enter.  None when no pair enters.  Terms within 4*bits bits of
     each other are added into one."""
-    live = [(c, u) for c, u in pairs if c and u is not None]
+    live, exps, den, bits, rounded = [], [], 1, 0, False
+    for c, u in pairs:
+        if c and u is not None:
+            live.append((c, u))
+            exps += [e for e, _, _ in u[0]]
+            den = math.lcm(den, c.denominator * u[1])
+            bits, rounded = max(bits, u[2]), rounded or bool(u[3])
     if not live:
         return None
-    den = 1
-    for c, u in live:
-        den = math.lcm(den, c.denominator * u[1])
     sign = -div.denominator if div < 0 else div.denominator
-    terms = []
+    lo = min(exps, default=0)
+    merged = exps and max(exps) - lo <= 4 * bits
+    terms, re, im = [], 0, 0
     for c, (t, d, _, _) in live:
         f = sign * c.numerator * (den // (c.denominator * d))
-        terms += [(e, a * f, b * f) for e, a, b in t]
-    bits = max(u[2] for _, u in live)
-    if len(terms) > 1:
-        lo = min(e for e, _, _ in terms)
-        if max(e for e, _, _ in terms) - lo <= 4 * bits:
-            terms = [(lo, sum(a << e - lo for e, a, _ in terms),
-                      sum(b << e - lo for e, _, b in terms))]
-    return (terms, den * abs(div.numerator), bits,
-            any(u[3] for _, u in live))
+        if not merged:
+            terms += [(e, a * f, b * f) for e, a, b in t]
+            continue
+        for e, a, b in t:
+            re += a * f << e - lo
+            if b:
+                im += b * f << e - lo
+    return ([(lo, re, im)] if merged else terms, den * abs(div.numerator),
+            bits, rounded)
 
 
 def rounded_sum(s) -> Scalar:

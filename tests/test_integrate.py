@@ -1,5 +1,8 @@
+import ast
+import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -12,7 +15,8 @@ from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
                          SingularityApproach, build_henon_heiles, build_series,
                          energy, integrate_numeric, state_from_series)
 from painleve_hh import integrate
-from painleve_hh.integrate import _dot, _taylor_coefficients, tolerance_order
+from painleve_hh.integrate import (_quotient, _shifted, _squared,
+                                   _taylor_coefficients, tolerance_order)
 
 P = 564         # 512-bit data plus the integrator's 20 + 32 fixed-point bits
 
@@ -159,10 +163,95 @@ def test_tolerance_order_below_float_range():
 mantissas = st.integers(min_value=-2 ** P, max_value=2 ** P)
 
 
-@given(st.lists(mantissas, min_size=1, max_size=30))
-def test_halved_square_is_exact(a):
-    for m in range(len(a)):
-        assert _dot(a, a, m) == sum(a[i] * a[m - i] for i in range(m + 1))
+@given(st.lists(st.tuples(mantissas, mantissas), min_size=1, max_size=30))
+def test_halved_square_is_exact(pairs):
+    re, im = map(list, zip(*pairs))
+    for m in range(len(re)):
+        assert _squared([re], m) == [sum(re[i] * re[m - i]
+                                         for i in range(m + 1))]
+        assert _squared([re, im, list(map(operator.add, re, im))], m) == \
+            _full_cauchy([re, im], [re, im], m)
+
+
+@given(st.integers(min_value=-2 ** 700, max_value=2 ** 700),
+       st.integers(min_value=0, max_value=600), st.booleans())
+@example(7, 0, False)
+@example(-7, 0, False)
+@example(2, 1, True)     # (2*2 + 1) / 2 = 2.5 -> 2
+@example(-2, 1, True)    # -3 / 2 = -1.5 -> -2
+@example(-3, 3, True)    # -5 / 2 = -2.5 -> -2
+def test_shift_rounding_is_the_quotient(n, k, tie):
+    if tie and k:
+        n = (2 * n + 1) << k - 1        # n * 2**-k ends in exactly 1/2
+    assert _shifted(n, k) == _quotient(n, 1, -k)
+
+
+def _parts_product(a, b):
+    return [a[0] * b[0]] if len(a) == 1 else \
+        [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
+
+
+def _full_cauchy(A, B, m):
+    """Parts of sum A[i]*B[m-i] over every i = 0..m."""
+    terms = [_parts_product([p[i] for p in A], [q[m - i] for q in B])
+             for i in range(m + 1)]
+    return [sum(t[j] for t in terms) for j in range(len(A))]
+
+
+def _cauchy_block(lam, C, x0, xt0, y0, yt0, P, e, order):
+    """The Taylor block from full Cauchy sums X*Y, X*X and Y*Y, with -a - 2*b
+    in the x numerator, each coefficient rounded once as in the integrator."""
+    X = [[a, b] for a, b in zip(x0, xt0)]
+    Y = [[a, b] for a, b in zip(y0, yt0)]
+    for m in range(order - 1):
+        k = (m + 1) * (m + 2)
+        lx = _parts_product(lam, [p[m] for p in X])
+        cy = _parts_product(C, _full_cauchy(Y, Y, m))
+        for Xp, Yp, a, b, c, d in zip(X, Y, lx, _full_cauchy(X, Y, m),
+                                      _full_cauchy(X, X, m), cy):
+            Xp.append(_quotient(-a - 2 * b, k, 2 * e - P))
+            Yp.append(_quotient((((-Yp[m] << P) - c) << P) + d, k,
+                                2 * e - 2 * P))
+    return X, Y
+
+
+@given(st.booleans(), st.lists(mantissas, min_size=12, max_size=12),
+       st.integers(min_value=-8, max_value=-2),
+       st.integers(min_value=8, max_value=30))
+def test_block_from_squares_is_the_full_cauchy_block(complex_values, data, e,
+                                                     order):
+    # every numerator is the same exact int, so every coefficient is too
+    parts = [data[2 * i:2 * i + 1 + complex_values] for i in range(6)]
+    X, Y = _taylor_coefficients(*parts, P, e, order)
+    assert (X, Y) == _cauchy_block(*parts, P, e, order)
+
+
+def _package_imports(tree):
+    """(module, name) for each name imported from a painleve_hh module;
+    (module, None) for a whole module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("painleve_hh."):
+                    yield alias.name.split(".")[1], None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "painleve_hh":
+                    continue
+                module = module[len("painleve_hh"):].lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+
+
+def test_integrator_shares_no_code_with_the_series_kernels():
+    # the oracle must not read scalars.cauchy, series.combine or laurent
+    tree = ast.parse(Path(integrate.__file__).read_text())
+    imports = list(_package_imports(tree))
+    assert ("scalars", "Scalar") in imports
+    for module, name in imports:
+        assert module not in ("series", "laurent"), (module, name)
+        assert module != "scalars" or name in ("Scalar", "as_scalar"), name
 
 
 def _full_recurrence(lam, C, x0, xt0, y0, yt0, order):

@@ -1,15 +1,17 @@
+import math
 import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
 from painleve_hh.jsonio import decode_scalar
-from painleve_hh.scalars import ScaledInts, cauchy, half_precision_tol
+from painleve_hh.scalars import (ScaledInts, cauchy, exact_combination,
+                                 half_precision_tol)
 
 rationals = st.builds(
     Fraction,
@@ -826,3 +828,60 @@ def test_rounded_nan_is_rejected_and_equality_ignores_precision():
     one = Scalar.from_complex(1, 2, 64)
     assert one == Scalar.from_complex(1, 2, 512)
     assert hash(one) == hash(Scalar.from_complex(1, 2, 512))
+
+
+# -- exact combinations -------------------------------------------------------
+
+
+def _combination_by_passes(pairs, div=1):
+    """exact_combination written as separate passes over the live pairs and
+    the scaled terms: the tuple the one-pass form must return."""
+    live = [(c, u) for c, u in pairs if c and u is not None]
+    if not live:
+        return None
+    den = 1
+    for c, u in live:
+        den = math.lcm(den, c.denominator * u[1])
+    sign = -div.denominator if div < 0 else div.denominator
+    terms = []
+    for c, (t, d, _, _) in live:
+        f = sign * c.numerator * (den // (c.denominator * d))
+        terms += [(e, a * f, b * f) for e, a, b in t]
+    bits = max(u[2] for _, u in live)
+    if len(terms) > 1:
+        lo = min(e for e, _, _ in terms)
+        if max(e for e, _, _ in terms) - lo <= 4 * bits:
+            terms = [(lo, sum(a << e - lo for e, a, _ in terms),
+                      sum(b << e - lo for e, _, b in terms))]
+    return (terms, den * abs(div.numerator), bits,
+            any(u[3] for _, u in live))
+
+
+_weights = st.one_of(st.integers(-5, 5),
+                     st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=12))
+_parts = st.one_of(st.just(0), st.integers(-2 ** 80, 2 ** 80))
+# exponents 0 apart, close, and just inside and outside 4*bits of each other
+_exponents = st.one_of(st.integers(-40, 40),
+                       st.sampled_from([255, 256, 257, 1023, 1024, 1025, 4095,
+                                        4096, 4097, -4097, 10 ** 8]))
+# an exact sum: rounded as cauchy_sum's int mask or a bool; no terms for a
+# rounded zero
+_sums = st.tuples(st.lists(st.tuples(_exponents, _parts, _parts), max_size=3),
+                  st.integers(1, 30), st.sampled_from([64, 256, 1024]),
+                  st.sampled_from([False, True, 0, 6]))
+
+
+@given(st.lists(st.tuples(_weights, st.one_of(st.none(), _sums)), max_size=5),
+       st.one_of(st.integers(1, 9), st.integers(-9, -1),
+                 st.fractions(min_value=-9, max_value=9,
+                              max_denominator=7).filter(bool)))
+@example([(1, ([(0, 3, 0)], 1, 64, 0)), (-2, ([(256, 5, 7)], 3, 64, 6))], 1)
+@example([(1, ([(0, 3, 0)], 1, 64, 0)), (-2, ([(257, 5, 7)], 3, 64, 6))], 1)
+@example([(Fraction(1, 3), ([(-4096, 1, -1)], 5, 1024, True)),
+          (2, ([], 1, 64, True))], Fraction(-3, 7))
+def test_exact_combination_is_its_passes_in_one(pairs, div):
+    got = exact_combination(pairs, div)
+    want = _combination_by_passes(pairs, div)
+    assert got == want
+    assert got is None or got[3] is want[3]       # a bool, not a mask
