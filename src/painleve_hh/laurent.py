@@ -54,6 +54,7 @@ reports the violation honestly everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -391,13 +392,18 @@ class SeriesSolution:
     spec: BranchSpec
     x: PuiseuxSeries
     y: PuiseuxSeries
-    H: Scalar
     steps: tuple
     trunc_order: int
     precision: int
 
     def system(self):
         return _system(self.spec)
+
+    @cached_property
+    def H(self) -> Scalar:
+        """The t**0 energy coefficient, from x and y through t**6 only."""
+        return energy_series(self.system(), self.x.truncate(_H_WINDOW),
+                             self.y.truncate(_H_WINDOW)).coefficient(0)
 
     def recurrence_coefficients(self):
         """(x-coeffs, y-coeffs) keyed by recurrence index, leads included."""
@@ -425,8 +431,7 @@ def build_series(spec: BranchSpec, N: int,
     on_incompatible: "raise" aborts with CompatibilityViolation at an
     inconsistent zero-determinant step; "force" keeps stepping (satisfying
     the solvable row) and leaves the defect visible in the step log and the
-    residual.  The energy constant is the t**0 coefficient of the formal
-    energy expansion, read from x and y truncated at t**6.
+    residual.
     """
     if N < 5:
         raise ContractViolation(f"N must be >= 5 to pass every resonance, got {N}")
@@ -447,12 +452,7 @@ def build_series(spec: BranchSpec, N: int,
     xcoeffs[::stride] = eng.x
     xs = PuiseuxSeries(case.x_lead, case.x_step, xcoeffs, center=spec.t0)
     ys = PuiseuxSeries(-2, 1, eng.y, center=spec.t0)
-    # the t**0 energy coefficient needs x and y only through t**4; each
-    # product coefficient is one cauchy sum rounded once, so the window
-    # gives the same H as the full expansion
-    h = energy_series(_system(spec), xs.truncate(_H_WINDOW),
-                      ys.truncate(_H_WINDOW)).coefficient(0)
-    return SeriesSolution(spec=spec, x=xs, y=ys, H=h, steps=tuple(steps),
+    return SeriesSolution(spec=spec, x=xs, y=ys, steps=tuple(steps),
                           trunc_order=N, precision=eng.bits)
 
 

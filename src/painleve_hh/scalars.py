@@ -20,9 +20,11 @@ Its operands are :class:`ScaledInts`: each coefficient list is converted
 once, by the code that owns it, into ints N_j with value_j = N_j / D *
 2**(e + r*j), where D is the lcm of the exact entries' denominators and
 the whole slope r flattens the geometric growth of a series, so the ints
-stay near the working precision wide.  A product coefficient is then one
-exact C-level int sum, ``sum(map(operator.mul, ...))`` (a square sums each
-distinct pair once), times a power of two over D_a*D_b.  Pairs with an
+stay near the working precision wide; a list of entries i**(a + b*j)
+times reals keeps just the reals.  A product coefficient is then one exact
+C-level int sum, ``sum(map(operator.mul, ...))`` (a square sums each
+distinct pair once; two such lists of one b take one real sum times
+i**k), times a power of two over D_a*D_b.  Pairs with an
 exact-zero factor are skipped; an all-exact sum stays an exact Fraction;
 any other sum is rounded once, to nearest, at the highest precision of
 the factors that count, so the bits do not depend on the order or the
@@ -425,24 +427,38 @@ def _parts(c: Scalar):
             x if rm or jm else None, 1, True)
 
 
+def _twisted(re, im):
+    """(r, None, (a, b)): re[j] + i*im[j] == i**(a + b*j) * r[j], b lowest;
+    else (re, im, None).  im None stands for zeros."""
+    for b in () if im is None or any(map(all, zip(re, im))) else (0, 1):
+        a = {(bool(i) - b * j) % 2 for j, i in enumerate(im) if re[j] or i}
+        if len(a) == 1:
+            a = a.pop()
+            return [(r or i) if (a + b * j) % 4 < 2 else -(r or i)
+                    for j, (r, i) in enumerate(zip(re, im))], None, (a, b)
+    return re, im, None if im else (0, 0)
+
+
 class ScaledInts:
     """A list of Scalars, coeffs, with its scaled-int form.
 
-    Entry j is (re[j] + i*im[j]) / den * 2**(exp + slope*j) exactly, with
-    ints re[j] and im[j] (im is None while every entry is real), den the
-    lcm of the odd parts of the exact entries' denominators, and a whole
-    slope in bits per index that flattens the geometric growth of a
-    series, so that the ints stay near the precision wide.  Where they
-    would spread over more than 4*bits bits, xs holds each entry's own
-    exponent instead of exp + slope*j.  Bit j of nz is set when entry j is
-    not an exact zero, of rd when it is rounded; rnz and rrd hold those
-    bits reversed (bit len - 1 - j).  bits is the highest precision of the
-    entries that are not exact zeros; mixed tells whether theirs differ.
-    exp is the lower of floor and the least x - slope*j of an entry.
+    Entry j is i**(a + b*j) * re[j] / den * 2**(exp + slope*j) exactly,
+    with ints re[j], im None and phase (a, b) in {0, 1}**2, b as low as
+    fits ((0, 0): real); with phase None, as no (a, b) fits, it is
+    (re[j] + i*im[j]) / den * 2**(...), the dense view dense() gives of
+    both forms.  den is the lcm of the odd parts of the exact entries'
+    denominators, and a whole slope in bits per index flattens the
+    geometric growth of a series, so that the ints stay near the precision
+    wide.  Where they would spread over more than 4*bits bits, xs holds
+    each entry's own exponent instead of exp + slope*j.  Bit j of nz is set
+    when entry j is not an exact zero, of rd when it is rounded; rnz and
+    rrd hold those bits reversed (bit len - 1 - j).  bits is the highest
+    precision of the entries that are not exact zeros; mixed tells whether
+    theirs differ.  exp is the lower of floor and the least x - slope*j.
     """
 
-    __slots__ = ("coeffs", "slope", "den", "exp", "xs", "re", "im", "bits",
-                 "mixed", "nz", "rd", "rnz", "rrd")
+    __slots__ = ("coeffs", "slope", "den", "exp", "xs", "re", "im", "phase",
+                 "bits", "mixed", "nz", "rd", "rnz", "rrd")
 
     def __init__(self, coeffs=(), slope: int | None = None,
                  floor: int | None = None):
@@ -471,13 +487,13 @@ class ScaledInts:
         if floor is not None:
             exp = min(exp, floor)
         self.xs = [0 if p[2] is None else p[2] for p in parts] if wide else None
-        self.re = [0 if x is None else r * (den // q) << (
-            0 if wide else x - exp - slope * j)
-            for j, (r, _, x, q, _) in enumerate(parts)]
-        self.im = [0 if x is None else i * (den // q) << (
-            0 if wide else x - exp - slope * j)
-            for j, (_, i, x, q, _) in enumerate(parts)] \
-            if any(p[1] for p in parts) else None
+        self.re, self.im, self.phase = _twisted([0 if x is None else r * (
+            den // q) << (0 if wide else x - exp - slope * j)
+            for j, (r, _, x, q, _) in enumerate(parts)], [
+            0 if x is None else i * (den // q) << (
+                0 if wide else x - exp - slope * j)
+            for j, (_, i, x, q, _) in enumerate(parts)]
+            if any(p[1] for p in parts) else None)
         self.coeffs, self.slope, self.den, self.exp = coeffs, slope, den, exp
         self.bits, self.mixed, self.nz, self.rd = bits, len(precs) > 1, nz, rd
         # the same bits reversed: the binary digits of nz read from bit 0
@@ -505,11 +521,14 @@ class ScaledInts:
         if x is not None:
             f = self.den // q
             re, im = re * f << shift, im * f << shift
-        self.re.append(re)
-        if im and self.im is None:
-            self.im = [0] * j
-        if self.im is not None:
-            self.im.append(im)
+        k = self.phase and (self.phase[0] + self.phase[1] * j) % 4
+        if k is not None and not (re if k % 2 else im):
+            self.re.append((re or im) if k < 2 else -(re or im))
+        else:   # dense, or off the phase: find the phase again
+            dense = self.dense()
+            dense[0].append(re)
+            dense[1].append(im)
+            self.re, self.im, self.phase = _twisted(*dense)
         if self.xs is not None:
             self.xs.append(0 if x is None else x)
         live = x is not None or rounded
@@ -518,6 +537,14 @@ class ScaledInts:
         if live and c._prec != self.bits:
             self.mixed |= bool(self.bits)
             self.bits = max(self.bits, c._prec)
+
+    def dense(self):
+        """The dense view: the (re, im) int lists of the entries."""
+        if self.phase in (None, (0, 0)):
+            return self.re, self.im or [0] * len(self.re)
+        a, b = self.phase
+        return tuple([(r, 0, -r, 0)[(a + b * j - s) % 4]
+                      for j, r in enumerate(self.re)] for s in (0, 1))
 
 
 def _summed(terms, gap):
@@ -591,30 +618,33 @@ def cauchy_sum(a, b, n: int):
     den = a.den * b.den
     stop = n - hi - 1 if n > hi else None
     if a.xs is not None or b.xs is not None:
+        (ar, ai), (br, bi) = a.dense(), b.dense()
         xa, xb = (u.xs or [u.exp + u.slope * j for j in range(len(u.re))]
                   for u in (a, b))
-        ai, bi = (u.im or [0] * len(u.re) for u in (a, b))
         terms = []
         for j in range(lo, hi + 1):
             e = xa[j] + xb[n - j]
-            re = a.re[j] * b.re[n - j] - ai[j] * bi[n - j]
-            im = a.re[j] * bi[n - j] + ai[j] * b.re[n - j]
+            re = ar[j] * br[n - j] - ai[j] * bi[n - j]
+            im = ar[j] * bi[n - j] + ai[j] * br[n - j]
             if re:
                 terms.append((e, re, 0))
             if im:
                 terms.append((e, 0, im))
         return terms, den, bits, rounded
-    if a is b:
-        re = _folded(a.re, lo, n) - (_folded(a.im, lo, n) if a.im else 0)
-        im = 2 * sum(map(operator.mul, a.re[lo:hi + 1],
-                         a.im[n - lo:stop:-1])) if a.im else 0
+    if a.phase and b.phase and a.phase[1] == b.phase[1]:
+        s = _folded(a.re, lo, n) if a is b else sum(
+            map(operator.mul, a.re[lo:hi + 1], b.re[n - lo:stop:-1]))
+        k = a.phase[0] + b.phase[0] + a.phase[1] * n
+        re, im = (0, -s if k & 2 else s) if k & 1 else (-s if k & 2 else s, 0)
+    elif a is b:
+        re = _folded(a.re, lo, n) - _folded(a.im, lo, n)
+        im = 2 * sum(map(operator.mul, a.re[lo:hi + 1], a.im[n - lo:stop:-1]))
     else:
-        ar, ai = a.re[lo:hi + 1], a.im and a.im[lo:hi + 1]
-        br, bi = b.re[n - lo:stop:-1], b.im and b.im[n - lo:stop:-1]
-        re = sum(map(operator.mul, ar, br)) - (
-            sum(map(operator.mul, ai, bi)) if ai and bi else 0)
-        im = (sum(map(operator.mul, ar, bi)) if bi else 0) + (
-            sum(map(operator.mul, ai, br)) if ai else 0)
+        (ar, ai), (br, bi) = a.dense(), b.dense()
+        ar, ai, br, bi = (ar[lo:hi + 1], ai[lo:hi + 1],
+                          br[n - lo:stop:-1], bi[n - lo:stop:-1])
+        re = sum(map(operator.mul, ar, br)) - sum(map(operator.mul, ai, bi))
+        im = sum(map(operator.mul, ar, bi)) + sum(map(operator.mul, ai, br))
     return [(a.exp + b.exp + a.slope * n, re, im)], den, bits, rounded
 
 

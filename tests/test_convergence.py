@@ -24,7 +24,7 @@ def _with_y_coefficient(sol: SeriesSolution, index: int, value: Scalar):
     return SeriesSolution(
         spec=sol.spec, x=sol.x,
         y=type(sol.y)(sol.y.lead, sol.y.step, ycoeffs, center=sol.y.center),
-        H=sol.H, steps=sol.steps, trunc_order=sol.trunc_order,
+        steps=sol.steps, trunc_order=sol.trunc_order,
         precision=sol.precision)
 
 

@@ -15,6 +15,7 @@ from painleve_hh import (BranchSpec, CompatibilityViolation, ContractViolation,
                          recurrence_determinant, residual_of_series,
                          energy_series, set_default_precision,
                          singular_step_indices, step_recurrence)
+from painleve_hh import laurent, series
 from painleve_hh.laurent import _CASES, _lead_and_residue, _Recurrence
 from painleve_hh.scalars import ScaledInts, cauchy
 
@@ -771,3 +772,51 @@ def test_c1_fourth_power_real_for_real_lambda(lam, branch):
     # 2048 lam^2 - 1280 lam + 387 has its minimum 187 at lam = 5/16
     assert 35 * (2048 * lam * lam - 1280 * lam + 387) >= 6545
     assert c1_fourth_power(Scalar.exact(lam), branch).is_real()
+
+
+THIRDS = (Scalar.exact(1, 3), Scalar.exact(-2, 5))
+
+
+@pytest.mark.parametrize("case, lam, branch, rotated, free, bits, N, phase", [
+    # x real and imaginary in turn, y the same after its exact lead
+    ("C43", Scalar.exact(2), "minus", False, THIRDS, 512, 80, (0, 1)),
+    # every x imaginary, every y real (a real a2 would break the x pattern)
+    ("C165", LAM9, "plus", True, (Scalar.exact(0),) * 2, 256, 40, (1, 0)),
+    # c1 carries an eighth-root phase: no list fits i**(a + b*j)
+    ("C165", Scalar.from_real("0.3"), "minus", False, THIRDS, 256, 40, None)],
+    ids=["C43-minus-512", "C165-plus-i", "C165-minus"])
+def test_complex_series_products_take_one_real_convolution(
+        monkeypatch, case, lam, branch, rotated, free, bits, N, phase):
+    # a product that fell back to the four-product sums would keep every
+    # bit and lose only time: record the phases of the lists cauchy_sum
+    # sees and the dense views it reads (an append that breaks a pattern
+    # reads one too), in the recurrence's xs and ys and in the residual's
+    # products
+    set_default_precision(bits)
+    spec = BranchSpec(case=case, lam=lam.with_precision(bits),
+                      root_branch=branch, imaginary_rotation=rotated,
+                      free_params=free)
+    phases, dense, views = [], [], []
+    kernel, view = laurent.cauchy_sum, ScaledInts.dense
+
+    def recorded(a, b, n):
+        phases.append((a.phase, b.phase))
+        del views[:]
+        out = kernel(a, b, n)
+        dense.extend(views)
+        return out
+
+    monkeypatch.setattr(laurent, "cauchy_sum", recorded)
+    monkeypatch.setattr(series, "cauchy_sum", recorded)
+    monkeypatch.setattr(ScaledInts, "dense",
+                        lambda s: views.append(s.phase) or view(s))
+    sol = build_series(spec, N)
+    for stage in ("recurrence", "residual"):
+        if stage == "residual":
+            del phases[:], dense[:]
+            residual_of_series(sol.system(), sol.x, sol.y)
+        seen = {p for pair in phases for p in pair}
+        if phase is None:
+            assert None in seen and dense, stage
+        else:
+            assert phase in seen and None not in seen and not dense, stage

@@ -410,22 +410,40 @@ def _assert_exact_sum(got, a, b, n):
 
 @st.composite
 def phased_lists(draw):
-    """Purely real and purely imaginary entries in turn, as in the C43
-    minus y-series, with an exact zero or a rounded zero now and then."""
-    start = draw(st.integers(0, 1))
+    """Entries i**(a + b*j) * r_j with real r_j: all real or all imaginary
+    (b = 0), or real and imaginary in turn (b = 1) as in the C43 minus
+    series, each list at 64, 256 or 512 bits.  Now and then an entry is an
+    exact zero, a rounded zero, an exact rational where the phase is real,
+    2**+-3000 times its value (a spread past 4*bits), or one with both
+    parts nonzero, which breaks the pattern."""
+    a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    bits = draw(st.sampled_from([64, 256, 512]))
     out = []
     for j, v in enumerate(draw(st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
             max_size=9))):
-        kind = draw(st.sampled_from(["phase", "phase", "zero", "rounded-zero"]))
+        kind = draw(st.sampled_from(["phase"] * 4 + [
+            "zero", "rounded-zero", "exact", "wide", "break"]))
+        odd = (a + b * j) % 2
         if kind == "zero":
             out.append(sc(0))
         elif kind == "rounded-zero":
-            out.append(Scalar.from_real(0))
+            out.append(Scalar.from_real(0, bits))
+        elif kind == "exact" and not odd:
+            out.append(sc(draw(rationals)))
+        elif kind == "break":
+            out.append(Scalar.from_complex(v, 1, bits) / 3)
         else:
-            parts = (v, 0) if (j + start) % 2 else (0, v)
-            out.append(Scalar.from_complex(*parts) / 3)
+            v = v * mpmath.mpf(2) ** (draw(st.sampled_from([-3000, 3000]))
+                                      if kind == "wide" else 0)
+            out.append(Scalar.from_complex(*((0, v) if odd else (v, 0)),
+                                           bits) / 3)
     return out
+
+
+def _broken(a):
+    """Whether an entry of a has both parts nonzero."""
+    return any(all(_exact_value(c)) for c in a)
 
 
 kernel_lists = st.one_of(
@@ -452,22 +470,49 @@ def test_cauchy_is_the_exact_sum_rounded_once(a, b):
 
 
 def _entries(s):
-    """The exact (re, im) of each entry of a ScaledInts."""
+    """The exact (re, im) of each entry of a ScaledInts, from its dense
+    view."""
+    re, im = s.dense()
     return [tuple(Fraction(v, s.den) * Fraction(2) ** (
         s.xs[j] if s.xs is not None else s.exp + s.slope * j) for v in parts)
-        for j, parts in enumerate(zip(s.re, s.im or [0] * len(s.re)))]
+        for j, parts in enumerate(zip(re, im or [0] * len(re)))]
 
 
 @given(kernel_lists)
 def test_a_grown_conversion_matches_a_fresh_one(a):
+    # entry by entry: a grown twisted list keeps the phase a fresh
+    # conversion finds, before and after an append breaks the pattern
     fresh = ScaledInts(a)
     grown = ScaledInts([], fresh.slope)
-    for c in a:
+    for j, c in enumerate(a):
         grown.append(c)
+        head = ScaledInts(a[:j + 1], fresh.slope)
+        assert (grown.phase, grown.im is None) == (head.phase, head.im is None)
+        assert _entries(grown) == _entries(head)
     assert grown.coeffs == a
     assert _entries(grown) == _entries(fresh) == [_exact_value(c) for c in a]
     for n in range(2 * len(a)):
         _same_bits(cauchy(grown, grown, n), cauchy(fresh, fresh, n))
+
+
+@given(phased_lists())
+@example([Scalar.from_complex(0, 1), sc(0), Scalar.from_complex(0, 3)])
+def test_a_phased_list_is_held_twisted(a):
+    # i**(a + b*j) * r_j keeps only r, in re, with b = 0 where it fits, so
+    # that a real or an imaginary list meets real lists on one sum; an
+    # entry with both parts nonzero leaves the list dense
+    s = ScaledInts(a)
+    assert (s.phase is None) == (s.im is not None) == _broken(a)
+    if not _broken(a) and len({bool(i) for r, i in map(_exact_value, a)
+                               if r or i}) < 2:
+        assert s.phase[1] == 0
+    re, im = s.dense()
+    assert _entries(s) == [_exact_value(c) for c in a]
+    if s.phase is not None:
+        p, q = s.phase
+        assert [((v, 0), (0, v), (-v, 0), (0, -v))[(p + q * j) % 4]
+                for j, v in enumerate(s.re)] == list(
+            zip(re, im or [0] * len(re)))
 
 
 def test_a_grown_conversion_rebases_in_place():

@@ -125,7 +125,13 @@ def _grid() -> list[list[str]]:
              ["verify", "--case", "C165", "--branch", "minus",
               "--lambda", "1/9", "--N", "40"],
              ["verify", "--case", "C165", "--lambda", "1/9",
-              "--t-from", "0"]]
+              "--t-from", "0"],
+             # the verify-complex benchmark's own command: exact free
+             # values, so its y-series holds exact entries among the
+             # imaginary and real ones
+             ["--precision-bits", "512", "verify", "--case", "C43",
+              "--lambda", "2", "--branch", "minus", "--residue-sign", "+",
+              *FREE, "--N", "80", "--tol", "1e-40"]]
     # the integrator on complex (C43 minus) and real (C165) data
     for bits, tol in (("256", "1e-30"), ("1024", "1e-60")):
         runs += [["--precision-bits", bits, "verify", "--case", "C43",
