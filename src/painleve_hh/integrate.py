@@ -26,8 +26,9 @@ divide by (m+1)(m+2) and the scale is each coefficient's only rounding, a
 Horner product's is a shift: to nearest, ties to even, so symmetric in
 sign.  The step is chosen from the last two coefficients read as mpf at
 bits + 20, and the end state is rounded to the data's bits.  This stepper
-is deliberately independent of the Laurent-series machinery (scalars.cauchy
-and series.combine): it is the numeric cross-oracle for series evaluation.
+is deliberately independent of the Laurent-series machinery
+(scalars.cauchy_sum and series.combine): it is the numeric cross-oracle for
+series evaluation.
 """
 
 from __future__ import annotations

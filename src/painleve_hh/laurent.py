@@ -265,7 +265,7 @@ def branch_residue(spec: BranchSpec) -> Scalar:
 
 class _Recurrence:
     """Stateful stepper for one branch; x[i] and y[i] hold index i - 2, so
-    the Cauchy sum of total index s is cauchy(., ., s + 4).  lead is x_{-2};
+    the Cauchy sum of total index s is cauchy_sum(., ., s + 4).  lead is x_{-2};
     a "residue" resonance (C43's f_{-1}) adopts residue, which a free
     lead's recurrence (C165) never reads.  prior, when given, holds the
     (x, y) coefficient lists to continue from.  xs and ys convert x and y
@@ -312,7 +312,7 @@ class _Recurrence:
     def step(self, k: int) -> RecurrenceStep:
         """Solve (or resolve) the step at index k and record it.  The
         right-hand side, the solution and the defect are each formed
-        exactly from cauchy's sums and the stored coefficients and
+        exactly from cauchy_sum's sums and the stored coefficients and
         rounded once; exact inputs give exact values."""
         case, xs, ys, m = self.case, self.xs, self.ys, self._times
         x2, y2 = (exact_value(self.x[k]), exact_value(self.y[k])) \
@@ -404,12 +404,6 @@ class SeriesSolution:
         """The t**0 energy coefficient, from x and y through t**6 only."""
         return energy_series(self.system(), self.x.truncate(_H_WINDOW),
                              self.y.truncate(_H_WINDOW)).coefficient(0)
-
-    def recurrence_coefficients(self):
-        """(x-coeffs, y-coeffs) keyed by recurrence index, leads included."""
-        stride = int(1 / _CASES[self.spec.case].x_step)
-        return ({i - 2: c for i, c in enumerate(self.x.coeffs[::stride])},
-                {i - 2: c for i, c in enumerate(self.y.coeffs)})
 
     @property
     def c1(self) -> Scalar:

@@ -58,15 +58,6 @@ class BivariatePoly:
             out.append((c if sign > 0 else -c, a, b))
         return out
 
-    def partial(self, var: str) -> "BivariatePoly":
-        out = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), Scalar.exact(0)) + c * i
-            elif var == "y" and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), Scalar.exact(0)) + c * j
-        return BivariatePoly(out)
-
     def __repr__(self):
         return "BivariatePoly(" + ", ".join(
             f"x^{i} y^{j}: {c!r}" for (i, j), c in sorted(self.terms.items())

@@ -11,7 +11,7 @@ y ~ b*(t-t0)^beta of the model come in two flavors:
   resonance.
 
 The resonances are the roots of the linearized (Kowalevski) 2x2
-determinant, a quartic in r (kowalevski_polynomial):
+determinant, a quartic in r:
 
 * Case 1: the quartic is (r^2 - 5r - 6)(r^2 - 5r + 6C + 12);
 * Case 2: it is r(r + 2*alpha - 1)(r^2 - 5r - 6), because
@@ -19,9 +19,10 @@ determinant, a quartic in r (kowalevski_polynomial):
 
 The table is that root set for every C, not only for the C of a call:
 prod(r - r_i) and the quartic are polynomials of degree <= 2 in
-d = sqrt(1 - 24*(1 + C)) (Case 1) or s = sqrt(1 - 48/C) (Case 2), and the
-test suite proves their identity from exact values at more than three
-rational d and s.  resonances therefore reads the table alone.
+d = sqrt(1 - 24*(1 + C)) (Case 1) or s = sqrt(1 - 48/C) (Case 2).  The
+test suite forms the quartic and proves their identity from exact values
+at more than three rational d and s; resonances therefore reads the table
+alone.
 
 ``_CANDIDATES`` holds the six candidate C values once, in report order,
 each with its case tag, ``--candidates`` note, the lambda its label needs
@@ -34,8 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnsupportedParameter
-from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
-                      half_precision_tol, nth_root)
+from .scalars import Scalar, as_scalar, half_precision_tol, nth_root
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class DominantBalance:
     b_beta: Scalar
     sign_choices: dict = field(default_factory=dict)
     logarithmic: bool = False
-
-    @property
-    def a_is_free(self) -> bool:
-        return self.a_alpha is None
 
 
 @dataclass(frozen=True)
@@ -112,42 +108,6 @@ def find_dominant_balances(C) -> list[DominantBalance]:
     return balances
 
 
-def _kowalevski_rows(balance: DominantBalance, C: Scalar):
-    """The x and y rows of the linearization (ascending in r), each entry as
-    the terms that sum to it, and the coupling subtracted at r^0."""
-    b = balance.b_beta
-    # q(r) = (r-2)(r-3): the y-row second-derivative factor at beta = -2
-    q0, q1, q2 = [Scalar.exact(6)], [Scalar.exact(-5)], [Scalar.exact(1)]
-    row_y = [q0 + [-2 * C * b], q1, q2]
-    if balance.case_tag == "Case1":
-        # coupling 4*a^2 with a^2 = 9*(2+C) kept exact
-        return [q0 + [2 * b], q1, q2], row_y, 4 * (Scalar.exact(9) * (C + 2))
-    # Case 2: x-row (alpha+r)(alpha+r-1) + 2b, y-row decoupled at leading order
-    alpha = balance.alpha
-    return ([[alpha * (alpha - 1), 2 * b], [2 * alpha - 1], q2], row_y,
-            Scalar.exact(0))
-
-
-def kowalevski_polynomial(balance: DominantBalance, C: Scalar) -> list:
-    """Coefficients (ascending in r) of the linearization determinant.
-
-    Perturbing the leading behavior by eps*t^(alpha+r) / eps*t^(beta+r) and
-    keeping the dominant orders of both equations gives a 2x2 system in the
-    perturbation amplitudes; its determinant is a quartic in r whose roots
-    are the resonances.
-    """
-    return _determinant(*_kowalevski_rows(balance, as_scalar(C)))
-
-
-def _determinant(row_x, row_y, coupling) -> list:
-    """(sum row_x) * (sum row_y) - coupling, ascending in r."""
-    sx = ScaledInts([sum(e) for e in row_x])
-    sy = ScaledInts([sum(e) for e in row_y], sx.slope)
-    prod = [cauchy(sx, sy, n) for n in range(len(row_x) + len(row_y) - 1)]
-    prod[0] = prod[0] - coupling
-    return prod
-
-
 def _table_resonances(balance: DominantBalance, C: Scalar) -> list[Scalar]:
     minus_one = Scalar.exact(-1)
     six = Scalar.exact(6)
@@ -174,7 +134,7 @@ def _is_integer(v: Scalar) -> bool:
 
 def resonances(balance: DominantBalance, C) -> ResonanceSet:
     """Resonance exponents of a balance, from the closed-form table (the
-    roots of kowalevski_polynomial for every C; see the module docstring),
+    roots of the Kowalevski quartic for every C; see the module docstring),
     with whether all are integers and whether more than one is negative."""
     C = as_scalar(C)
     _require_nonzero_C(C)

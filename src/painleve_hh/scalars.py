@@ -15,7 +15,7 @@ power, say), the result is rounded at the working precision.  Multiplying
 by an exact zero annihilates to an exact zero, which keeps structurally
 zero matrix entries exact even next to big-float data.
 
-Every coefficient of a series convolution is one :func:`cauchy` call.
+Every coefficient of a series convolution is one :func:`cauchy_sum`.
 Its operands are :class:`ScaledInts`: each coefficient list is converted
 once, by the code that owns it, into ints N_j with value_j = N_j / D *
 2**(e + r*j), where D is the lcm of the exact entries' denominators and
@@ -25,14 +25,14 @@ times reals keeps just the reals.  A product coefficient is then one exact
 C-level int sum, ``sum(map(operator.mul, ...))`` (a square sums each
 distinct pair once; two such lists of one b take one real sum times
 i**k), times a power of two over D_a*D_b.  Pairs with an
-exact-zero factor are skipped; an all-exact sum stays an exact Fraction;
-any other sum is rounded once, to nearest, at the highest precision of
-the factors that count, so the bits do not depend on the order or the
+exact-zero factor are skipped.  Every caller (the Laurent recurrence
+step, series.combine, the Weierstrass and division recurrences) combines
+its sums and stored coefficients exactly (exact_combination) and rounds
+the result once (rounded_sum): an all-exact sum stays an exact Fraction,
+any other is rounded once, to nearest, at the highest precision of the
+inputs that count, so the bits do not depend on the order or the
 grouping of the terms.  Lists whose exponents spread too far for one
-scale add their terms in groups instead, to the same bits.  A caller
-that combines several sums (the Laurent recurrence step, series.combine)
-takes them before the rounding (cauchy_sum), combines them exactly and
-rounds the result once, as cauchy does (rounded_sum).
+scale add their terms in groups instead, to the same bits.
 No arithmetic operation of a Scalar reads or sets mpmath's global
 precision: each one calls ``mpmath.libmp`` on the raw tuples with its own
 bits and round-to-nearest, so the ambient ``mp.prec`` never changes a
@@ -53,8 +53,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (fzero, mpc_abs, mpc_add, mpc_div, mpc_mul, mpc_neg,
-                          mpc_pow_int, mpf_neg, mpf_pos, normalize,
-                          round_nearest, to_rational)
+                          mpc_pow_int, normalize, round_nearest, to_rational)
 
 from .errors import ContractViolation
 
@@ -209,25 +208,6 @@ class Scalar:
         if q is not None:
             return _rounded_mpf(q.numerator, q.denominator, 0, bits), fzero
         return self._val
-
-    def real(self) -> "Scalar":
-        if self._frac is not None:
-            return self
-        return Scalar(None, (mpf_pos(self._val[0], self._prec, round_nearest),
-                             fzero), self._prec)
-
-    def imag(self) -> "Scalar":
-        if self._frac is not None:
-            return Scalar(Fraction(0), None, self._prec)
-        return Scalar(None, (mpf_pos(self._val[1], self._prec, round_nearest),
-                             fzero), self._prec)
-
-    def conjugate(self) -> "Scalar":
-        if self._frac is not None:
-            return self
-        re, im = self._val
-        return Scalar(None, (mpf_pos(re, self._prec, round_nearest),
-                             mpf_neg(im, self._prec, round_nearest)), self._prec)
 
     def magnitude(self) -> "Scalar":
         """|self| as a Scalar (exact for exact input)."""
@@ -575,34 +555,25 @@ def _folded(v, lo: int, n: int):
     return pairs + v[n // 2] ** 2 if n % 2 == 0 and n // 2 < len(v) else pairs
 
 
-def cauchy(a, b, n: int) -> Scalar:
-    """Coefficient n of the product of the coefficient lists a and b.
+def cauchy_sum(a, b, n: int):
+    """Coefficient n of the product of the coefficient lists a and b, as
+    an exact sum: one term, or on the per-entry exponent path one per
+    nonzero product part, which rounded_sum adds in groups.
 
     a and b are ScaledInts of one slope; lists of Scalars are converted
     here, for one call.  Pairs (j, n - j) with an exact-zero factor are
-    skipped, so with no other pair the result is an exact zero.  The sum
-    over the rest is one exact int sum, sum(map(operator.mul, ...)), times
+    skipped, and with no other pair the sum is None, an exact zero.  The
+    rest is one exact int sum, sum(map(operator.mul, ...)), times
     2**(exp_a + exp_b + slope*n) / (den_a*den_b); a square (a is b) sums
-    each pair j < n - j once and doubles it.  When no remaining factor is
-    rounded the result is that exact Fraction, else it is rounded once, to
-    nearest, at the highest precision of the remaining factors, so its
-    bits depend neither on the order of the terms nor on the folding.
-    Lists with per-entry exponents add their products in groups instead
-    (_summed), to the same bits.
+    each pair j < n - j once and doubles it.  Its bits are the highest
+    precision of the remaining factors.
     """
-    return rounded_sum(cauchy_sum(a, b, n))
-
-
-def cauchy_sum(a, b, n: int):
-    """cauchy's sum before its rounding, as an exact sum: one term, or
-    on the per-entry exponent path one per nonzero product part; None
-    when every pair has an exact-zero factor."""
     if not isinstance(a, ScaledInts):
         square = a is b
         a = ScaledInts(a)
         b = a if square else ScaledInts(b, a.slope)
     if a.slope != b.slope:
-        raise ContractViolation("cauchy of lists with different slopes")
+        raise ContractViolation("cauchy_sum of lists with different slopes")
     la, lb = len(a.re), len(b.re)
     s = lb - 1 - n
     pairs = a.nz & (b.rnz >> s if s >= 0 else b.rnz << -s)

@@ -73,11 +73,6 @@ class PuiseuxSeries:
             return PuiseuxSeries.zero(center)
         return PuiseuxSeries(0, 1, (value,), center=center, complete=True)
 
-    @staticmethod
-    def monomial(coeff, exponent, center=None) -> "PuiseuxSeries":
-        return PuiseuxSeries(exponent, 1, (as_scalar(coeff),), center=center,
-                             complete=True)
-
     # -- structure ------------------------------------------------------------
 
     @property
@@ -290,7 +285,7 @@ def _placed(items, at: Fraction, step: Fraction, lead: Fraction,
 def combine(terms, center) -> PuiseuxSeries:
     """The sum of c*a*b over the terms (c, a, b), each coefficient one
     exact sum (exact_combination) rounded once (rounded_sum).  b is a
-    series, whose product with a enters as its exact cauchy sums, or an
+    series, whose product with a enters as its exact Cauchy sums, or an
     int d: c times the d-th derivative of a, exact exponent factors and
     all.  c is an int, a Fraction or a Scalar; a rounded c is an input,
     whose precision counts as the series coefficients' do.  The window

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .errors import ContractViolation
 from .linalg import DenseMatrix, solve_linear
-from .model import BivariatePoly
-from .scalars import (Scalar, ScaledInts, as_scalar, cauchy,
-                      default_precision, half_precision_tol)
+from .scalars import (Scalar, ScaledInts, as_scalar, cauchy_sum,
+                      default_precision, exact_combination, exact_value,
+                      half_precision_tol, rounded_sum)
 from .series import _ZERO, PuiseuxSeries, combine
 
 
@@ -65,10 +65,6 @@ class SubequationAnsatz:
         pivot = self.h[best_jk]
         return SubequationAnsatz(
             m=self.m, h={jk: c / pivot for jk, c in self.h.items()})
-
-    def residual_series(self, y: PuiseuxSeries) -> PuiseuxSeries:
-        return combine(BivariatePoly(self.nonzero()).series_terms(
-            y, y.differentiate()), y.center)
 
 
 @dataclass(frozen=True)
@@ -172,7 +168,8 @@ def weierstrass_p_series(g2, g3, n_terms: int, bits: int | None = None) -> Puise
         raise ContractViolation("need at least 3 terms")
     c = ScaledInts([g2 / 20, g3 / 28])    # c.coeffs[i] = c_{i+2}
     for k in range(4, n_terms + 2):
-        c.append(cauchy(c, c, k - 4) * Scalar.exact(3, (2 * k + 1) * (k - 3)))
+        c.append(rounded_sum(exact_combination(
+            ((Fraction(3, (2 * k + 1) * (k - 3)), cauchy_sum(c, c, k - 4)),))))
     # t**-2, then c_k at t**(2k-2) with exact zeros between
     coeffs = [Scalar.exact(1)] + [Scalar.exact(0)] * (2 * n_terms + 2)
     coeffs[4::2] = c.coeffs
@@ -201,7 +198,9 @@ def _series_divide(num: PuiseuxSeries, den: PuiseuxSeries,
                    order_cap: int) -> PuiseuxSeries:
     """num/den on den's grid through the exponent order_cap, and as far as
     num and den are known: q_n = (num_n - sum_{j<n} q_j den_{n-j}) / den_0.
-    num must lie on den's grid."""
+    The numerator is one exact sum, rounded once together with the
+    division by an exact den_0, or rounded once and then divided by a
+    rounded one.  num must lie on den's grid."""
     num._check_center(den.center)
     den = den.normalized()
     num = num.normalized()
@@ -218,8 +217,11 @@ def _series_divide(num: PuiseuxSeries, den: PuiseuxSeries,
     a += [Scalar.exact(0)] * (top + 1 - len(a))
     sd = ScaledInts(d)
     q = ScaledInts([], sd.slope)
+    div = d[0].fraction() if d[0].is_exact else 1
     for n in range(top + 1):
-        q.append((a[n] - cauchy(q, sd, n)) / d[0])
+        c = rounded_sum(exact_combination(
+            ((1, exact_value(a[n])), (-1, cauchy_sum(q, sd, n))), div))
+        q.append(c if d[0].is_exact else c / d[0])
     return PuiseuxSeries(lead, den.step, q.coeffs, center=num.center)
 
 

@@ -18,6 +18,8 @@ from painleve_hh import integrate
 from painleve_hh.integrate import (_quotient, _shifted, _squared,
                                    _taylor_coefficients, tolerance_order)
 
+from conftest import package_imports
+
 P = 564         # 512-bit data plus the integrator's 20 + 32 fixed-point bits
 
 
@@ -226,28 +228,10 @@ def test_block_from_squares_is_the_full_cauchy_block(complex_values, data, e,
     assert (X, Y) == _cauchy_block(*parts, P, e, order)
 
 
-def _package_imports(tree):
-    """(module, name) for each name imported from a painleve_hh module;
-    (module, None) for a whole module."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("painleve_hh."):
-                    yield alias.name.split(".")[1], None
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if not node.level:
-                if module.split(".")[0] != "painleve_hh":
-                    continue
-                module = module[len("painleve_hh"):].lstrip(".")
-            for alias in node.names:
-                yield (module, alias.name) if module else (alias.name, None)
-
-
 def test_integrator_shares_no_code_with_the_series_kernels():
-    # the oracle must not read scalars.cauchy, series.combine or laurent
+    # the oracle must not read scalars.cauchy_sum, series.combine or laurent
     tree = ast.parse(Path(integrate.__file__).read_text())
-    imports = list(_package_imports(tree))
+    imports = list(package_imports(tree))
     assert ("scalars", "Scalar") in imports
     for module, name in imports:
         assert module not in ("series", "laurent"), (module, name)

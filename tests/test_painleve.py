@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,8 +13,9 @@ from painleve_hh import (ContractViolation, Scalar, UnsupportedParameter,
                          candidate_C_values, classify, find_dominant_balances,
                          resonances, set_default_precision)
 from painleve_hh import painleve
-from painleve_hh.painleve import kowalevski_polynomial
-from painleve_hh.scalars import cauchy
+from painleve_hh.scalars import ScaledInts
+
+from conftest import cauchy, package_imports
 
 
 def _balances_by_case(C):
@@ -50,7 +53,7 @@ def test_case2_balance_values():
     alphas = sorted(b.alpha.fraction() for b in case2)
     assert alphas == [Fraction(-3, 2), Fraction(5, 2)]
     for b in case2:
-        assert b.a_is_free
+        assert b.a_alpha is None       # the arbitrary c1 of Case 2
         assert b.b_beta.fraction() == Fraction(-15, 8)
 
 
@@ -135,11 +138,43 @@ def _exact_value(v):
     return v.fraction() if v.is_exact else v._rational()
 
 
+def _kowalevski_rows(balance, C):
+    """The x and y rows of the linearization (ascending in r), each entry as
+    the terms that sum to it, and the coupling subtracted at r^0."""
+    b = balance.b_beta
+    # q(r) = (r-2)(r-3): the y-row second-derivative factor at beta = -2
+    q0, q1, q2 = [Scalar.exact(6)], [Scalar.exact(-5)], [Scalar.exact(1)]
+    row_y = [q0 + [-2 * C * b], q1, q2]
+    if balance.case_tag == "Case1":
+        # coupling 4*a^2 with a^2 = 9*(2+C) kept exact
+        return [q0 + [2 * b], q1, q2], row_y, 4 * (Scalar.exact(9) * (C + 2))
+    # Case 2: x-row (alpha+r)(alpha+r-1) + 2b, y-row decoupled at leading order
+    alpha = balance.alpha
+    return ([[alpha * (alpha - 1), 2 * b], [2 * alpha - 1], q2], row_y,
+            Scalar.exact(0))
+
+
+def _kowalevski_polynomial(balance, C):
+    """Coefficients (ascending in r) of the linearization determinant.
+
+    Perturbing the leading behavior by eps*t^(alpha+r) / eps*t^(beta+r) and
+    keeping the dominant orders of both equations gives a 2x2 system in the
+    perturbation amplitudes; its determinant (sum row_x) * (sum row_y) -
+    coupling is a quartic in r whose roots are the resonances.
+    """
+    row_x, row_y, coupling = _kowalevski_rows(balance, C)
+    sx = ScaledInts([sum(e) for e in row_x])
+    sy = ScaledInts([sum(e) for e in row_y], sx.slope)
+    prod = [cauchy(sx, sy, n) for n in range(len(row_x) + len(row_y) - 1)]
+    prod[0] = prod[0] - coupling
+    return prod
+
+
 def _identity_sides(balance, C):
     """prod(r - r_i) over the table and the Kowalevski quartic of a balance,
     as exact values ascending in r, and whether every value is exact."""
     table = painleve._table_resonances(balance, C)
-    quartic = kowalevski_polynomial(balance, C)
+    quartic = _kowalevski_polynomial(balance, C)
     sides = (_root_product([_exact_value(v) for v in table]),
              [_exact_value(q) for q in quartic])
     assert len(sides[0]) == len(sides[1]) == 5
@@ -283,7 +318,7 @@ def test_resonance_flags_match_the_closed_forms_in_mpmath(c):
 def test_kowalevski_polynomial_is_quartic_with_exact_case1_coeffs():
     C = Scalar.exact(-4, 3)
     b = _balances_by_case(C)["Case1"][0]
-    poly = kowalevski_polynomial(b, C)
+    poly = _kowalevski_polynomial(b, C)
     assert len(poly) == 5
     assert all(c.is_exact for c in poly)
 
@@ -381,14 +416,19 @@ GRID_LABELS = {Fraction(-16, 5): ("three-parameter-candidate",) * 3,
                Fraction(-2): ("logarithmic",) * 3}
 
 
-def test_classify_forms_no_kowalevski_determinant(monkeypatch):
+def test_classify_forms_no_kowalevski_determinant():
     # the table is proven (test_resonance_table_is_the_kowalevski_root_set_
-    # for_every_C), so classify expands no rows and forms no product
-    def fail(*args):
-        raise AssertionError("Kowalevski determinant formed at run time")
+    # for_every_C), so painleve reads no series kernel and forms no product
+    tree = ast.parse(Path(painleve.__file__).read_text())
+    imports = list(package_imports(tree))
+    assert ("scalars", "Scalar") in imports
+    for module, name in imports:
+        assert module not in ("series", "laurent"), (module, name)
+        assert module != "scalars" or name in (
+            "Scalar", "as_scalar", "half_precision_tol", "nth_root"), name
 
-    for name in ("_determinant", "_kowalevski_rows", "cauchy"):
-        monkeypatch.setattr(painleve, name, fail)
+
+def test_classify_labels_the_grid_at_every_precision():
     lams = [Scalar.exact(1, 9), Scalar.exact(1), Scalar.from_real("0.3")]
     for c, (_, _, lam, label, _) in painleve._CANDIDATES.items():
         lam = Scalar.exact(lam if lam is not None else Fraction(1, 9))

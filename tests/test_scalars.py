@@ -10,8 +10,10 @@ from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
 from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
 from painleve_hh.jsonio import decode_scalar
-from painleve_hh.scalars import (ScaledInts, cauchy, exact_combination,
+from painleve_hh.scalars import (ScaledInts, exact_combination,
                                  half_precision_tol)
+
+from conftest import cauchy
 
 rationals = st.builds(
     Fraction,
@@ -157,9 +159,6 @@ def test_operators_coerce_numbers_like_as_scalar_and_refuse_strings():
 def test_magnitude_and_parts():
     z = Scalar.from_complex("3", "-4")
     assert abs(z.magnitude().mpc().real - 5) < mpmath.mpf("1e-70")
-    assert abs(z.real().mpc().real - 3) < mpmath.mpf("1e-70")
-    assert abs(z.imag().mpc().real + 4) < mpmath.mpf("1e-70")
-    assert abs(z.conjugate().mpc().imag - 4) < mpmath.mpf("1e-70")
 
 
 # -- the dot-product kernel ---------------------------------------------------
@@ -780,12 +779,6 @@ _OPS = {
     "magnitude": (lambda a, b: a.magnitude(),
                   _old_unary(abs, lambda v: mpmath.mpc(abs(v), 0))),
     "mag": (lambda a, b: a.mag(), _old_mag),
-    "real": (lambda a, b: a.real(),
-             _old_unary(lambda q: q, lambda v: mpmath.mpc(v.real, 0))),
-    "imag": (lambda a, b: a.imag(),
-             _old_unary(lambda q: 0, lambda v: mpmath.mpc(v.imag, 0))),
-    "conjugate": (lambda a, b: a.conjugate(),
-                  _old_unary(lambda q: q, lambda v: mpmath.mpc(v.real, -v.imag))),
 }
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 from painleve_hh import (BranchSpec, ContractViolation, PuiseuxSeries,
                          QuarticForm, Scalar, build_series, enumerate_branches,
@@ -16,6 +17,8 @@ from painleve_hh import subequation
 from painleve_hh.scalars import half_precision_tol
 from painleve_hh.subequation import (SubequationAnsatz, _series_divide,
                                      ansatz_indices)
+
+from conftest import residual_series
 
 LAM9 = Scalar.exact(1, 9)
 
@@ -28,7 +31,7 @@ def test_ansatz_index_set():
 
 
 def test_fixture_t_minus_two():
-    fixture = PuiseuxSeries.monomial(1, -2)
+    fixture = PuiseuxSeries(-2, 1, (1,), complete=True)
     result = fit(fixture, 2, 10)
     assert result.nullspace_dim == 1
     h = result.basis[0].nonzero()
@@ -78,7 +81,7 @@ def test_fit_basis_passes_reference_residual(m, match_order, g2, g3):
     scale = 1 + max(c.mag() for col in columns for c in col.coeffs)
     tol = mpmath.mpf(2) ** -128 * scale
     for ans, order in zip(result.basis, result.residual_orders):
-        resid = ans.residual_series(p)
+        resid = residual_series(ans, p)
         # exact rows have an exact nullspace: every matched coefficient,
         # through match_order, is then an exact zero
         checked = [c for e, c in zip(resid.exponents(), resid.coeffs)
@@ -108,14 +111,15 @@ def test_fit_expands_each_column_once(monkeypatch, m, match_order, products):
             count.append(1)
         return mul(a, b)
     monkeypatch.setattr(PuiseuxSeries, "__mul__", counted)
-    monkeypatch.setattr(SubequationAnsatz, "residual_series", None)
     assert fit(p, m, match_order).nullspace_dim >= 1
     assert len(count) == products
 
 
 @pytest.mark.parametrize("y, m, match_order", [
     (weierstrass_p_series(Scalar.exact(1, 3), Scalar.exact(-2, 5), 30), 3, 35),
-    # rounded at 64 bits, with exact zeros between its terms
+    # g2 and g3 rounded at 64 bits, with exact zeros between its terms; its
+    # coefficients come out at 256 bits, the precision of the exact 1/20
+    # and 1/28 that form c_2 and c_3
     (weierstrass_p_series(Scalar.from_real("0.3", 64),
                           Scalar.from_real("-0.7", 64), 30, 64), 2, 25),
     # a half-integer lead on the integer grid: odd powers lie off the rows'
@@ -185,7 +189,7 @@ def test_fit_on_affine_weierstrass_family():
         result = fit(y, 2, 22)
         assert result.nullspace_dim == 1
         ans = result.basis[0]
-        resid = ans.residual_series(y)
+        resid = residual_series(ans, y)
         for e, coeff in zip(resid.exponents(), resid.coeffs):
             if e <= 18:
                 assert coeff.mag() < mpmath.mpf("1e-25")
@@ -212,7 +216,7 @@ def test_fit_rejects_half_integer_step():
 
 
 def test_fit_match_order_too_small():
-    fixture = PuiseuxSeries.monomial(1, -2)
+    fixture = PuiseuxSeries(-2, 1, (1,), complete=True)
     with pytest.raises(ContractViolation):
         fit(fixture, 2, -1)
 
@@ -271,7 +275,7 @@ def _long_division(num, den, order_cap):
         if c0 is None:
             break
         out.append(c0 * inv_lead)
-        rem = rem - den * PuiseuxSeries.monomial(out[-1], e)
+        rem = rem - den * PuiseuxSeries(e, 1, (out[-1],), complete=True)
         e += den.step
     return PuiseuxSeries(lead, den.step, out)
 
@@ -342,6 +346,84 @@ def test_series_divide_rounded_input_multiplies_back(operands):
     for e, c in zip(back.exponents(), back.coeffs):
         if e <= q.max_exp + den.lead:
             assert c.mag() <= mpmath.mpf(2) ** (16 - bits) * scale
+
+
+def _dyadic(c):
+    """The exact value of a real Scalar: a rounded one's dyadic value."""
+    return c.fraction() if c.is_exact else c._rational()
+
+
+def _rounded_once(q, bits):
+    """The Fraction q rounded once, to nearest, at bits, as a raw mpc."""
+    return from_rational(q.numerator, q.denominator, bits, round_nearest), fzero
+
+
+def _rounded(q, bits):
+    """q rounded at bits; an exact zero stays one, as in every series."""
+    return Scalar.exact(0) if q == 0 else \
+        Scalar.from_mpc(mpmath.mp.make_mpc(_rounded_once(q, bits)), bits)
+
+
+rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(1, 10 ** 3))
+
+
+@given(rationals, rationals, st.sampled_from([64, 256, 1024]))
+def test_weierstrass_coefficients_are_rounded_once(g2, g3, bits):
+    # c_k for k >= 4 is its recurrence on the stored c_i as Fractions,
+    # rounded once at the series' bits
+    g2, g3 = (Scalar.from_mpc(Scalar.exact(q).mpc(bits), bits)
+              for q in (g2, g3))
+    c = weierstrass_p_series(g2, g3, 24, bits).coeffs[4::2]  # c_2, c_3, ...
+    prec = c[0].precision
+    for k in range(4, len(c) + 2):
+        want = Fraction(3, (2 * k + 1) * (k - 3)) * sum(
+            _dyadic(c[i - 2]) * _dyadic(c[k - i - 2]) for i in range(2, k - 1))
+        got = c[k - 2]
+        assert (got.is_exact, got.precision) == (False, prec), k
+        assert got.mpc()._mpc_ == _rounded_once(want, prec), k
+
+
+def _division_numerators(num, den, q):
+    """num_n - sum_{j<n} q_j den_(n-j) for each coefficient q_n of q =
+    num/den, as Fractions on the stored q_j."""
+    num, den = num.normalized(), den.normalized()
+    a = [_dyadic(c) for c in num._on_grid(num.lead, den.step)]
+    d, qs = [_dyadic(c) for c in den.coeffs], [_dyadic(c) for c in q.coeffs]
+    return [(a[n] if n < len(a) else 0) - sum(
+        qs[j] * d[n - j] for j in range(max(0, n - len(d) + 1), n))
+        for n in range(len(qs))]
+
+
+@given(division_operands())
+# q_1 = (1 - q_0*d_1)/d_0: rounding q_0*d_1 before the subtraction is off
+@example(((Fraction(0), Fraction(1), [Fraction(1, 3), Fraction(1)], False),
+          (Fraction(0), Fraction(1), [Fraction(1), Fraction(1, 3)], False), 1))
+def test_series_divide_rounds_each_coefficient_once(operands):
+    # with an exact den_0 each q_n is its exact formula rounded once; with
+    # a rounded den_0 the numerator is rounded once, then divided
+    num_op, den_op, order_cap = operands
+    bits = 128
+    num = _series_of(num_op, lambda q: _rounded(q, bits))
+    lead, step, coeffs, complete = den_op
+    for d0 in (Scalar.exact(coeffs[0]), _rounded(coeffs[0], bits)):
+        den = PuiseuxSeries(lead, step, [d0] + [_rounded(v, bits)
+                                                for v in coeffs[1:]],
+                            complete=complete)
+        q = _series_divide(num, den, order_cap)
+        for got, top in zip(q.coeffs, _division_numerators(num, den, q)):
+            if got.is_exact:
+                # no rounded input entered: an exact zero numerator
+                assert top == 0 and got.is_zero()
+            elif d0.is_exact:
+                assert got.precision == bits
+                assert got.mpc()._mpc_ == \
+                    _rounded_once(top / d0.fraction(), bits)
+            else:
+                want = Scalar.from_mpc(mpmath.mp.make_mpc(
+                    _rounded_once(top, bits)), bits) / d0
+                assert got.precision == want.precision == bits
+                assert got.mpc()._mpc_ == want.mpc()._mpc_
 
 
 @pytest.mark.parametrize("num_step, den_step", [
@@ -415,7 +497,7 @@ def test_transform_quartic_matches_series_expansion():
     q = QuarticForm.make(G=16, E=-4 * g2, C=-4 * g3, P0=Fraction(2, 3))
     rep = transform_quartic(q)
     y = rho * rho + PuiseuxSeries.constant(Scalar.exact(2, 3))
-    resid = rep.polynomial.residual_series(y)
+    resid = residual_series(rep.polynomial, y)
     # the G-half-power remainder is nonzero here, so the polynomial part
     # alone must NOT annihilate y
     assert rep.remainder

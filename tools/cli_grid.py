@@ -34,7 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 P_TERMS = 30
 P_BITS = ("64", "256", "1024")
-# (file name, g2, g3, bits): exact data, then rounded data at each precision
+# (file name, g2, g3, bits): exact data, then g2 and g3 rounded at each
+# precision; the 64-bit file's coefficients come out at 256 bits, the
+# precision of the exact 1/20 and 1/28 that form c_2 and c_3
 P_FILES = [("p_exact.json", "1/3", "-2/5", None)] + [
     (f"p_rounded_{bits}.json", "0.3", "-0.7", bits) for bits in P_BITS]
 
