@@ -147,8 +147,10 @@ def certify(solution: SeriesSolution, epsilon, m_search_limit=2 ** 20) -> Conver
     }
     # Enlarging M past the coefficient floor only raises the induction
     # threshold (the bound factors grow with M), so the first power of two
-    # covering the prefix is the only candidate worth checking.
-    M = Scalar.exact(2) ** exponent
+    # covering the prefix is the only candidate worth checking; past
+    # 4*bits bits (one exact sum's spread) M is rounded, not a huge int.
+    M = (Scalar.exact(2) if exponent <= 4 * bits
+         else Scalar.from_real(2, bits)) ** exponent
     over_limit = M.mag() > limit
     n_ind = None if over_limit else _induction_threshold(M, lam, c1_abs, case)
     if n_ind is None:

@@ -63,12 +63,14 @@ _FRACTION_ZERO = Fraction(0)
 
 
 def _checked_precision(bits) -> int:
-    """bits as an int, or ContractViolation if it is not one >= MIN_PRECISION."""
+    """bits as an int, or ContractViolation if it is not one >= MIN_PRECISION;
+    a number int() would change (64.7, inf) is not one, a string of digits is."""
     try:
         value = int(bits)
-    except ValueError:
+    except (ValueError, OverflowError):
         value = None
-    if value is None or value < MIN_PRECISION:
+    if value is None or value < MIN_PRECISION or (
+            not isinstance(bits, str) and value != bits):
         raise ContractViolation(f"precision must be >= {MIN_PRECISION} bits, got {bits}")
     return value
 
@@ -560,18 +562,14 @@ def cauchy_sum(a, b, n: int):
     an exact sum: one term, or on the per-entry exponent path one per
     nonzero product part, which rounded_sum adds in groups.
 
-    a and b are ScaledInts of one slope; lists of Scalars are converted
-    here, for one call.  Pairs (j, n - j) with an exact-zero factor are
+    a and b are ScaledInts of one slope, each converted by the caller
+    that owns the list.  Pairs (j, n - j) with an exact-zero factor are
     skipped, and with no other pair the sum is None, an exact zero.  The
     rest is one exact int sum, sum(map(operator.mul, ...)), times
     2**(exp_a + exp_b + slope*n) / (den_a*den_b); a square (a is b) sums
     each pair j < n - j once and doubles it.  Its bits are the highest
     precision of the remaining factors.
     """
-    if not isinstance(a, ScaledInts):
-        square = a is b
-        a = ScaledInts(a)
-        b = a if square else ScaledInts(b, a.slope)
     if a.slope != b.slope:
         raise ContractViolation("cauchy_sum of lists with different slopes")
     la, lb = len(a.re), len(b.re)

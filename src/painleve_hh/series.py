@@ -41,9 +41,9 @@ def _gcd_frac(*fs: Fraction) -> Fraction:
 class PuiseuxSeries:
     """Immutable truncated series sum_i coeffs[i] * (t - center)**(lead + i*step).
 
-    Being immutable, a series keeps the powers and the derivative it forms,
-    so every caller that asks for y**2 or y' again gets the same object,
-    and the exact sums of its square, which y**2 and combine share.
+    Being immutable, a series keeps the powers and the derivative (one
+    combine term) it forms, so a caller that asks for y**2 or y' again gets
+    the same object, and the exact sums of its square, shared with combine.
     """
 
     __slots__ = ("lead", "step", "coeffs", "center", "complete", "_powers",
@@ -228,16 +228,7 @@ class PuiseuxSeries:
 
     def differentiate(self) -> "PuiseuxSeries":
         if self._derivative is None:
-            nums, d = self._exponent_numerators()
-            # an exact zero is carried over at the precision that
-            # 0 * Scalar.exact(n, d) gives: the wider of its own and zero's
-            zero = Scalar.exact(0)
-            self._derivative = PuiseuxSeries(
-                self.lead - 1, self.step,
-                [c * Scalar.exact(n, d) if not (c.is_exact and c.is_zero())
-                 else c if c.precision > zero.precision else zero
-                 for n, c in zip(nums, self.coeffs)],
-                center=self.center, complete=self.complete)
+            self._derivative = combine([(1, self, 1)], self.center)
         return self._derivative
 
     # -- evaluation -----------------------------------------------------------------
@@ -301,14 +292,15 @@ def combine(terms, center) -> PuiseuxSeries:
             lead, step, sums, complete = a._product(b)
             weights = repeat(c)
         else:
-            nums, den = a._exponent_numerators()
-            lead, step, sums, complete = (a.lead - b, a.step,
-                                          map(exact_value, a.coeffs), a.complete)
-            # c/den**b, an int where it is one: int weights are cheaper
-            q = Fraction(c, den ** b)
-            q = q.numerator if q.denominator == 1 else q
-            weights = (q * prod(range(n, n - b * den, -den)) for n in nums) \
-                if b else repeat(q)
+            nums, d = a._exponent_numerators()
+            lead, step, complete = a.lead - b, a.step, a.complete
+            # c times the exponent factors, an int for an int c (int weights
+            # are cheaper); their denominator d**b joins each exact sum
+            c = c.numerator if c.denominator == 1 else c
+            sums = [u and (u[0], u[1] * d ** b, u[2], u[3])
+                    for u in map(exact_value, a.coeffs)]
+            weights = (c * prod(range(n, n - b * d, -d)) for n in nums) \
+                if b else repeat(c)
         pairs = [(w, u if v is None else exact_product(v, u))
                  for w, u in zip(weights, sums)]
         if complete and not any(w and u is not None for w, u in pairs):

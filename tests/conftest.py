@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from painleve_hh import PuiseuxSeries, set_default_precision
 from painleve_hh.model import BivariatePoly
-from painleve_hh.scalars import cauchy_sum, rounded_sum
+from painleve_hh.scalars import ScaledInts, cauchy_sum, rounded_sum
 from painleve_hh.series import combine
 
 settings.register_profile("fast", max_examples=30, deadline=None)
@@ -22,7 +22,11 @@ def _fixed_precision():
 
 
 def cauchy(a, b, n):
-    """Coefficient n of the product of a and b, rounded once."""
+    """Coefficient n of the product of a and b, rounded once; lists of
+    Scalars are converted to ScaledInts here, a square (a is b) once."""
+    if not isinstance(a, ScaledInts):
+        square, a = a is b, ScaledInts(a)
+        b = a if square else ScaledInts(b, a.slope)
     return rounded_sum(cauchy_sum(a, b, n))
 
 

@@ -172,7 +172,7 @@ def test_fit_bad_series_file_exits_2(capsys, tmp_path, text, named):
     assert named in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("bits", [0, -5, 32, 63])
+@pytest.mark.parametrize("bits", [0, -5, 32, 63, 64.7])
 def test_fit_rejects_scalar_bits_below_the_floor(capsys, tmp_path, bits):
     path = tmp_path / "low.json"
     coeff = {"re": "1.0", "im": "0", "bits": bits}
@@ -383,6 +383,22 @@ def test_certification_failure_exit_code(capsys):
                            "--N", "40", "--m-limit", "1")
     assert code == 4
     assert json.loads(out)["certificate"]["verdict"] == "not-certified"
+
+
+@pytest.mark.parametrize("argv", [("--lambda", "1e1000"),
+                                  ("--lambda", "1/9", "--p4", "1e5000")])
+def test_certify_reports_a_huge_m_over_the_search_limit(capsys, argv):
+    # an M past 2**(4*bits) is formed and written rounded, not as a huge int
+    import time
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", "--case", "C165", *argv,
+                             "--N", "10")
+    assert (code, err) == (4, "")
+    cert = json.loads(out)["certificate"]
+    assert cert["verdict"] == "not-certified"
+    assert cert["audit"]["reason"] == "required M exceeds the search limit"
+    assert cert["M"]["bits"] == 256
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("module", ["painleve_hh.cli", "painleve_hh"])

@@ -105,7 +105,7 @@ def test_missing_bits_take_the_working_precision():
     assert scalar.precision == parse_scalar("0.3").precision == 512
 
 
-@pytest.mark.parametrize("bits", [0, -5, 32, 63, "x"])
+@pytest.mark.parametrize("bits", [0, -5, 32, 63, "x", 64.7, float("inf")])
 def test_bits_below_the_floor_are_rejected(bits):
     with pytest.raises(ContractViolation, match="'bits'"):
         decode_scalar({"re": "0.3", "im": "0", "bits": bits})

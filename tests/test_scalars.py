@@ -413,8 +413,8 @@ def phased_lists(draw):
     (b = 0), or real and imaginary in turn (b = 1) as in the C43 minus
     series, each list at 64, 256 or 512 bits.  Now and then an entry is an
     exact zero, a rounded zero, an exact rational where the phase is real,
-    2**+-3000 times its value (a spread past 4*bits), or one with both
-    parts nonzero, which breaks the pattern."""
+    2**+-3000 times its value (a spread past 4*bits), or (v + i)/3, which
+    breaks the pattern unless v = 0 happens to fit it."""
     a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     bits = draw(st.sampled_from([64, 256, 512]))
     out = []
@@ -441,8 +441,12 @@ def phased_lists(draw):
 
 
 def _broken(a):
-    """Whether an entry of a has both parts nonzero."""
-    return any(all(_exact_value(c)) for c in a)
+    """Whether no i**(p + q*j), p and q in {0, 1}, puts every nonzero
+    entry j of a on its real line: i**even * r has no imaginary part,
+    i**odd * r no real part."""
+    return not any(all(not _exact_value(c)[(p + q * j + 1) % 2]
+                       for j, c in enumerate(a))
+                   for p in (0, 1) for q in (0, 1))
 
 
 kernel_lists = st.one_of(
@@ -496,10 +500,13 @@ def test_a_grown_conversion_matches_a_fresh_one(a):
 
 @given(phased_lists())
 @example([Scalar.from_complex(0, 1), sc(0), Scalar.from_complex(0, 3)])
+@example([Scalar.from_complex(1, 0, 256) / 3, Scalar.from_real(0, 256),
+          Scalar.from_complex(0, 1, 256) / 3])
 def test_a_phased_list_is_held_twisted(a):
     # i**(a + b*j) * r_j keeps only r, in re, with b = 0 where it fits, so
-    # that a real or an imaginary list meets real lists on one sum; an
-    # entry with both parts nonzero leaves the list dense
+    # that a real or an imaginary list meets real lists on one sum; a list
+    # no such phase fits, as one with an entry with both parts nonzero,
+    # stays dense
     s = ScaledInts(a)
     assert (s.phase is None) == (s.im is not None) == _broken(a)
     if not _broken(a) and len({bool(i) for r, i in map(_exact_value, a)

@@ -95,18 +95,48 @@ def test_differentiate_keeps_exactness_at_zero_exponent():
     assert c.is_exact and c.is_zero()
 
 
-@pytest.mark.parametrize("bits", [64, 256, 1024])
-def test_differentiate_carries_exact_zeros_at_the_precision_of_the_product(bits):
-    # an exact zero is carried over, not multiplied, at the precision
-    # 0 * Scalar.exact(n, d) gives it: the wider of its own and the default
-    set_default_precision(bits)
-    coeffs = [Scalar.exact(0, 1, 64), Scalar.exact(3), Scalar.exact(0),
-              Scalar.exact(0, 1, 512), Scalar.from_real(0, 128),
-              Scalar.exact(0, 1, 2048), Scalar.from_real("0.25", 64)]
-    s = PuiseuxSeries(Fraction(-3, 2), Fraction(1, 2), coeffs)
-    set_default_precision(256)
-    for e, c, got in zip(s.exponents(), coeffs, s.differentiate().coeffs):
-        _same_scalar(got, c * Scalar.exact(e))
+def _entry(kind, q: Fraction, bits: int) -> Scalar:
+    """q as an entry of the given kind at bits; a rounded one carries all
+    of its bits, so that n/d times it needs a rounding."""
+    if kind == "exact":
+        return Scalar.exact(q, 1, bits)
+    if kind == "rounded zero":
+        return Scalar.from_real(0, bits)
+    with mpmath.workprec(bits):
+        re = mpmath.mpf(q.numerator) / q.denominator
+        im = mpmath.mpf(q.denominator) / 7 if kind == "complex" else 0
+    return Scalar.from_complex(re, im, bits)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["exact", "real", "complex",
+                                           "rounded zero"]),
+                          st.builds(Fraction, st.integers(-9, 9),
+                                    st.integers(1, 4))),
+                min_size=1, max_size=7),
+       st.sampled_from([64, 256, 1024]),
+       st.sampled_from([-2, Fraction(-3, 2), -1, 0]),
+       st.sampled_from([1, Fraction(1, 2)]), st.booleans())
+def test_differentiate_rounds_each_coefficient_once_at_its_own_precision(
+        entries, bits, lead, step, complete):
+    # each coefficient is the exact n/d*c rounded once at c's precision,
+    # under the 256-bit default; an exact c or an exact zero stays exact
+    coeffs = [_entry(kind, q, bits) for kind, q in entries]
+    s = PuiseuxSeries(lead, step, coeffs, complete=complete)
+    d = s.differentiate()
+    assert d.complete == s.complete
+    assert d.max_exp == (None if complete else s.max_exp - 1)
+    for e, c in zip(s.exponents(), coeffs):
+        got = d.coefficient(e - 1)
+        if e == 0 or c.is_exact and c.is_zero():
+            assert got.is_exact and got.is_zero()
+        elif c.is_exact:
+            _same_scalar(got, Scalar.exact(e * c.fraction(), 1, bits))
+        else:
+            _same_scalar(got, Scalar.from_complex(*(
+                mpmath.mp.make_mpf(from_rational(q.numerator, q.denominator,
+                                                 bits, round_nearest))
+                for q in (e * Fraction(*to_rational(p))
+                          for p in c.mpc()._mpc_)), bits))
 
 
 def test_evaluate_against_direct_sum():
