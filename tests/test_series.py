@@ -95,6 +95,27 @@ def test_differentiate_keeps_exactness_at_zero_exponent():
     assert c.is_exact and c.is_zero()
 
 
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_differentiate_carries_exact_zeros_at_the_precision_of_the_product(bits):
+    # each product n/d*c is formed exactly and rounded once at c's own
+    # precision, an exact c staying exact at its label; an exact zero puts
+    # no bits into the sum, so it comes out as the exact zero of the
+    # default precision, whatever label it carried
+    set_default_precision(bits)
+    coeffs = [Scalar.exact(0, 1, 64), Scalar.exact(3), Scalar.exact(0),
+              Scalar.exact(0, 1, 512), Scalar.from_real(0, 128),
+              Scalar.exact(0, 1, 2048), Scalar.from_real("0.25", 64)]
+    s = PuiseuxSeries(Fraction(-3, 2), Fraction(1, 2), coeffs)
+    set_default_precision(256)
+    want = [Scalar.exact(0), Scalar.exact(-3, 1, bits), Scalar.exact(0),
+            Scalar.exact(0), Scalar.from_real(0, 128), Scalar.exact(0),
+            Scalar.from_real("0.375", 64)]
+    got = s.differentiate().coeffs
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_scalar(g, w)
+
+
 def _entry(kind, q: Fraction, bits: int) -> Scalar:
     """q as an entry of the given kind at bits; a rounded one carries all
     of its bits, so that n/d times it needs a rounding."""
