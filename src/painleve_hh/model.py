@@ -15,7 +15,7 @@ The fourth-order reduction in y alone,
              + (20C/3)*y**3 + (4*C*lambda-6)*y**2 - 4*lambda*y - 4*H,
 
 is carried only as a residual-verification target for y-series.  A
-system is formed from (C, lambda) alone, right-hand sides included.
+system is (C, lambda) alone; each function below writes out its formula.
 """
 
 from __future__ import annotations
@@ -24,44 +24,6 @@ from dataclasses import dataclass
 
 from .scalars import Scalar, as_scalar
 from .series import PuiseuxSeries, combine
-
-
-class BivariatePoly:
-    """Sparse bivariate polynomial in (x, y) with Scalar coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {
-            (int(i), int(j)): as_scalar(c)
-            for (i, j), c in dict(terms).items()
-            if not (as_scalar(c).is_exact and as_scalar(c).is_zero())
-        }
-
-    def evaluate(self, x, y) -> Scalar:
-        x, y = as_scalar(x), as_scalar(y)
-        acc = Scalar.exact(0)
-        for (i, j), c in self.terms.items():
-            acc = acc + c * x ** i * y ** j
-        return acc
-
-    def series_terms(self, xs: PuiseuxSeries, ys: PuiseuxSeries,
-                     sign: int = 1) -> list:
-        """combine's terms for sign times self at (xs, ys): x^i*y^j as the
-        product of two powers, a lone power p >= 2 of v as v^(p-1)*v, so
-        that one product enters unrounded (and x*x, y*y share their sums)."""
-        out = []
-        for (i, j), c in self.terms.items():
-            p, v = (i, xs) if i else (j, ys)
-            a, b = (xs.pow_int(i), ys.pow_int(j)) if i and j else \
-                (v.pow_int(p - 1), v) if p > 1 else (v.pow_int(p), 0)
-            out.append((c if sign > 0 else -c, a, b))
-        return out
-
-    def __repr__(self):
-        return "BivariatePoly(" + ", ".join(
-            f"x^{i} y^{j}: {c!r}" for (i, j), c in sorted(self.terms.items())
-        ) + ")"
 
 
 @dataclass(frozen=True)
@@ -74,43 +36,29 @@ class PhaseState:
 
 
 class PolynomialODESystem:
-    """The model at (lambda, C), its right-hand sides formed from them."""
+    """The model at (lambda, C)."""
 
-    __slots__ = ("lam", "C", "rhs1", "rhs2")
+    __slots__ = ("lam", "C")
 
     def __init__(self, lam: Scalar, C: Scalar):
         self.lam = lam
         self.C = C
-        self.rhs1 = BivariatePoly({(1, 0): -lam, (1, 1): Scalar.exact(-2)})
-        self.rhs2 = BivariatePoly({(0, 1): Scalar.exact(-1),
-                                   (2, 0): Scalar.exact(-1), (0, 2): C})
 
     def rhs(self, x, y):
-        return self.rhs1.evaluate(x, y), self.rhs2.evaluate(x, y)
+        """(x_tt, y_tt) = (-lam*x - 2*x*y, -y - x**2 + C*y**2)."""
+        return -self.lam * x - 2 * x * y, -y - x ** 2 + self.C * y ** 2
 
 
 def build_henon_heiles(C, lam) -> PolynomialODESystem:
-    """Canonical system: rhs1 = -lam*x - 2*x*y, rhs2 = -y - x^2 + C*y^2."""
     return PolynomialODESystem(as_scalar(lam), as_scalar(C))
-
-
-def potential(sys: PolynomialODESystem) -> BivariatePoly:
-    """V(x, y) with rhs = -grad V; used by the gradient-form check."""
-    half = Scalar.exact(1, 2)
-    third = Scalar.exact(1, 3)
-    return BivariatePoly({
-        (2, 0): half * sys.lam,
-        (0, 2): half,
-        (2, 1): Scalar.exact(1),
-        (0, 3): -third * sys.C,
-    })
 
 
 def energy(sys: PolynomialODESystem, s: PhaseState) -> Scalar:
     """H = (x_t^2 + y_t^2 + lam x^2 + y^2)/2 + x^2 y - (C/3) y^3."""
     half = Scalar.exact(1, 2)
-    kinetic = half * (s.xt * s.xt + s.yt * s.yt)
-    return kinetic + potential(sys).evaluate(s.x, s.y)
+    return half * (s.xt * s.xt + s.yt * s.yt) + (
+        half * sys.lam * s.x ** 2 + half * s.y ** 2 + s.x ** 2 * s.y
+        - Scalar.exact(1, 3) * sys.C * s.y ** 3)
 
 
 @dataclass(frozen=True)
@@ -167,14 +115,15 @@ def reduce_to_fourth_order(sys: PolynomialODESystem, H) -> FourthOrderForm:
 
 def residual_of_series(sys: PolynomialODESystem, xs: PuiseuxSeries,
                        ys: PuiseuxSeries):
-    """(x_tt - rhs1(x, y), y_tt - rhs2(x, y)) as truncated series.
+    """(x_tt + lam*x + 2*x*y, y_tt + y + x**2 - C*y**2) as truncated series.
 
     The returned series carry the guaranteed windows of the truncated
     arithmetic; a genuine local solution has every known coefficient of
     both residuals at the rounding floor, each one exact sum rounded once.
     """
-    rx = combine([(1, xs, 2)] + sys.rhs1.series_terms(xs, ys, -1), xs.center)
-    ry = combine([(1, ys, 2)] + sys.rhs2.series_terms(xs, ys, -1), xs.center)
+    rx = combine([(1, xs, 2), (sys.lam, xs, 0), (2, xs, ys)], xs.center)
+    ry = combine([(1, ys, 2), (1, ys, 0), (1, xs, xs), (-sys.C, ys, ys)],
+                 xs.center)
     return rx, ry
 
 
@@ -188,8 +137,10 @@ def energy_series(sys: PolynomialODESystem, xs: PuiseuxSeries,
     """
     xt, yt = xs.differentiate(), ys.differentiate()
     half = Scalar.exact(1, 2)
-    return combine([(half, xt, xt), (half, yt, yt)]
-                   + potential(sys).series_terms(xs, ys), xs.center)
+    return combine([(half, xt, xt), (half, yt, yt), (half * sys.lam, xs, xs),
+                    (half, ys, ys), (1, xs.pow_int(2), ys),
+                    (-Scalar.exact(1, 3) * sys.C, ys.pow_int(2), ys)],
+                   xs.center)
 
 
 def state_from_series(xs: PuiseuxSeries, ys: PuiseuxSeries, t,

@@ -90,16 +90,11 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
         raise ContractViolation(
             "fit needs an integer-step series; substitute x = sqrt(t)*u "
             "or fit the y-series of the reduction instead")
-    indices = ansatz_indices(m)
-    unknowns = len(indices)
+    if m < 1:
+        raise ContractViolation("m must be a positive integer")
+    unknowns = (m + 1) ** 2             # len(ansatz_indices(m))
     yp = y_series.differentiate()
-    # the columns y^j * y'^k, each formed once, none times the constant 1
-    terms = {(j, k): y_series.pow_int(j) * yp.pow_int(k) if j and k
-             else y_series.pow_int(j) if j else yp.pow_int(k)
-             for j, k in indices}
-    window_cap = min((t.max_exp for t in terms.values() if t.max_exp is not None),
-                     default=None)
-    lead = min(t.lead for t in terms.values())
+    lead, window_cap = _column_window(y_series, yp, m)
     if window_cap is not None and match_order > window_cap:
         raise ContractViolation(
             f"series too short: ansatz terms known only through t^{window_cap}, "
@@ -109,6 +104,11 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
         raise ContractViolation(
             f"match_order {match_order} gives {n} equations for "
             f"{unknowns} unknowns; need at least {unknowns + 2}")
+    indices = ansatz_indices(m)
+    # the columns y^j * y'^k, each formed once, none times the constant 1
+    terms = {(j, k): y_series.pow_int(j) * yp.pow_int(k) if j and k
+             else y_series.pow_int(j) if j else yp.pow_int(k)
+             for j, k in indices}
     # coefficient(lead + i) of every column, read off its list: the window
     # check above leaves no unknown one, and off the grid it is exact zero
     cols = []
@@ -149,6 +149,17 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
             orders.append(verified)
     return FitResult(nullspace_dim=len(basis), basis=tuple(basis),
                      residual_orders=tuple(orders))
+
+
+def _column_window(y: PuiseuxSeries, yp: PuiseuxSeries, m: int):
+    """(lead, cap) of the degree-m columns y^j * y'^k, from y and its
+    derivative yp alone: column (j, k) starts at j*lead(y) + k*lead(yp),
+    least at a corner of the index triangle or next to (0, 0), and each
+    but the complete constant 1 is known as far past its start as y is."""
+    a, b = y.lead, yp.lead
+    cap = None if y.complete else \
+        min(a, b, 2 * m * a, m * b) + y.max_exp - y.lead
+    return min(0, 2 * m * a, m * b), cap
 
 
 # -- reference series generators ------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings
 
 from painleve_hh import PuiseuxSeries, set_default_precision
-from painleve_hh.model import BivariatePoly
 from painleve_hh.scalars import ScaledInts, cauchy_sum, rounded_sum
 from painleve_hh.series import combine
 
@@ -32,8 +31,8 @@ def cauchy(a, b, n):
 
 def residual_series(ansatz, y: PuiseuxSeries) -> PuiseuxSeries:
     """sum h_jk y^j (y')^k for the SubequationAnsatz ansatz."""
-    return combine(BivariatePoly(ansatz.nonzero()).series_terms(
-        y, y.differentiate()), y.center)
+    return combine([(c, y.pow_int(j), y.differentiate().pow_int(k))
+                    for (j, k), c in ansatz.nonzero().items()], y.center)
 
 
 def package_imports(tree):

@@ -401,6 +401,18 @@ def test_certify_reports_a_huge_m_over_the_search_limit(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+def test_certify_reports_a_threshold_beyond_the_scan_cap(capsys):
+    # p4 = 100 lifts the prefix to about 3e4, so M = 2**15, and no scanned
+    # k up to the scan cap brings both bound factors to 1
+    code, out, err = run_cli(capsys, "certify", "--case", "C165",
+                             "--lambda", "1/9", "--N", "40", "--p4", "100")
+    assert (code, err) == (4, "")
+    cert = json.loads(out)["certificate"]
+    assert (cert["verdict"], cert["N"]) == ("not-certified", -1)
+    assert cert["M"] == {"num": "32768", "den": "1"}
+    assert cert["audit"]["reason"] == "induction threshold beyond scan cap"
+
+
 @pytest.mark.parametrize("module", ["painleve_hh.cli", "painleve_hh"])
 def test_environment_precision_variable(module):
     import os

@@ -15,6 +15,7 @@ from painleve_hh import (BranchSpec, ContractViolation, PhaseState, Scalar,
                          SingularityApproach, build_henon_heiles, build_series,
                          energy, integrate_numeric, state_from_series)
 from painleve_hh import integrate
+from painleve_hh.cli import main
 from painleve_hh.integrate import (_quotient, _shifted, _squared,
                                    _taylor_coefficients, tolerance_order)
 
@@ -439,6 +440,26 @@ def test_verify_complex_step_count(monkeypatch):
     diff = max((end.x - s_b.x).mag(), (end.xt - s_b.xt).mag(),
                (end.y - s_b.y).mag(), (end.yt - s_b.yt).mag())
     assert diff < mpmath.mpf("1e-30")
+
+
+def test_step_budget_ends_the_run(monkeypatch, capsys):
+    # the verify-complex path takes about 6 steps; a budget of 2 stops it,
+    # and through verify that is a configuration error, exit 2
+    monkeypatch.setattr(integrate, "MAX_STEPS", 2)
+    spec = BranchSpec(case="C43", lam=Scalar.exact(2, 1, 512),
+                      root_branch="minus",
+                      free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
+    sol = build_series(spec, 80)
+    s_a = state_from_series(sol.x, sol.y, Scalar.from_real("0.3", 512), 512)
+    with pytest.raises(SingularityApproach, match="step budget exhausted"):
+        integrate_numeric(sol.system(), s_a, Scalar.from_real("0.5", 512),
+                          Scalar.from_real("1e-40", 512))
+    assert main(["--precision-bits", "512", "verify", "--case", "C43",
+                 "--lambda", "2", "--branch", "minus", "--p2", "1/3",
+                 "--p4", "-2/5", "--N", "80", "--tol", "1e-40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "step budget exhausted" in captured.err
 
 
 def test_working_precision_covers_every_state_component():

@@ -12,7 +12,6 @@ from painleve_hh import (BranchSpec, ContractViolation, DenseMatrix,
                          build_series, energy, energy_series,
                          reduce_to_fourth_order, residual_of_series,
                          set_default_precision, solve_linear)
-from painleve_hh.model import BivariatePoly, potential
 from painleve_hh.series import combine
 
 
@@ -50,28 +49,30 @@ def test_energy_even_in_x():
     assert (energy(sys_, a) - energy(sys_, b)).is_zero()
 
 
-def _partial(poly, var):
-    """d poly / d var, var "x" or "y", as a BivariatePoly."""
-    out = {}
-    for (i, j), c in poly.terms.items():
-        p = i if var == "x" else j
-        if p:
-            key = (i - 1, j) if var == "x" else (i, j - 1)
-            out[key] = out.get(key, Scalar.exact(0)) + c * p
-    return BivariatePoly(out)
-
-
 def test_rhs_is_negative_potential_gradient():
-    # exact symbolic check on the polynomial coefficients
+    # exact check at rational points: the potential V is energy at rest, and
+    # rhs = -grad V.  V is quadratic in x, so a central difference is its
+    # x-derivative; cubic in y, so Richardson's (4*D(h/2) - D(h))/3 of the
+    # central difference D is its y-derivative
     sys_ = build_henon_heiles(Scalar.exact(-16, 5), Scalar.exact(3, 11))
-    V = potential(sys_)
-    gx, gy = _partial(V, "x"), _partial(V, "y")
-    for (i, j), c in gx.terms.items():
-        assert (sys_.rhs1.terms.get((i, j), Scalar.exact(0)) + c).is_zero()
-    for (i, j), c in gy.terms.items():
-        assert (sys_.rhs2.terms.get((i, j), Scalar.exact(0)) + c).is_zero()
-    assert set(sys_.rhs1.terms) == set(gx.terms)
-    assert set(sys_.rhs2.terms) == set(gy.terms)
+    zero = Scalar.exact(0)
+
+    def V(x, y):
+        return energy(sys_, PhaseState(x, zero, y, zero, zero))
+
+    def D(f, h):
+        return (f(h) - f(-h)) / (2 * h)
+
+    h = Scalar.exact(1, 7)
+    for x, y in ((Scalar.exact(2, 3), Scalar.exact(-5, 4)),
+                 (Scalar.exact(-7, 2), Scalar.exact(1, 9)),
+                 (zero, Scalar.exact(3))):
+        r1, r2 = sys_.rhs(x, y)
+        dx = D(lambda u: V(x + u, y), h)
+        dy = (4 * D(lambda u: V(x, y + u), h / 2)
+              - D(lambda u: V(x, y + u), h)) / 3
+        assert r1.is_exact and r1.fraction() == -dx.fraction()
+        assert r2.is_exact and r2.fraction() == -dy.fraction()
 
 
 def test_fourth_order_coefficients():
@@ -189,29 +190,26 @@ def test_energy_series_of_zero_series_is_zero():
     assert all(c.is_zero() for c in es.coeffs)
 
 
-def test_series_terms_take_no_product_by_the_constant_one(monkeypatch):
-    # x^i*y^j is one product of two powers, a lone power p >= 2 of v the
-    # product of v^(p-1) and v; forming the terms multiplies no series
+def test_model_series_form_no_product_beyond_x2_and_y2(monkeypatch):
+    # the residual is x'', y'' and products of x and y; the energy adds
+    # x**2 and y**2, its only series products, and reuses them
     xs = PuiseuxSeries(Fraction(-3, 2), Fraction(1, 2),
                        [Scalar.exact(v) for v in (2, -1, 3, 5)])
     ys = PuiseuxSeries(-2, 1, [Scalar.exact(-3), Scalar.exact(0),
                                Scalar.from_real("0.7")])
-    x2, c = xs.pow_int(2), Scalar.exact(2, 3)
-    count = []
-    monkeypatch.setattr(PuiseuxSeries, "__mul__",
-                        lambda a, b: count.append(1))
-    poly = BivariatePoly({(3, 0): c, (0, 2): c, (1, 1): c, (2, 1): c,
-                          (0, 1): c})
-    terms = dict(zip(poly.terms, poly.series_terms(xs, ys)))
-    assert terms[(3, 0)][1] is x2 and terms[(3, 0)][2] is xs
-    assert terms[(0, 2)][1] is ys and terms[(0, 2)][2] is ys
-    assert terms[(1, 1)][1] is xs and terms[(1, 1)][2] is ys
-    assert terms[(2, 1)][1] is x2 and terms[(2, 1)][2] is ys
-    assert terms[(0, 1)][1] is ys and terms[(0, 1)][2] == 0
-    assert all(t[0] == c for t in terms.values())
-    assert not count
-    (minus,) = BivariatePoly({(0, 1): c}).series_terms(xs, ys, -1)
-    assert minus[0].fraction() == -c.fraction()
+    sys_ = build_henon_heiles(Scalar.exact(-4, 3), Scalar.from_real("0.3"))
+    mul, products = PuiseuxSeries.__mul__, []
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counted)
+    residual_of_series(sys_, xs, ys)
+    assert products == []
+    energy_series(sys_, xs, ys)
+    assert products == [(xs, xs), (ys, ys)]
+    energy_series(sys_, xs, ys)
+    assert len(products) == 2
 
 
 # -- each coefficient is its formula, rounded once -------------------------------
@@ -386,11 +384,10 @@ def _check_every_kernel(xs, ys, lam, C, H):
                                       (-C, ys, ys)])
     x1, y1, x2, y2 = (xs.differentiate(), ys.differentiate(), xs.pow_int(2),
                       ys.pow_int(2))
-    V = potential(sys_).terms
     _assert_formula_rounded_once(energy_series(sys_, xs, ys), [
         (Fraction(1, 2), x1, x1), (Fraction(1, 2), y1, y1),
-        (V[(2, 0)], xs, xs), (V[(0, 2)], ys, ys), (V[(2, 1)], x2, ys),
-        (V[(0, 3)], y2, ys)])
+        (Scalar.exact(1, 2) * lam, xs, xs), (Fraction(1, 2), ys, ys),
+        (1, x2, ys), (-Scalar.exact(1, 3) * C, y2, ys)])
     form = reduce_to_fourth_order(sys_, H)
     ytt = combine([(1, ys, 2)], ys.center)
     _assert_formula_rounded_once(ytt, [(1, ys, 2)])

@@ -227,6 +227,38 @@ def test_fit_series_too_short():
         fit(p, 2, 40)
 
 
+@pytest.mark.parametrize("m, known", [(200, -738), (10 ** 6, -3999938)])
+def test_fit_rejects_a_short_series_before_forming_a_column(monkeypatch, m,
+                                                            known):
+    # (m + 1)**2 columns; the window check reads y alone, before any column
+    # or the index list is formed
+    p = weierstrass_p_series(Scalar.exact(1, 3), Scalar.exact(-2, 5), 30)
+
+    def refused(*args):
+        raise AssertionError("a column or the index list was formed")
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", refused)
+    monkeypatch.setattr(subequation, "ansatz_indices", refused)
+    with pytest.raises(ContractViolation, match=rf"series too short: ansatz "
+                       rf"terms known only through t\^{known}, match_order 25"):
+        fit(p, m, 25)
+
+
+@pytest.mark.parametrize("y", [
+    weierstrass_p_series(Scalar.exact(1, 3), Scalar.exact(-2, 5), 30),
+    build_series(BranchSpec(case="C43", lam=LAM9, root_branch="plus"), 20).y,
+    PuiseuxSeries(Fraction(-1, 2), 1, [Scalar.exact(k + 1, 7)
+                                       for k in range(12)]),
+    PuiseuxSeries(-2, 1, (1,), complete=True),
+], ids=["p", "C43", "off-grid", "complete"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_column_window_is_the_formed_columns_window(y, m):
+    yp = y.differentiate()
+    columns = [y.pow_int(j) * yp.pow_int(k) for j, k in ansatz_indices(m)]
+    caps = [t.max_exp for t in columns if t.max_exp is not None]
+    assert subequation._column_window(y, yp, m) == (
+        min(t.lead for t in columns), min(caps) if caps else None)
+
+
 def test_exploratory_fit_of_c43_zero_branch_at_lambda_one():
     # at lam = 1 the zero branch exists; with generic free parameters the
     # m = 2 fit is expected to find nothing (recorded, not asserted as a

@@ -116,6 +116,9 @@ def _grid() -> list[list[str]]:
               "--m-limit", "1"],
              ["certify", "--case", "C165", "--lambda", "1/9", "--N", "40",
               "--epsilon", "1e-30000000"],
+             # M = 2**15: the induction threshold lies beyond the scan cap
+             ["certify", "--case", "C165", "--lambda", "1/9", "--N", "40",
+              "--p4", "100"],
              ["certify", "--case", "C165", "--lambda", "1/9",
               "--epsilon", "-1/10"],
              ["certify", "--case", "C165", "--lambda", "1/9",
