@@ -164,8 +164,8 @@ def cmd_verify(args) -> int:
         (c for e, c in zip(es.exponents(), es.coeffs) if e != 0), solution))
     # complex-c1 branches integrate fine: the stepper works over complex
     # states along the real t-path
-    s_a = state_from_series(solution.x, solution.y, t_a, solution.precision)
-    s_b = state_from_series(solution.x, solution.y, t_b, solution.precision)
+    s_a = state_from_series(solution.x, solution.y, t_a)
+    s_b = state_from_series(solution.x, solution.y, t_b)
     end = integrate_numeric(sys_model, s_a, t_b, tol, center=spec.t0)
     report["numeric_cross_check"] = {
         "series_state": encode_state(s_b),

@@ -2,10 +2,12 @@
 
 Everything here targets the tiny systems of the series recurrences and the
 subequation fitter: a few rows to a few dozen rows.  Two code paths share
-one interface; matrices whose entries are all exact rationals are solved
+one interface; systems whose entries are all exact rationals are solved
 exactly by Gauss-Jordan on Python ints (each row scaled to ints once, one
 Fraction per entry of the result), anything else is solved in complex
-big-floats with a relative pivot threshold of 2**(-precision/2).
+big-floats with a relative pivot threshold of 2**(-precision/2).  A
+determinant is the product of the pivots of one elimination, on Fractions
+or on complex big-floats.
 """
 
 from __future__ import annotations
@@ -94,16 +96,13 @@ def _int_rref(rows, ncols):
     """_rref for exact Scalar rows, on ints: each row is scaled by the lcm
     of its denominators, any nonzero entry p pivots, and each other row
     with an entry f in p's column becomes (p*row - f*pivot_row)/g, p and f
-    over their gcd, g the gcd of the new row.  Returns the rows, the pivot
-    columns and (num, den), which undo the factor of those steps (lcms, p,
-    g, swaps) on the determinant: a full rank square matrix has determinant
-    prod(pivot entries) * num / den."""
-    num, den, out = 1, 1, []
+    over their gcd, g the gcd of the new row.  Returns the rows and the
+    pivot columns."""
+    out = []
     for row in rows:
         row = [e.fraction() for e in row]
         m = math.lcm(*(q.denominator for q in row))
         out.append([q.numerator * (m // q.denominator) for q in row])
-        den *= m
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -111,7 +110,7 @@ def _int_rref(rows, ncols):
         if pr is None:
             continue
         if pr != r:
-            out[r], out[pr], num = out[pr], out[r], -num
+            out[r], out[pr] = out[pr], out[r]
         top = out[r]
         for i, row in enumerate(out):
             if i != r and row[c]:
@@ -119,17 +118,15 @@ def _int_rref(rows, ncols):
                 p, f = top[c] // g, row[c] // g
                 row = [p * v - f * w for v, w in zip(row, top)]
                 g = math.gcd(*row)
-                if g > 1:
-                    row = [v // g for v in row]
-                    num *= g
-                out[i], den = row, den * p
+                out[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
-    return out, pivots, (num, den)
+    return out, pivots
 
 
 def _rref(rows, ncols, thresh):
-    """Row-reduce rows of mpc values in place (exact systems take
-    _int_rref); the first ncols columns are the matrix, the rest ride along.
+    """Row-reduce rows of mpc values or Fractions in place (exact systems
+    solve on _int_rref); the first ncols columns are the matrix, the rest
+    ride along.
 
     Each column pivots on its largest magnitude above thresh (0 for
     determinants).  Returns the pivot columns, the pivot values before
@@ -191,7 +188,7 @@ def solve_linear(A: DenseMatrix, b) -> LinearSolution:
             f"rhs length {len(b)} does not match {A.rows} rows"
         )
     if A.is_exact() and all(v.is_exact for v in b):
-        rows, pivots, _ = _int_rref(
+        rows, pivots = _int_rref(
             [A.row(i) + [v] for i, v in enumerate(b)], A.cols)
         # one Fraction per entry _assemble reads: the rhs and free columns
         free = [j for j in range(A.cols + 1) if j not in pivots]
@@ -216,18 +213,11 @@ def determinant(A: DenseMatrix) -> Scalar:
     """Determinant; exact for exact-rational entries."""
     if A.rows != A.cols:
         raise ContractViolation("determinant of a non-square matrix")
-    n = A.rows
-    if A.is_exact():
-        rows, pivots, (num, den) = _int_rref([A.row(i) for i in range(n)], n)
-        if len(pivots) < n:
-            return Scalar.exact(0)
-        diagonal = math.prod(row[i] for i, row in enumerate(rows))
-        return Scalar.exact(diagonal * num, den)
-    bits = A.precision()
+    n, exact, bits = A.rows, A.is_exact(), A.precision()
     with mp.workprec(bits + 20):
-        rows = [[e.mpc(bits) for e in A.row(i)] for i in range(n)]
+        rows = [[e.fraction() if exact else e.mpc(bits) for e in A.row(i)]
+                for i in range(n)]
         # any nonzero pivot counts: a determinant has no rank decision to make
         pivots, values, parity = _rref(rows, n, 0)
-        det = parity * math.prod(values) if len(pivots) == n else mpmath.mpc(0)
-        return Scalar.from_mpc(det, bits)
-
+        det = parity * math.prod(values) if len(pivots) == n else 0
+        return Scalar.exact(det) if exact else Scalar.from_mpc(det, bits)

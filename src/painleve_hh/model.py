@@ -63,50 +63,23 @@ def energy(sys: PolynomialODESystem, s: PhaseState) -> Scalar:
 
 @dataclass(frozen=True)
 class FourthOrderForm:
-    """Coefficient carrier for the scalar fourth-order reduction."""
+    """The scalar fourth-order reduction at (C, lambda, H)."""
 
     C: Scalar
     lam: Scalar
     H: Scalar
 
-    @property
-    def coeff_ytt_y(self) -> Scalar:
-        return Scalar.exact(2) * self.C - 8
-
-    @property
-    def coeff_ytt(self) -> Scalar:
-        return -(Scalar.exact(4) * self.lam + 1)
-
-    @property
-    def coeff_yt2(self) -> Scalar:
-        return Scalar.exact(2) * (self.C + 1)
-
-    @property
-    def coeff_y3(self) -> Scalar:
-        return Scalar.exact(20, 3) * self.C
-
-    @property
-    def coeff_y2(self) -> Scalar:
-        return Scalar.exact(4) * self.C * self.lam - 6
-
-    @property
-    def coeff_y(self) -> Scalar:
-        return Scalar.exact(-4) * self.lam
-
-    @property
-    def coeff_const(self) -> Scalar:
-        return Scalar.exact(-4) * self.H
-
     def residual_of_series(self, ys: PuiseuxSeries) -> PuiseuxSeries:
         """y_tttt minus the right-hand side, as a truncated series: y_tttt
         and y_tt from y's exponent factors, y_tt*y from y_tt rounded once."""
-        y1, center = ys.differentiate(), ys.center
+        C, lam, y1, center = self.C, self.lam, ys.differentiate(), ys.center
         y2 = combine([(1, ys, 2)], center)
         return combine([
-            (1, ys, 4), (-self.coeff_ytt_y, y2, ys), (-self.coeff_ytt, ys, 2),
-            (-self.coeff_yt2, y1, y1), (-self.coeff_y3, ys.pow_int(2), ys),
-            (-self.coeff_y2, ys, ys), (-self.coeff_y, ys, 0),
-            (-self.coeff_const, PuiseuxSeries.constant(1, center), 0)], center)
+            (1, ys, 4), (-(2 * C - 8), y2, ys), (4 * lam + 1, ys, 2),
+            (-2 * (C + 1), y1, y1),
+            (-(Scalar.exact(20, 3) * C), ys.pow_int(2), ys),
+            (-(4 * C * lam - 6), ys, ys), (4 * lam, ys, 0),
+            (4 * self.H, PuiseuxSeries.constant(1, center), 0)], center)
 
 
 def reduce_to_fourth_order(sys: PolynomialODESystem, H) -> FourthOrderForm:
@@ -143,14 +116,13 @@ def energy_series(sys: PolynomialODESystem, xs: PuiseuxSeries,
                    xs.center)
 
 
-def state_from_series(xs: PuiseuxSeries, ys: PuiseuxSeries, t,
-                      bits: int | None = None) -> PhaseState:
+def state_from_series(xs: PuiseuxSeries, ys: PuiseuxSeries, t) -> PhaseState:
     """Evaluate a series pair and its derivatives into a phase state."""
     t = as_scalar(t)
     return PhaseState(
-        x=xs.evaluate(t, bits),
-        xt=xs.differentiate().evaluate(t, bits),
-        y=ys.evaluate(t, bits),
-        yt=ys.differentiate().evaluate(t, bits),
+        x=xs.evaluate(t),
+        xt=xs.differentiate().evaluate(t),
+        y=ys.evaluate(t),
+        yt=ys.differentiate().evaluate(t),
         t=t,
     )

@@ -233,20 +233,19 @@ class PuiseuxSeries:
 
     # -- evaluation -----------------------------------------------------------------
 
-    def evaluate(self, t, bits: int | None = None) -> Scalar:
+    def evaluate(self, t) -> Scalar:
         """Numeric value at t (principal branch for fractional powers)."""
         t = as_scalar(t)
         if not self.coeffs:
             return Scalar.exact(0)
-        bits = bits or max(t.precision, max(c.precision for c in self.coeffs))
         u = t - self.center
         if u.is_zero():
             raise ContractViolation("evaluation at the expansion center")
-        s = nth_root_power(u, self.step, bits)
+        s = nth_root_power(u, self.step)
         acc = Scalar.exact(0)
         for c in reversed(self.coeffs):
             acc = acc * s + c
-        return acc * nth_root_power(u, self.lead, bits)
+        return acc * nth_root_power(u, self.lead)
 
     def __repr__(self):
         parts = []
@@ -323,7 +322,7 @@ def combine(terms, center) -> PuiseuxSeries:
                          center=center, complete=not caps)
 
 
-def nth_root_power(u: Scalar, exponent: Fraction, bits: int) -> Scalar:
+def nth_root_power(u: Scalar, exponent: Fraction) -> Scalar:
     """u**exponent on the principal branch, exact for integer exponents on
     exact input."""
     exponent = _frac(exponent)

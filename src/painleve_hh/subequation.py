@@ -94,6 +94,8 @@ def fit(y_series: PuiseuxSeries, m: int, match_order: int,
         raise ContractViolation("m must be a positive integer")
     unknowns = (m + 1) ** 2             # len(ansatz_indices(m))
     yp = y_series.differentiate()
+    if all(c.is_zero() for c in yp.coeffs):
+        raise ContractViolation("y is constant: every coefficient of y' is 0")
     lead, window_cap = _column_window(y_series, yp, m)
     if window_cap is not None and match_order > window_cap:
         raise ContractViolation(

@@ -292,8 +292,8 @@ def test_criterion_9_numeric_cross_oracle():
     start = time.perf_counter()
     spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
     sol = build_series(spec, 80)
-    s_a = state_from_series(sol.x, sol.y, Scalar.exact(3, 10), 256)
-    s_b = state_from_series(sol.x, sol.y, Scalar.exact(1, 2), 256)
+    s_a = state_from_series(sol.x, sol.y, Scalar.exact(3, 10))
+    s_b = state_from_series(sol.x, sol.y, Scalar.exact(1, 2))
     end = integrate_numeric(sol.system(), s_a, Scalar.exact(1, 2),
                             Scalar.from_real("1e-20"))
     diff = max((end.x - s_b.x).mag(), (end.xt - s_b.xt).mag(),

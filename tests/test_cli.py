@@ -153,20 +153,26 @@ def test_fit_command_on_series_report(capsys, tmp_path):
     json.loads(out)
 
 
-@pytest.mark.parametrize("text, named", [
-    ("{not json", "not JSON"),
-    ('{"coeffs": []}', "'lead'"),
-    ("[1, 2]", "must be an object"),
-    ('{"lead": "-2", "step": "1", "coeffs": [{"re": "inf", "im": "0"}]}',
+_ZEROS = json.dumps({"lead": "-2", "step": "1",
+                     "coeffs": [{"num": "0", "den": "1"}] * 40})
+
+
+@pytest.mark.parametrize("text, options, named", [
+    ("{not json", (), "not JSON"),
+    ('{"coeffs": []}', (), "'lead'"),
+    ("[1, 2]", (), "must be an object"),
+    ('{"lead": "-2", "step": "1", "coeffs": [{"re": "inf", "im": "0"}]}', (),
      "'re': 'inf' is not a finite number"),
-    ('{"lead": "-2", "step": "1", "coeffs": [], "complete": "false"}',
+    ('{"lead": "-2", "step": "1", "coeffs": [], "complete": "false"}', (),
      "'complete': expected true or false"),
+    (_ZEROS, ("--m", "1", "--match-order", "20"), "y is constant"),
+    (_ZEROS, ("--m", "0"), "m must be a positive integer"),
 ], ids=["not-json", "missing-lead", "list-payload", "infinite-coefficient",
-        "string-complete"])
-def test_fit_bad_series_file_exits_2(capsys, tmp_path, text, named):
+        "string-complete", "constant-y", "m-zero"])
+def test_fit_bad_series_file_exits_2(capsys, tmp_path, text, options, named):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code, out, err = run_cli(capsys, "fit", "--series", str(path))
+    code, out, err = run_cli(capsys, "fit", "--series", str(path), *options)
     assert code == 2
     assert out == ""
     assert named in err and "Traceback" not in err
@@ -242,8 +248,13 @@ def test_parse_grid_counts_points_before_building():
     assert _parse_grid("0:1:1/4") == [Fraction(i, 4) for i in range(5)]
     assert _parse_grid("1:0:1/4") == []
     assert len(_parse_grid("0:1:1/9999")) == MAX_GRID_POINTS
-    for text in ("0:1:1/10000", "0:1:1/100000000"):
-        with pytest.raises(ContractViolation, match="more than 10000"):
+    for text, named in (("0:1:1/10000", "more than 10000"),
+                        ("0:1:1/100000000", "more than 10000"),
+                        ("0:1", "grid must be start:end:step"),
+                        ("0:1:x", "bad grid '0:1:x'"),
+                        ("0:1:1/0", "bad grid '0:1:1/0'"),
+                        ("0:1:0", "grid step must be positive")):
+        with pytest.raises(ContractViolation, match=named):
             _parse_grid(text)
 
 
@@ -364,16 +375,19 @@ def test_provenance_config_has_no_seed(capsys):
     assert "seed" not in json.loads(out)["provenance"]["config"]
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--epsilon", "-1/10"), ("--m-limit", "-1048576"), ("--m-limit", "0")])
-def test_certify_rejects_bad_epsilon_and_m_limit(capsys, option, value):
+@pytest.mark.parametrize("option, value, named", [
+    ("--epsilon", "-1/10", "must be a"), ("--m-limit", "-1048576", "must be a"),
+    ("--m-limit", "0", "must be a"),
+    ("--N", "9", "certification needs a series built with N >= 10")],
+    ids=["--epsilon--1/10", "--m-limit--1048576", "--m-limit-0", "--N-9"])
+def test_certify_rejects_bad_epsilon_and_m_limit(capsys, option, value, named):
     # a negative epsilon would claim a disc of radius 1 + |epsilon|
     code, out, err = run_cli(capsys, "certify", "--case", "C165",
                              "--lambda", "1/9", "--branch", "plus",
                              "--N", "40", option, value)
     assert code == 2
     assert out == ""
-    assert "must be a" in err
+    assert named in err
 
 
 def test_certification_failure_exit_code(capsys):

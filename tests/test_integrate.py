@@ -57,8 +57,8 @@ def test_series_cross_oracle():
     lam = Scalar.exact(1, 9)
     spec = BranchSpec(case="C165", lam=lam, root_branch="plus")
     sol = build_series(spec, 60)
-    s_a = state_from_series(sol.x, sol.y, Scalar.exact(3, 10), 256)
-    s_b = state_from_series(sol.x, sol.y, Scalar.exact(1, 2), 256)
+    s_a = state_from_series(sol.x, sol.y, Scalar.exact(3, 10))
+    s_b = state_from_series(sol.x, sol.y, Scalar.exact(1, 2))
     end = integrate_numeric(sol.system(), s_a, Scalar.exact(1, 2),
                             Scalar.from_real("1e-20"))
     diff = max((end.x - s_b.x).mag(), (end.xt - s_b.xt).mag(),
@@ -70,8 +70,8 @@ def test_backward_integration():
     lam = Scalar.exact(1, 9)
     spec = BranchSpec(case="C165", lam=lam, root_branch="plus")
     sol = build_series(spec, 50)
-    s_a = state_from_series(sol.x, sol.y, Scalar.exact(1, 2), 256)
-    s_b = state_from_series(sol.x, sol.y, Scalar.exact(3, 10), 256)
+    s_a = state_from_series(sol.x, sol.y, Scalar.exact(1, 2))
+    s_b = state_from_series(sol.x, sol.y, Scalar.exact(3, 10))
     end = integrate_numeric(sol.system(), s_a, Scalar.exact(3, 10),
                             Scalar.from_real("1e-18"))
     assert (end.y - s_b.y).mag() < mpmath.mpf("1e-14")
@@ -333,7 +333,7 @@ def test_complex_run_matches_mpmath_stepper():
                       root_branch="minus",
                       free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
     sol = build_series(spec, 40)
-    s_a = state_from_series(sol.x, sol.y, Scalar.from_real("0.3", 512), 512)
+    s_a = state_from_series(sol.x, sol.y, Scalar.from_real("0.3", 512))
     _assert_matches_mpmath_stepper(sol.system(), s_a,
                                    Scalar.from_real("0.4", 512),
                                    Scalar.from_real("1e-30", 512))
@@ -432,8 +432,8 @@ def test_verify_complex_step_count(monkeypatch):
     sol = build_series(spec, 80)
     assert sol.precision == 512
     t_a, t_b = Scalar.from_real("0.3", 512), Scalar.from_real("0.5", 512)
-    s_a = state_from_series(sol.x, sol.y, t_a, 512)
-    s_b = state_from_series(sol.x, sol.y, t_b, 512)
+    s_a = state_from_series(sol.x, sol.y, t_a)
+    s_b = state_from_series(sol.x, sol.y, t_b)
     end = integrate_numeric(sol.system(), s_a, t_b,
                             Scalar.from_real("1e-40", 512))
     assert len(calls) <= 12 and set(calls) == {48}
@@ -450,7 +450,7 @@ def test_step_budget_ends_the_run(monkeypatch, capsys):
                       root_branch="minus",
                       free_params=(Scalar.exact(1, 3), Scalar.exact(-2, 5)))
     sol = build_series(spec, 80)
-    s_a = state_from_series(sol.x, sol.y, Scalar.from_real("0.3", 512), 512)
+    s_a = state_from_series(sol.x, sol.y, Scalar.from_real("0.3", 512))
     with pytest.raises(SingularityApproach, match="step budget exhausted"):
         integrate_numeric(sol.system(), s_a, Scalar.from_real("0.5", 512),
                           Scalar.from_real("1e-40", 512))

@@ -76,15 +76,31 @@ def test_rhs_is_negative_potential_gradient():
 
 
 def test_fourth_order_coefficients():
-    f1 = reduce_to_fourth_order(
-        build_henon_heiles(Scalar.exact(-4, 3), Scalar.exact(1)), Scalar.exact(0))
-    assert f1.coeff_ytt_y.fraction() == Fraction(-32, 3)
-    f2 = reduce_to_fourth_order(
-        build_henon_heiles(Scalar.exact(-16, 5), Scalar.exact(1)), Scalar.exact(0))
-    assert f2.coeff_y3.fraction() == Fraction(-64, 3)
-    f3 = reduce_to_fourth_order(
-        build_henon_heiles(Scalar.exact(-1), Scalar.exact(1)), Scalar.exact(0))
-    assert f3.coeff_yt2.is_zero()
+    # every coefficient read off exact residuals: y = t leaves -2(C+1) + 4H,
+    # 4 lam, -(4 C lam - 6) and -20C/3 at t**0..t**3; y = t**2 adds
+    # 2(4 lam + 1) + 4H at t**0 and -(2(2C-8) + 8(C+1) - 4 lam) at t**2
+    def nonzero(terms):
+        return {e: c for e, c in terms if c}
+
+    for C, lam, H in ((Fraction(-4, 3), 1, 0), (Fraction(-16, 5), 1, 0),
+                      (-1, 1, 0), (Fraction(-16, 5), Fraction(1, 9),
+                                   Fraction(3, 7))):
+        form = reduce_to_fourth_order(build_henon_heiles(
+            Scalar.exact(C), Scalar.exact(lam)), Scalar.exact(H))
+
+        def residual(n):
+            r = form.residual_of_series(
+                PuiseuxSeries(n, 1, [Scalar.exact(1)], complete=True))
+            return nonzero((e, c.fraction())
+                           for e, c in zip(r.exponents(), r.coeffs))
+
+        assert residual(1) == nonzero([
+            (0, -2 * (C + 1) + 4 * H), (1, 4 * lam),
+            (2, -(4 * C * lam - 6)), (3, -Fraction(20, 3) * C)])
+        assert residual(2) == nonzero([
+            (0, 2 * (4 * lam + 1) + 4 * H),
+            (2, -(2 * (2 * C - 8) + 8 * (C + 1) - 4 * lam)),
+            (4, -(4 * C * lam - 6)), (6, -Fraction(20, 3) * C)])
 
 
 def test_residual_of_zero_series():
@@ -388,14 +404,14 @@ def _check_every_kernel(xs, ys, lam, C, H):
         (Fraction(1, 2), x1, x1), (Fraction(1, 2), y1, y1),
         (Scalar.exact(1, 2) * lam, xs, xs), (Fraction(1, 2), ys, ys),
         (1, x2, ys), (-Scalar.exact(1, 3) * C, y2, ys)])
-    form = reduce_to_fourth_order(sys_, H)
     ytt = combine([(1, ys, 2)], ys.center)
     _assert_formula_rounded_once(ytt, [(1, ys, 2)])
-    _assert_formula_rounded_once(form.residual_of_series(ys), [
-        (1, ys, 4), (-form.coeff_ytt_y, ytt, ys), (-form.coeff_ytt, ys, 2),
-        (-form.coeff_yt2, y1, y1), (-form.coeff_y3, y2, ys),
-        (-form.coeff_y2, ys, ys), (-form.coeff_y, ys, 0),
-        (-form.coeff_const, PuiseuxSeries.constant(1), 0)])
+    _assert_formula_rounded_once(
+        reduce_to_fourth_order(sys_, H).residual_of_series(ys), [
+            (1, ys, 4), (-(2 * C - 8), ytt, ys), (4 * lam + 1, ys, 2),
+            (-2 * (C + 1), y1, y1), (-(Scalar.exact(20, 3) * C), y2, ys),
+            (-(4 * C * lam - 6), ys, ys), (4 * lam, ys, 0),
+            (4 * H, PuiseuxSeries.constant(1), 0)])
     _assert_formula_rounded_once(xs + ys, [(1, xs, 0), (1, ys, 0)])
     _assert_formula_rounded_once(xs - ys, [(1, xs, 0), (-1, ys, 0)])
     _assert_formula_rounded_once(ys + lam, [

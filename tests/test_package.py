@@ -58,6 +58,39 @@ def test_every_imported_name_is_read(path):
     assert _unread_imports(ast.parse(path.read_text())) == set()
 
 
+def _unread_parameters(tree):
+    """(function, parameter) for each parameter, but self and cls, that its
+    function's body never reads; a lambda is named "lambda"."""
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+        elif isinstance(node, ast.Lambda):
+            name, body = "lambda", [node.body]
+        else:
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for b in body for n in ast.walk(b)
+                if isinstance(n, ast.Name)}
+        unread += [(name, p.arg) for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(ast.parse(path.read_text())) == []
+
+
+def test_an_unread_parameter_is_seen():
+    tree = ast.parse("def f(self, a, b, *c, d=1, **e):\n"
+                     "    g = lambda u, v: u\n    return a(d, c)\n")
+    assert _unread_parameters(tree) == [("f", "b"), ("f", "e"),
+                                        ("lambda", "v")]
+
+
 def test_an_unread_import_is_seen():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os\nfrom math import pi, tau as t\nprint(pi)\n")

@@ -227,6 +227,21 @@ def test_fit_series_too_short():
         fit(p, 2, 40)
 
 
+@pytest.mark.parametrize("y", [
+    PuiseuxSeries.zero(), PuiseuxSeries(-2, 1, [0], complete=True),
+    PuiseuxSeries(-2, 1, [0] * 40), PuiseuxSeries.constant(3),
+    PuiseuxSeries(0, 1, [3] + [0] * 40),
+    PuiseuxSeries(0, 1, [Scalar.from_real(3, 256)]
+                  + [Scalar.from_real(0, 256)] * 40),
+], ids=["zero", "complete-zero", "truncated-zeros", "constant",
+        "truncated-constant", "rounded-constant"])
+def test_fit_refuses_a_constant_y(y):
+    # y' == 0 (exact or rounded zeros) leaves the coefficient of every
+    # term with a factor y' free: there is no first-order form to fit
+    with pytest.raises(ContractViolation, match="y is constant"):
+        fit(y, 1, 5)
+
+
 @pytest.mark.parametrize("m, known", [(200, -738), (10 ** 6, -3999938)])
 def test_fit_rejects_a_short_series_before_forming_a_column(monkeypatch, m,
                                                             known):
