@@ -64,13 +64,6 @@ class DenseMatrix:
     def precision(self) -> int:
         return max(e.precision for e in self.entries)
 
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(repr(self[i, j]) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return f"DenseMatrix({self.rows}x{self.cols}: {body})"
-
 
 @dataclass
 class LinearSolution:

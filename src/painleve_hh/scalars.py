@@ -107,24 +107,16 @@ def set_default_precision(bits: int) -> int:
 
 
 def _int_nth_root(n: int, k: int):
-    """Floor k-th root of a nonnegative int, plus an exactness flag."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1):
-        return n, True
-    r = int(round(n ** (1.0 / k))) if n.bit_length() < 500 else 1 << (n.bit_length() // k + 1)
-    # Newton refinement on integers; converges in a handful of steps.
-    r = max(r, 1)
+    """Floor k-th root of a positive int, plus an exactness flag."""
+    # Newton's integer iteration falls strictly while above the root and
+    # never below its floor, so from 2**ceil(bits/k) > n**(1/k) it stops
+    # exactly there
+    r = 1 << -(-n.bit_length() // k)
     while True:
         nxt = ((k - 1) * r + n // r ** (k - 1)) // k
         if nxt >= r:
-            break
+            return r, r ** k == n
         r = nxt
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r ** k == n
 
 
 class Scalar:
@@ -310,9 +302,6 @@ class Scalar:
         return Scalar(None, mpc_pow_int(self._val, exponent, self._prec,
                                         round_nearest), self._prec)
 
-    def __abs__(self):
-        return self.magnitude()
-
     def __eq__(self, other):
         s = Scalar._coerce(other)
         if s is NotImplemented:
@@ -355,8 +344,6 @@ def as_scalar(value) -> Scalar:
         return Scalar(Fraction(value), None, _default_precision)
     if isinstance(value, (float, str)) or isinstance(value, mpmath.mpf):
         return Scalar.from_real(value)
-    if isinstance(value, mpmath.mpc):
-        return Scalar.from_mpc(value, _default_precision)
     raise ContractViolation(f"cannot coerce {type(value).__name__} to Scalar")
 
 

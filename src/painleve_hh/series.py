@@ -162,21 +162,17 @@ class PuiseuxSeries:
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, scalar) -> "PuiseuxSeries":
         return combine([(as_scalar(scalar), self, 0)], self.center)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         lead, step, sums, complete = self._product(other)
         return PuiseuxSeries(lead, step, map(rounded_sum, sums),
                              center=self.center, complete=complete)
 
+    # kept: perfbench/tracing.py patches __rmul__ beside __mul__
     __rmul__ = __mul__
 
     def _product(self, other: "PuiseuxSeries"):
@@ -246,15 +242,6 @@ class PuiseuxSeries:
         for c in reversed(self.coeffs):
             acc = acc * s + c
         return acc * nth_root_power(u, self.lead)
-
-    def __repr__(self):
-        parts = []
-        for e, c in list(zip(self.exponents(), self.coeffs))[:6]:
-            if not (c.is_exact and c.is_zero()):
-                parts.append(f"{c!r}*t^{e}")
-        tail = "" if len(self.coeffs) <= 6 else " + ..."
-        status = "complete" if self.complete else f"O(t^{self.max_exp})"
-        return f"PuiseuxSeries({' + '.join(parts) or '0'}{tail}; {status})"
 
 
 def _placed(items, at: Fraction, step: Fraction, lead: Fraction,

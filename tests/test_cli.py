@@ -439,6 +439,19 @@ def test_environment_precision_variable(module):
     assert json.loads(out.stdout)["provenance"]["precision_bits"] == 192
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--C", str(3 ** 200 - 2)),
+    ("series", "--case", "C43", "--lambda", str(11 ** 40), "--N", "5")])
+def test_a_long_exact_value_returns_promptly(argv):
+    # exact values of 107 to 499 bits, whose integer roots a 53-bit float
+    # first guess undershoots by as much as 7e30
+    import subprocess
+    import sys as _sys
+    out = subprocess.run([_sys.executable, "-m", "painleve_hh.cli", *argv],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+
+
 def test_analyze_at_minimum_precision(capsys):
     code, out, _ = run_cli(capsys, "--precision-bits", "64", "analyze",
                            "--C", "-16/5")

@@ -407,6 +407,19 @@ def test_step_recurrence_rejects_indices_below_the_first_step():
         step_recurrence(spec, 1, ({-2: Scalar.exact(1)}, {-2: Scalar.exact(1)}))
 
 
+def test_step_recurrence_rejects_an_incompatible_step():
+    # the C43 zero branch fails its k = 2 compatibility at lambda = 1/9; the
+    # forced build supplies the prior the single step starts from
+    spec = BranchSpec(case="C43", lam=LAM9, root_branch="zero")
+    xs, ys = _recurrence_coefficients(
+        build_series(spec, 6, on_incompatible="force"))
+    prior = ({k: v for k, v in xs.items() if k < 2},
+             {k: v for k, v in ys.items() if k < 2})
+    with pytest.raises(CompatibilityViolation) as err:
+        step_recurrence(spec, 2, prior)
+    assert err.value.k == 2 and err.value.defect.mag() > 1
+
+
 def test_step_resolutions_and_freed_parameters():
     spec = BranchSpec(case="C165", lam=LAM9, root_branch="plus")
     sol = build_series(spec, 6)
@@ -762,6 +775,9 @@ def test_branch_spec_validation():
                    imaginary_rotation=True)
     with pytest.raises(ContractViolation):
         BranchSpec(case="C99", lam=LAM9, root_branch="plus")
+    for signs in ({"x_sign": 2}, {"residue_sign": 0}):
+        with pytest.raises(ContractViolation):
+            BranchSpec(case="C165", lam=LAM9, root_branch="plus", **signs)
 
 
 @pytest.mark.parametrize("case, branch, bits", [("C165", "plus", 256),

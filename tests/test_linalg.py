@@ -59,6 +59,21 @@ def test_dimension_mismatch():
         solve_linear(M([[1, 2]]), [Scalar.exact(1), Scalar.exact(2)])
     with pytest.raises(ContractViolation):
         DenseMatrix.from_rows([])
+    with pytest.raises(ContractViolation, match="ragged rows"):
+        DenseMatrix.from_rows([[1, 2], [3]])
+    for rows, cols, entries in ((0, 1, []), (1, 0, []), (2, 2, [1, 2, 3])):
+        with pytest.raises(ContractViolation):
+            DenseMatrix(rows, cols, entries)
+
+
+def test_wide_rounded_system_is_parametrized():
+    # every row pivots before the last column
+    sol = solve_linear(M([[Scalar.from_real("0.5"), Scalar.from_real("1.5")]]),
+                       [Scalar.from_real("1")])
+    assert (sol.kind, sol.nullspace_dim) == ("parametrized", 1)
+    v = sol.nullspace[0]
+    assert (v[0] * Scalar.from_real("0.5")
+            + v[1] * Scalar.from_real("1.5")).mag() < mpmath.mpf(2) ** -200
 
 
 def test_determinant_examples():

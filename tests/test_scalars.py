@@ -8,9 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath.libmp import from_rational, fzero, round_nearest, to_rational
 
-from painleve_hh import ContractViolation, Scalar, as_scalar, nth_root
+from painleve_hh import (ContractViolation, PuiseuxSeries, Scalar, as_scalar,
+                         nth_root)
 from painleve_hh.jsonio import decode_scalar
-from painleve_hh.scalars import (ScaledInts, exact_combination,
+from painleve_hh.scalars import (ScaledInts, _int_nth_root, exact_combination,
                                  half_precision_tol)
 
 from conftest import cauchy
@@ -65,6 +66,13 @@ def test_exact_zero_annihilates_floats():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         sc(1) / sc(0)
+    with pytest.raises(ZeroDivisionError):
+        sc(0) ** -1
+
+
+def test_a_rounded_scalar_has_no_fraction():
+    with pytest.raises(ContractViolation):
+        Scalar.from_real("0.5").fraction()
 
 
 def test_precision_floor():
@@ -110,6 +118,30 @@ def test_nth_root_inverts(q, n, branch):
     assert err <= mpmath.mpf(2) ** (-128) * (1 + x.mag())
 
 
+@st.composite
+def radicands(draw):
+    """(n, k): any n of up to 3,000 bits, or a perfect k-th power of up to
+    3,000 bits or one off it."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=1, max_value=2 ** 3000)), k
+    r = draw(st.integers(min_value=1, max_value=2 ** (3000 // k)))
+    return max(1, r ** k + draw(st.integers(min_value=-1, max_value=1))), k
+
+
+@given(radicands())
+# radicands of 107 to 499 bits, whose roots a 53-bit float first guess
+# undershoots by as much as 7e30
+@example((3 ** 200 - 2, 2))
+@example((7 ** 60, 2))
+@example((11 ** 40, 4))
+def test_int_nth_root_is_the_floor_root(nk):
+    n, k = nk
+    r, exact = _int_nth_root(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    assert exact == (r ** k == n)
+
+
 def test_nth_root_contract_violations():
     with pytest.raises(ContractViolation):
         nth_root(sc(2), 0, 0)
@@ -148,12 +180,32 @@ def test_operators_coerce_numbers_like_as_scalar_and_refuse_strings():
     one = Scalar.exact(1)
     assert (one + 2) == as_scalar(3) and (one + 2).is_exact
     assert (Fraction(1, 2) * one).fraction() == Fraction(1, 2)
+    third = 1 / Scalar.exact(3)
+    assert third == Scalar.exact(1, 3) and third.is_exact
     assert one + 0.25 == as_scalar(1.25) and not (one + 0.25).is_exact
     # as_scalar parses strings, but an operand never is one
     with pytest.raises(TypeError):
         one + "1"
     with pytest.raises(TypeError):
         "1" * one
+
+
+@pytest.mark.parametrize("a, op, b", [
+    (Scalar.exact(1), operator.sub, "1"), ("1", operator.sub, Scalar.exact(1)),
+    (Scalar.exact(1), operator.truediv, "1"),
+    ("1", operator.truediv, Scalar.exact(1)),
+    (Scalar.exact(4), operator.pow, 0.5),
+    (PuiseuxSeries(0, 1, [1]), operator.add, "1"),
+    (PuiseuxSeries(0, 1, [1]), operator.mul, "1"),
+    (Scalar.exact(1), operator.eq, "1")])
+def test_an_unsupported_operand_is_refused(a, op, b):
+    # the operator returns NotImplemented: Python raises TypeError, and ==
+    # falls back to identity
+    if op is operator.eq:
+        assert op(a, b) is False
+    else:
+        with pytest.raises(TypeError):
+            op(a, b)
 
 
 def test_magnitude_and_parts():

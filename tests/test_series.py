@@ -183,6 +183,17 @@ def test_evaluate_at_center_rejected():
         s.evaluate(Scalar.exact(0))
 
 
+def test_an_empty_series_evaluates_to_an_exact_zero():
+    v = PuiseuxSeries(Fraction(-3, 2), 1, ()).evaluate(Scalar.exact(1, 4))
+    assert v.is_exact and v.is_zero()
+
+
+@pytest.mark.parametrize("lead, step", [(0.5, 1), (0, 0), (0, Fraction(-1, 2))])
+def test_exponents_must_be_rational_and_the_step_positive(lead, step):
+    with pytest.raises(ContractViolation):
+        PuiseuxSeries(lead, step, [1])
+
+
 def test_center_mismatch_rejected():
     a = S(0, [1])
     b = PuiseuxSeries(0, 1, [Scalar.exact(1)], center=Scalar.exact(1))
@@ -196,6 +207,8 @@ def test_zero_series_behavior():
     a = S(-1, [2, 3])
     assert (a + z).coefficient(-1).fraction() == 2
     assert (a * z).is_identically_zero()
+    c = PuiseuxSeries.constant(0)
+    assert (c.coeffs, c.complete) == ((), True)
 
 
 def test_a_complete_series_of_rounded_zeros_is_not_identically_zero():
@@ -240,6 +253,18 @@ def test_normalized_drops_exact_leading_zeros():
     n = s.normalized()
     assert n.lead == 0
     assert n.coefficient(0).fraction() == 5
+    # all exact zeros: the zero series when complete, else an empty window
+    # that ends where the zeros did
+    z = S(-2, [0, 0], complete=True).normalized()
+    assert (z.lead, z.coeffs, z.complete) == (0, (), True)
+    w = S(-2, [0, 0]).normalized()
+    assert (w.lead, w.coeffs, w.complete, w.max_exp) == (0, (), False, -1)
+
+
+def test_a_product_with_an_empty_window_knows_nothing_past_it():
+    a = PuiseuxSeries(0, 1, [1, 2])
+    p = a.truncate(-1) * a
+    assert (p.lead, p.coeffs, p.complete, p.max_exp) == (0, (), False, -1)
 
 
 def test_truncate():
@@ -463,6 +488,11 @@ def test_powers_and_derivative_are_formed_once():
         assert s.pow_int(n) is s.pow_int(n)
     assert s.differentiate() is s.differentiate()
     assert s.differentiate().differentiate() is s.differentiate().differentiate()
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ContractViolation):
+        S(-2, [1]).pow_int(-1)
 
 
 def test_high_power_builds_without_recursion():

@@ -40,6 +40,16 @@ def test_fixture_t_minus_two():
     assert ratio.fraction() == Fraction(-1, 4)   # y'^2 = 4 y^3
 
 
+def test_ansatz_needs_a_positive_degree():
+    with pytest.raises(ContractViolation):
+        ansatz_indices(0)
+
+
+def test_normalizing_an_empty_ansatz_keeps_it():
+    ans = SubequationAnsatz(m=1, h={})
+    assert ans.normalized() is ans
+
+
 def test_weierstrass_series_satisfies_its_ode():
     g2, g3 = Scalar.exact(4), Scalar.exact(1)
     p = weierstrass_p_series(g2, g3, 18)
@@ -275,21 +285,23 @@ def test_column_window_is_the_formed_columns_window(y, m):
 
 
 def test_exploratory_fit_of_c43_zero_branch_at_lambda_one():
-    # at lam = 1 the zero branch exists; with generic free parameters the
-    # m = 2 fit is expected to find nothing (recorded, not asserted as a
-    # mathematical fact for other lambda)
+    # at lam = 1 the zero branch exists; with these generic free parameters
+    # the m = 2 fit finds nothing.  A nonzero dimension would mean this
+    # series satisfies a degree-2 first-order form through order 24: a
+    # special solution the zero branch is not known to have, or a fit that
+    # accepts a form the series does not satisfy
     spec = BranchSpec(case="C43", lam=Scalar.exact(1), root_branch="zero",
                       free_params=(Scalar.exact(1, 3), Scalar.exact(1, 5)))
     sol = build_series(spec, 30)
     result = fit(sol.y, 2, 24)
-    assert result.nullspace_dim >= 0   # exploratory: record only
+    assert result.nullspace_dim == 0
 
 
 def test_mobius_squared_series_construction():
     # the expansion must satisfy (c p + d) * ratio = (a p + b) termwise;
     # verified here via the reconstructed product, then an exploratory fit
-    # is recorded (no dimension asserted: the order-4 elliptic shape need
-    # not admit a low-m polynomial first-order form)
+    # (the order-4 elliptic shape need not admit a low-m polynomial
+    # first-order form, and with these constants it admits none)
     a, b, c, d = 2, 1, 1, 1   # ad - bc = 1
     P0 = Scalar.exact(1, 4)
     g2, g3 = Scalar.exact(4), Scalar.exact(1)
@@ -307,7 +319,10 @@ def test_mobius_squared_series_construction():
         assert (y.coefficient(e) - recon.coefficient(e)).mag() \
             < mpmath.mpf("1e-40")
     result = fit(y, 2, 14)
-    assert result.nullspace_dim >= 0   # recorded, not asserted
+    # a nonzero dimension would mean the squared Mobius shape satisfies a
+    # degree-2 first-order form through order 14, or that the fit accepts
+    # a form it does not satisfy
+    assert result.nullspace_dim == 0
 
 
 def _long_division(num, den, order_cap):
@@ -480,6 +495,22 @@ def test_series_divide_rejects_num_off_the_den_grid(num_step, den_step):
     den = PuiseuxSeries(0, den_step, [Scalar.exact(v) for v in (1, 1, 1)])
     with pytest.raises(ContractViolation):
         _series_divide(num, den, 4)
+
+
+def test_series_divide_rejects_a_zero_denominator():
+    num = PuiseuxSeries(0, 1, [Scalar.exact(1)])
+    for den in (PuiseuxSeries.zero(), PuiseuxSeries(0, 1, [Scalar.exact(0)])):
+        with pytest.raises(ZeroDivisionError):
+            _series_divide(num, den, 4)
+
+
+def test_weierstrass_and_mobius_contract_checks():
+    g2, g3 = Scalar.exact(4), Scalar.exact(1)
+    with pytest.raises(ContractViolation, match="at least 3 terms"):
+        weierstrass_p_series(g2, g3, 2)
+    # ad - bc = 2
+    with pytest.raises(ContractViolation, match="ad - bc = 1"):
+        mobius_squared_series(2, 1, 0, 1, Scalar.exact(0), g2, g3, 10)
 
 
 def test_series_divide_rejects_different_centers():
